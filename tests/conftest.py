@@ -19,3 +19,81 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for number in sorted(criterion_lines):
         terminalreporter.write_line(criterion_lines[number])
+
+
+# One run configuration that reaches every drift mechanism and both the
+# abrupt and the windowed code paths on the six-node example graph: a
+# prototype feature node, a random MLP, an sgd-linear node and a hyperplane
+# target, with interventions (forced values and the target included),
+# missingness and a feature subsample.
+COVERAGE_DOC = {
+    "seed": 11,
+    "dataset_size": 900,
+    "task": "classification",
+    "d": 5,
+    "p_i": 0.2,
+    "p_m": 0.1,
+    "feature_subsample": 4,
+    "temporal": {"alpha": 0.1, "rho": 0.5, "sigma": 0.3},
+    "graph": {
+        "n_nodes": 6,
+        "parents": {"0": [], "1": [], "2": [0, 1], "3": [2], "4": [2], "5": [2, 3, 4]},
+        "target": 5,
+    },
+    "concept": {
+        "n_classes": 2,
+        "nodes": {
+            "0": {"dist": "normal"},
+            "1": {"dist": "uniform"},
+            "2": {"mapper": "prototype", "n_classes": 3},
+            "3": {"mapper": "random-mlp"},
+            "4": {"mapper": "sgd-linear", "target_fn": "linear"},
+            "5": {"mapper": "hyperplane"},
+        },
+    },
+    "policy": {
+        "count_range": [1, 2],
+        "include_target": True,
+        "values": {"3": {"dist": "uniform", "params": [-1.0, 1.0]}},
+    },
+    "schedule": {
+        "events": [
+            {
+                "kind": "distributional", "rate": "abrupt", "t_start": 100,
+                "actions": [
+                    {"mechanism": "change-distance", "node": 2},
+                    {"mechanism": "rotate-hyperplane", "node": 5},
+                ],
+            },
+            {
+                "kind": "covariate", "rate": "incremental", "t_start": 200, "duration": 50,
+                "actions": [
+                    {"mechanism": "root-params", "node": 0,
+                     "params": {"shift_std": 1.0, "scale_factor": 1.5}},
+                ],
+            },
+            {
+                "kind": "distributional", "rate": "incremental", "t_start": 300, "duration": 60,
+                "actions": [
+                    {"mechanism": "rotate-hyperplane", "node": 5, "params": {"angle_deg": 60}},
+                    {"mechanism": "reinit-random-mlp", "node": 3},
+                    {"mechanism": "refit-new-target-fn", "node": 4},
+                ],
+            },
+            {"kind": "recurrent", "rate": "abrupt", "t_start": 400, "snapshot_id": "concept1"},
+            {
+                "kind": "covariate", "rate": "gradual", "t_start": 500, "duration": 100,
+                "actions": [{"mechanism": "root-params", "node": 1, "params": {"redraw": True}}],
+            },
+            {"kind": "severe", "rate": "abrupt", "t_start": 700,
+             "actions": [{"mechanism": "swap-classes"}]},
+            {
+                "kind": "distributional", "rate": "abrupt", "t_start": 800,
+                "actions": [
+                    {"mechanism": "move-prototypes", "node": 2},
+                    {"mechanism": "refit-new-target-fn", "node": 4, "params": {"target_fn": "sine"}},
+                ],
+            },
+        ]
+    },
+}

@@ -1,0 +1,103 @@
+"""Byte-level guard: SHA-256 digests of generated streams, pinned.
+
+Each case pins the stream CSV, the serialized final concept and every
+concept snapshot of one run.  A change that keeps the RNG layout must leave
+all of them untouched; a change that alters it on purpose updates the table
+once and says so.
+"""
+
+import copy
+import hashlib
+import json
+from dataclasses import replace
+
+import pytest
+
+from conftest import COVERAGE_DOC
+from causalstream.config import parse_config
+from causalstream.drift import DriftSchedule
+from causalstream.generator import build_stream
+from causalstream.presets import preset_config
+from causalstream.stream_io import write_stream_csv
+
+
+def _prefix(name: str, rows: int, seed: int = 0):
+    """The first ``rows`` rows of a preset, with its schedule cut to them."""
+    cfg = preset_config(name, seed)
+    events = tuple(e for e in cfg.schedule if e.t_end <= rows)
+    return replace(cfg, dataset_size=rows, schedule=DriftSchedule(events))
+
+
+CASES = {
+    "dataset1": lambda: preset_config("dataset1", 0),
+    "dataset2": lambda: preset_config("dataset2", 0),
+    "dataset3": lambda: preset_config("dataset3", 0),
+    "regression1": lambda: preset_config("regression1", 0),
+    "dataset4[:1100]": lambda: _prefix("dataset4", 1100),
+    "dataset5[:1100]": lambda: _prefix("dataset5", 1100),
+    "dataset6[:600]": lambda: _prefix("dataset6", 600),
+    "coverage": lambda: parse_config(copy.deepcopy(COVERAGE_DOC)).generator,
+}
+
+DIGESTS = {
+    "dataset1": {
+        "csv": "8ea36f49fe7559faafa1a1e8757aa87dc991cf3c99422050ec974a2a8e26c685",
+        "concept": "224ba9588df39d46f51aa69a25eab29db954c452edb25befc4b37957d839fb15",
+        "snapshots": "cf0fd405b294610dc6386b99543997c9bb6f123c676e72a6b2579bbc142d2ef5",
+    },
+    "dataset2": {
+        "csv": "3be534063f88983a76317129e7df0971c13f083f68153d77eea1680e955b7282",
+        "concept": "c38f0f37296792e9e0e5b681f9dece09ea1736ff3cf9c5919a33782903c1026a",
+        "snapshots": "6a439cd8c4a7d6efb9c240edd329a1a1f74fda14b2d91535af649a98120422ec",
+    },
+    "dataset3": {
+        "csv": "56b8b56a7e7487acc0cc68f2e764cf39de0b5759c1c1da2554d9788ae7465a0a",
+        "concept": "b6b116968d61056dcec9a2fbc399ca5ae5e720dfadee129798996d1491217e74",
+        "snapshots": "a12e01e9f1d4494d249df4d08ec5245d9003c4e34d76ac840afd5f2e953ab2cd",
+    },
+    "regression1": {
+        "csv": "47ff1d5632532acf79ed7b11392d35e51d498aa38e3f2004bf3bf34904494a85",
+        "concept": "ce8805abf00b36549e114242e21aea09620e13eee7d457630c3ff27bfda48d06",
+        "snapshots": "ac632172283c3ecb5389a8b57219be867c1f4a5354bd703d838d3bc522bb6cd1",
+    },
+    "dataset4[:1100]": {
+        "csv": "9328c69f48755aaeb32412575532a4aee62136dd6097d10f89d0192de44b0ec9",
+        "concept": "704ebe3a46f4d2a2f473444ebfc4796d808a09968a9e477d941962f1862bfc06",
+        "snapshots": "037e52047028c8b7686499d5c76033d4f3be560b18c36919c1d7bac4fc63560b",
+    },
+    "dataset5[:1100]": {
+        "csv": "919451c4aa3edc310d22fc134c862c491aba7efef37106998c71322c4feff126",
+        "concept": "90821bf1cbd5ee4728d17a8e95b29870ac959ff3e7f64198fa66eb2788d2c6c2",
+        "snapshots": "345c6d8e5394dba1f00fb2da2a61da8826359fcddd4314dbea3c00960854b883",
+    },
+    "dataset6[:600]": {
+        "csv": "eacbb88ec8c694d727667faa790bc4aeaaa7311ec82c2d4fa7b3cc49f30e3b4d",
+        "concept": "5c8fcc22c9f4c1af126a903da410ae50b13424988aacf17ed8e2bbf150b2df68",
+        "snapshots": "0c25abc7fb43482c1bfca6de507e5016318cf333f170b40a335dbea8de6936f5",
+    },
+    "coverage": {
+        "csv": "806e68d87d65dcda474b99ccde88369d20ef908499e5d6563f51c1fb6156e238",
+        "concept": "7c7a973db2a9183ee77c86f9523bacdee31183e45c943f385c72c2f088d4acbe",
+        "snapshots": "9254357845f62ec69214158f5bae2fba88bad58c8f0fa4c3e4864f8ff8d8e73a",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def stream_digests(cfg, path) -> dict[str, str]:
+    gen = build_stream(cfg)
+    write_stream_csv(path, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names)
+    snapshots = "\n".join(f"{sid} {snap.to_json()}" for sid, snap in gen.snapshots.items())
+    return {
+        "csv": _sha(path.read_bytes()),
+        "concept": _sha(json.dumps(gen.concept.to_dict()).encode()),
+        "snapshots": _sha(snapshots.encode()),
+    }
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_stream_digests_are_pinned(case, tmp_path):
+    assert stream_digests(CASES[case](), tmp_path / "s.csv") == DIGESTS[case]
