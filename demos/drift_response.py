@@ -11,10 +11,10 @@ import argparse
 import numpy as np
 
 from causalstream import (
+    DelayedLabels,
     LogisticLearner,
     build_stream,
     collect,
-    delayed_partial_overlay,
     drift_response_metrics,
     prequential_run,
     preset_config,
@@ -46,7 +46,7 @@ def main():
         LogisticLearner(cfg.d, cfg.concept.n_classes),
         W=100,
         initial_train=100,
-        overlay=delayed_partial_overlay(delay=100, label_fraction=0.5),
+        overlay=DelayedLabels(delay=100, label_fraction=0.5),
     )
 
     print(f"dataset1, seed {args.seed}: windowed accuracy (W=100)")

@@ -52,7 +52,6 @@ from .evaluate import (
     LogisticLearner,
     NaiveBayesLearner,
     PrequentialCurve,
-    delayed_partial_overlay,
     drift_response_metrics,
     mae_prequential,
     make_learner,
@@ -76,14 +75,12 @@ from .mappers import (
     ParentStats,
     RootDistribution,
     TargetFunction,
-    categorical_predict,
     draw_target_function,
     eval_target_function,
     fit_continuous_mapper,
     init_categorical_mapper,
     init_random_mlp,
     mapper_from_dict,
-    mapper_predict,
     serialize_params,
 )
 from .presets import describe_preset, list_presets, preset_config

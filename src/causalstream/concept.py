@@ -24,9 +24,12 @@ import numpy as np
 from .graph import CausalGraph
 from .mappers import (
     CATEGORICAL_KINDS,
+    CENTROID_KINDS,
     CONTINUOUS_KINDS,
+    FITTABLE_KINDS,
     TARGET_FN_KINDS,
     ParentStats,
+    PrototypeMapper,
     RootDistribution,
     TargetFunction,
     draw_target_function,
@@ -38,6 +41,7 @@ from .mappers import (
 from .temporal import TemporalParams, TemporalState, simulate_ar_noise, simulate_root_values
 
 __all__ = [
+    "NODE_PIN_KEYS",
     "ConceptParams",
     "Concept",
     "ConceptSnapshot",
@@ -48,16 +52,13 @@ __all__ = [
     "simulate_concept_samples",
 ]
 
-_LEARNED_KINDS = ("learned-mlp", "regression-tree", "sgd-linear")
-
 
 @dataclass(frozen=True)
 class ConceptParams:
     """Ranges and pins controlling concept initialization.
 
-    ``nodes`` maps node id to a pin dict; recognized pin keys are ``dist``,
-    ``dist_params``, ``mapper``, ``target_fn``, ``distance`` and
-    ``n_classes`` (categorical feature nodes only).
+    ``nodes`` maps node id to a pin dict with keys from ``NODE_PIN_KEYS``;
+    ``n_classes`` applies to pinned categorical feature nodes only.
     """
 
     task: str = "classification"
@@ -270,10 +271,18 @@ def deterministic_label(concept: Concept, node_values: Mapping[int, float]) -> i
 # initialization
 
 
+# keys of a ``ConceptParams.nodes`` pin, each read below
+NODE_PIN_KEYS = frozenset({"dist", "dist_params", "mapper", "n_classes", "distance", "target_fn"})
+
+
+def _pick(menu: tuple, rng):
+    return menu[int(rng.integers(len(menu)))]
+
+
 def _draw_root_dist(params: ConceptParams, pin: dict, rng) -> RootDistribution:
     kind = pin.get("dist")
     if kind is None:
-        kind = ("normal", "uniform")[int(rng.integers(2))]
+        kind = _pick(("normal", "uniform"), rng)
     if "dist_params" in pin:
         p1, p2 = (float(v) for v in pin["dist_params"])
         return RootDistribution(kind, p1, p2)
@@ -289,8 +298,7 @@ def _draw_root_dist(params: ConceptParams, pin: dict, rng) -> RootDistribution:
 
 
 def _categorical_menu(n_classes: int) -> tuple[str, ...]:
-    menu = ("prototype", "gaussian-prototype", "random-rbf")
-    return menu + ("hyperplane",) if n_classes == 2 else menu
+    return CATEGORICAL_KINDS if n_classes == 2 else CENTROID_KINDS
 
 
 def _resolve_inner_kind(
@@ -301,68 +309,41 @@ def _resolve_inner_kind(
     pinned = pin.get("mapper")
     if node == target:
         if params.task == "classification":
-            ncls = params.n_classes
-            if pinned is not None:
-                if pinned not in CATEGORICAL_KINDS:
-                    raise ValueError(
-                        f"target {node} pinned to {pinned!r}; classification "
-                        "requires a categorical mapper"
-                    )
-                return pinned, ncls
-            menu = _categorical_menu(ncls)
-            return menu[int(rng.integers(len(menu)))], ncls
-        if pinned is not None:
-            if pinned not in CONTINUOUS_KINDS:
+            if pinned is not None and pinned not in CATEGORICAL_KINDS:
                 raise ValueError(
-                    f"target {node} pinned to {pinned!r}; regression requires "
-                    "a continuous mapper"
+                    f"target {node} pinned to {pinned!r}; classification "
+                    "requires a categorical mapper"
                 )
-            return pinned, None
-        return _LEARNED_KINDS[int(rng.integers(len(_LEARNED_KINDS)))], None
-    if pinned is not None:
-        if pinned in CATEGORICAL_KINDS:
-            ncls = int(pin.get("n_classes", 0)) or int(
-                rng.integers(
-                    params.feature_classes_range[0],
-                    params.feature_classes_range[1] + 1,
-                )
+            return pinned or _pick(_categorical_menu(params.n_classes), rng), params.n_classes
+        if pinned is not None and pinned not in CONTINUOUS_KINDS:
+            raise ValueError(
+                f"target {node} pinned to {pinned!r}; regression requires "
+                "a continuous mapper"
             )
-            if pinned == "hyperplane" and ncls != 2:
-                raise ValueError("hyperplane feature nodes must be binary")
-            return pinned, ncls
-        if pinned in CONTINUOUS_KINDS:
-            return pinned, None
+        return pinned or _pick(FITTABLE_KINDS, rng), None
+    if pinned is not None and pinned not in CATEGORICAL_KINDS + CONTINUOUS_KINDS:
         raise ValueError(f"unknown mapper kind {pinned!r} pinned on node {node}")
-    if rng.random() < params.p_categorical:
-        ncls = int(
-            rng.integers(
-                params.feature_classes_range[0], params.feature_classes_range[1] + 1
-            )
-        )
-        menu = _categorical_menu(ncls)
-        return menu[int(rng.integers(len(menu)))], ncls
-    return CONTINUOUS_KINDS[int(rng.integers(len(CONTINUOUS_KINDS)))], None
+    if pinned in CONTINUOUS_KINDS or (pinned is None and rng.random() >= params.p_categorical):
+        return pinned or _pick(CONTINUOUS_KINDS, rng), None
+    lo, hi = params.feature_classes_range
+    ncls = (pinned and int(pin.get("n_classes", 0))) or int(rng.integers(lo, hi + 1))
+    kind = pinned or _pick(_categorical_menu(ncls), rng)
+    if kind == "hyperplane" and ncls != 2:
+        raise ValueError("hyperplane feature nodes must be binary")
+    return kind, ncls
 
 
-def _fit_inner_node(
-    concept_mappers: dict,
-    node: int,
-    kind: str,
-    ncls: int | None,
-    P: np.ndarray,
-    params: ConceptParams,
-    temporal: TemporalParams,
-    pin: dict,
-    rng,
-) -> np.ndarray:
-    """Create the mapper for ``node`` and return its warmup column."""
+def _init_mapper(node: int, graph: CausalGraph, params: ConceptParams, P: np.ndarray, rng):
+    """Draw the kind of inner ``node``, then fit its mapper on parent sample ``P``."""
 
+    pin = params.nodes.get(node, {})
+    kind, ncls = _resolve_inner_kind(node, graph.target, params, pin, rng)
     if kind in CATEGORICAL_KINDS:
         stats = ParentStats.from_samples(P)
         distance = pin.get("distance")
         if kind == "prototype" and distance is None:
-            distance = ("euclidean", "manhattan")[int(rng.integers(2))]
-        mapper = init_categorical_mapper(
+            distance = _pick(PrototypeMapper.DISTANCES, rng)
+        return init_categorical_mapper(
             kind,
             ncls,
             stats,
@@ -370,54 +351,60 @@ def _fit_inner_node(
             n_centroids_range=params.centroids_per_class,
             distance=distance or "euclidean",
         )
-        concept_mappers[node] = mapper
-        return mapper.predict(P).astype(float)
-
     if kind == "random-mlp":
         mapper = init_random_mlp(P.shape[1], rng)
-        mean = P.mean(axis=0)
-        scale = P.std(axis=0)
-        mapper.in_mean = mean
-        mapper.in_scale = np.where(scale > 0, scale, 1.0)
-        preds = mapper.predict(P)
-        mapper.out_mean = float(preds.mean())
-        out_scale = float(preds.std())
-        mapper.out_scale = out_scale if out_scale > 0 else 1.0
-    else:
-        fn_kind = pin.get("target_fn")
-        if fn_kind is None:
-            fn_kind = TARGET_FN_KINDS[int(rng.integers(len(TARGET_FN_KINDS)))]
-        elif fn_kind not in TARGET_FN_KINDS:
-            raise ValueError(f"unknown target function {fn_kind!r} on node {node}")
-        fn = draw_target_function(fn_kind, P.shape[1], rng)
-        mapper = fit_continuous_mapper(kind, P, fn, rng, eps_scale=params.eps_scale)
-        preds = mapper.predict(P)
-    concept_mappers[node] = mapper
-    noise = simulate_ar_noise(len(P), temporal, rng, sigma_scale=mapper.out_scale)
-    return preds + noise
+        mapper.calibrate(P)
+        return mapper
+    fn_kind = pin.get("target_fn")
+    if fn_kind is None:
+        fn_kind = _pick(TARGET_FN_KINDS, rng)
+    elif fn_kind not in TARGET_FN_KINDS:
+        raise ValueError(f"unknown target function {fn_kind!r} on node {node}")
+    fn = draw_target_function(fn_kind, P.shape[1], rng)
+    return fit_continuous_mapper(kind, P, fn, rng, eps_scale=params.eps_scale)
+
+
+def _ancestor_walk(graph, temporal, n, rng, root_dist, mapper, upto=None) -> np.ndarray:
+    """Simulate ``n`` rows of every node in topological order.
+
+    ``root_dist(node)`` gives a root's distribution and ``mapper(node, P)``
+    an inner node's mapper for the parent sample ``P``; both may draw from
+    ``rng``, before the node's own values and AR noise are drawn.  The walk
+    stops after node ``upto``; later columns are left empty.
+    """
+
+    out = np.empty((n, graph.n_nodes))
+    for node in graph.topo_order:
+        if graph.is_root(node):
+            out[:, node] = simulate_root_values(n, root_dist(node), temporal, rng)
+        else:
+            P = out[:, graph.parents[node]]
+            m = mapper(node, P)
+            if m.kind in CATEGORICAL_KINDS:
+                out[:, node] = m.predict(P).astype(float)
+            else:
+                noise = simulate_ar_noise(n, temporal, rng, sigma_scale=m.out_scale)
+                out[:, node] = m.predict(P) + noise
+        if node == upto:
+            break
+    return out
 
 
 def _init_once(
     graph: CausalGraph, params: ConceptParams, temporal: TemporalParams, rng
 ) -> Concept:
-    n_fit = params.fit_samples
-    warm = np.empty((n_fit, graph.n_nodes))
     root_dists: dict[int, RootDistribution] = {}
     mappers: dict[int, object] = {}
 
-    for node in graph.topo_order:
-        pin = params.nodes.get(node, {})
-        if graph.is_root(node):
-            dist = _draw_root_dist(params, pin, rng)
-            root_dists[node] = dist
-            warm[:, node] = simulate_root_values(n_fit, dist, temporal, rng)
-            continue
-        P = warm[:, graph.parents[node]]
-        kind, ncls = _resolve_inner_kind(node, graph.target, params, pin, rng)
-        warm[:, node] = _fit_inner_node(
-            mappers, node, kind, ncls, P, params, temporal, pin, rng
-        )
+    def draw_root(node):
+        root_dists[node] = _draw_root_dist(params, params.nodes.get(node, {}), rng)
+        return root_dists[node]
 
+    def init_mapper(node, P):
+        mappers[node] = _init_mapper(node, graph, params, P, rng)
+        return mappers[node]
+
+    _ancestor_walk(graph, temporal, params.fit_samples, rng, draw_root, init_mapper)
     permutation = (
         tuple(range(params.n_classes)) if params.task == "classification" else None
     )
@@ -460,22 +447,12 @@ def simulate_concept_samples(
     refits only need the ancestors of one node).
     """
 
-    out = np.empty((n, concept.graph.n_nodes))
-    for node in concept.graph.topo_order:
-        if concept.graph.is_root(node):
-            out[:, node] = simulate_root_values(
-                n, concept.root_dists[node], concept.temporal, rng
-            )
-        else:
-            mapper = concept.mappers[node]
-            P = out[:, concept.graph.parents[node]]
-            if mapper.kind in CATEGORICAL_KINDS:
-                out[:, node] = mapper.predict(P).astype(float)
-            else:
-                noise = simulate_ar_noise(
-                    n, concept.temporal, rng, sigma_scale=mapper.out_scale
-                )
-                out[:, node] = mapper.predict(P) + noise
-        if upto is not None and node == upto:
-            break
-    return out
+    return _ancestor_walk(
+        concept.graph,
+        concept.temporal,
+        n,
+        rng,
+        concept.root_dists.__getitem__,
+        lambda node, P: concept.mappers[node],
+        upto,
+    )

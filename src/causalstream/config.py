@@ -8,10 +8,10 @@ dataclasses are re-raised as ConfigError with the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .concept import ConceptParams
-from .drift import DriftSchedule, InterventionPolicy
+from .concept import NODE_PIN_KEYS, ConceptParams
+from .drift import DriftSchedule, InterventionPolicy, ShiftAction, ShiftSpec
 from .evaluate import LEARNER_NAMES
 from .generator import GeneratorConfig
 from .graph import CausalGraph
@@ -30,51 +30,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Configuration document violates the schema."""
-
-
-_TOP_KEYS = {
-    "seed",
-    "dataset_size",
-    "task",
-    "d",
-    "n_roots",
-    "min_parents",
-    "max_parents",
-    "p_i",
-    "p_m",
-    "temporal",
-    "feature_subsample",
-    "graph",
-    "concept",
-    "schedule",
-    "policy",
-    "evaluation",
-    "analysis",
-    "out",
-}
-_TEMPORAL_KEYS = {"alpha", "rho", "sigma"}
-_CONCEPT_KEYS = {
-    "n_classes",
-    "p_categorical",
-    "feature_classes_range",
-    "centroids_per_class",
-    "eps_scale",
-    "fit_samples",
-    "mean_range",
-    "variance_range",
-    "low_range",
-    "width_range",
-    "nodes",
-}
-_NODE_PIN_KEYS = {"dist", "dist_params", "mapper", "n_classes", "distance", "target_fn"}
-_GRAPH_KEYS = {"n_nodes", "parents", "target"}
-_SCHEDULE_KEYS = {"events"}
-_EVENT_KEYS = {"kind", "rate", "t_start", "duration", "actions", "snapshot_id"}
-_ACTION_KEYS = {"mechanism", "node", "params"}
-_POLICY_KEYS = {"count_range", "include_target", "values"}
-_POLICY_VALUE_KEYS = {"dist", "params"}
-_EVAL_KEYS = {"learner", "window", "initial_train", "delay", "label_fraction"}
-_ANALYSIS_KEYS = {"batch_size", "lags", "include_label"}
 
 
 @dataclass(frozen=True)
@@ -121,6 +76,18 @@ class RunConfig:
     out: str | None = None
 
 
+def _keys(cls, *computed: str) -> frozenset:
+    """Field names of a dataclass, less those computed rather than given."""
+    return frozenset(f.name for f in fields(cls)) - set(computed)
+
+
+# top level: the generator's own fields plus the run's other sections
+_TOP_KEYS = _keys(GeneratorConfig) | _keys(RunConfig, "generator")
+# the top-level p_i and p_m own the policy's two rates
+_POLICY_KEYS = _keys(InterventionPolicy, "p_intervene", "p_missing")
+_POLICY_VALUE_KEYS = {"dist", "params"}
+
+
 def _check_keys(doc: dict, allowed: set, path: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be a JSON object")
@@ -152,7 +119,7 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
 
     temporal = TemporalParams()
     if "temporal" in doc:
-        _check_keys(doc["temporal"], _TEMPORAL_KEYS, "temporal")
+        _check_keys(doc["temporal"], _keys(TemporalParams), "temporal")
         try:
             temporal = TemporalParams(**doc["temporal"])
         except (TypeError, ValueError) as e:
@@ -160,7 +127,7 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
 
     graph = None
     if doc.get("graph") is not None:
-        _check_keys(doc["graph"], _GRAPH_KEYS, "graph")
+        _check_keys(doc["graph"], _keys(CausalGraph, "topo_order"), "graph")
         try:
             graph = CausalGraph.from_dict(doc["graph"])
         except (TypeError, ValueError, KeyError) as e:
@@ -169,10 +136,10 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
     concept = None
     if doc.get("concept") is not None:
         cdoc = dict(doc["concept"])
-        _check_keys(cdoc, _CONCEPT_KEYS, "concept")
+        _check_keys(cdoc, _keys(ConceptParams, "task"), "concept")
         nodes = {}
         for node, pin in _int_keyed(cdoc.pop("nodes", {}), "concept.nodes").items():
-            _check_keys(pin, _NODE_PIN_KEYS, f"concept.nodes.{node}")
+            _check_keys(pin, NODE_PIN_KEYS, f"concept.nodes.{node}")
             nodes[node] = dict(pin)
         for key in ("feature_classes_range", "centroids_per_class", "mean_range",
                     "variance_range", "low_range", "width_range"):
@@ -185,11 +152,11 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
 
     schedule = DriftSchedule()
     if doc.get("schedule") is not None:
-        _check_keys(doc["schedule"], _SCHEDULE_KEYS, "schedule")
+        _check_keys(doc["schedule"], _keys(DriftSchedule), "schedule")
         for i, event in enumerate(doc["schedule"].get("events", [])):
-            _check_keys(event, _EVENT_KEYS, f"schedule.events[{i}]")
+            _check_keys(event, _keys(ShiftSpec), f"schedule.events[{i}]")
             for j, action in enumerate(event.get("actions", [])):
-                _check_keys(action, _ACTION_KEYS, f"schedule.events[{i}].actions[{j}]")
+                _check_keys(action, _keys(ShiftAction), f"schedule.events[{i}].actions[{j}]")
         try:
             schedule = DriftSchedule.from_dict(doc["schedule"])
         except (TypeError, ValueError) as e:
@@ -215,11 +182,11 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"policy: {e}") from None
 
-    gen_kwargs = {}
-    for key in ("d", "n_roots", "min_parents", "max_parents", "p_i", "p_m",
-                "feature_subsample"):
-        if key in doc and doc[key] is not None:
-            gen_kwargs[key] = doc[key]
+    gen_kwargs = {
+        key: doc[key]
+        for key in ("d", "n_roots", "min_parents", "max_parents", "p_i", "p_m", "feature_subsample")
+        if doc.get(key) is not None
+    }
     try:
         generator = GeneratorConfig(
             dataset_size=int(doc["dataset_size"]),
@@ -237,7 +204,7 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
 
     evaluation = EvalOptions()
     if "evaluation" in doc:
-        _check_keys(doc["evaluation"], _EVAL_KEYS, "evaluation")
+        _check_keys(doc["evaluation"], _keys(EvalOptions), "evaluation")
         try:
             evaluation = EvalOptions(**doc["evaluation"])
         except (TypeError, ValueError) as e:
@@ -245,7 +212,7 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
 
     analysis = AnalysisOptions()
     if "analysis" in doc:
-        _check_keys(doc["analysis"], _ANALYSIS_KEYS, "analysis")
+        _check_keys(doc["analysis"], _keys(AnalysisOptions), "analysis")
         try:
             analysis = AnalysisOptions(**doc["analysis"])
         except (TypeError, ValueError) as e:
@@ -287,7 +254,9 @@ def config_to_document(cfg: GeneratorConfig) -> dict:
         "feature_subsample": cfg.feature_subsample,
         "graph": None if cfg.graph is None else cfg.graph.to_dict(),
         "schedule": cfg.schedule.to_dict(),
-        "policy": None if cfg.policy is None else cfg.policy.to_dict(),
+        "policy": None
+        if cfg.policy is None
+        else {k: v for k, v in cfg.policy.to_dict().items() if k in _POLICY_KEYS},
     }
     if cfg.concept is not None:
         cdoc = cfg.concept.to_dict()

@@ -12,11 +12,19 @@ landing exactly on the endpoint; an sgd-linear target-function change instead
 takes one partial-fit step per instance on a sample from the new function.
 ``recurrent`` events restore an earlier concept snapshot, never its temporal
 state.
+
+Every mechanism is one entry of the ``_MECHANISMS`` table: the shift kinds it
+serves, what it may act on (a root, the label or mapper kinds), its parameter
+check, its abrupt apply and its incremental plan.  Event validation, abrupt
+application and incremental plans all read the table, so a new mechanism is
+added there and nowhere else.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,9 +35,12 @@ from .concept import (
     simulate_concept_samples,
 )
 from .mappers import (
+    CENTROID_KINDS,
+    FITTABLE_KINDS,
+    TARGET_FN_KINDS,
     ParentStats,
+    PrototypeMapper,
     RootDistribution,
-    TargetFunction,
     draw_target_function,
     eval_target_function,
     fit_continuous_mapper,
@@ -55,33 +66,8 @@ __all__ = [
     "validate_schedule_against",
 ]
 
-MECHANISMS = (
-    "refit-new-target-fn",
-    "reinit-random-mlp",
-    "move-prototypes",
-    "change-distance",
-    "rotate-hyperplane",
-    "swap-classes",
-    "root-params",
-)
 SHIFT_KINDS = ("distributional", "covariate", "severe", "local", "recurrent")
 SHIFT_RATES = ("abrupt", "gradual", "incremental")
-
-_DISTRIBUTIONAL_MECHS = (
-    "refit-new-target-fn",
-    "reinit-random-mlp",
-    "move-prototypes",
-    "change-distance",
-    "rotate-hyperplane",
-)
-# mechanisms an incremental window can advance one step at a time
-_INCREMENTAL_MECHS = (
-    "root-params",
-    "move-prototypes",
-    "rotate-hyperplane",
-    "reinit-random-mlp",
-    "refit-new-target-fn",
-)
 
 
 @dataclass(frozen=True)
@@ -91,11 +77,11 @@ class ShiftAction:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mechanism not in MECHANISMS:
+        if self.mechanism not in _MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.mechanism == "swap-classes":
+        if _MECHANISMS[self.mechanism].targets == (_LABEL,):
             if self.node is not None:
-                raise ValueError("swap-classes acts on the label, not a node")
+                raise ValueError(f"{self.mechanism} acts on the label, not a node")
         elif self.node is None:
             raise ValueError(f"{self.mechanism} needs a node")
 
@@ -143,25 +129,14 @@ class ShiftSpec:
             raise ValueError("snapshot id is only for recurrent shifts")
         if not self.actions:
             raise ValueError("shift needs at least one action")
-        mechs = [a.mechanism for a in self.actions]
-        if self.kind in ("covariate", "local"):
-            if any(m != "root-params" for m in mechs):
-                raise ValueError(f"{self.kind} shift uses root-params only")
-            if self.kind == "local" and len(self.actions) != 1:
-                raise ValueError("local shift changes exactly one node")
-        elif self.kind == "severe":
-            if mechs != ["swap-classes"]:
-                raise ValueError("severe shift is exactly one swap-classes action")
-        else:  # distributional
-            bad = [m for m in mechs if m not in _DISTRIBUTIONAL_MECHS]
-            if bad:
-                raise ValueError(
-                    f"distributional shift cannot use {bad[0]!r}"
-                )
-        if self.rate == "incremental":
-            bad = [m for m in mechs if m not in _INCREMENTAL_MECHS]
-            if bad:
-                raise ValueError(f"{bad[0]!r} cannot be applied incrementally")
+        for action in self.actions:
+            mech = _MECHANISMS[action.mechanism]
+            if self.kind not in mech.shift_kinds:
+                raise ValueError(f"{self.kind} shift cannot use {action.mechanism!r}")
+            if self.rate == "incremental" and mech.plan is None:
+                raise ValueError(f"{action.mechanism!r} cannot be applied incrementally")
+        if self.kind in ("local", "severe") and len(self.actions) != 1:
+            raise ValueError(f"{self.kind} shift takes exactly one action")
 
     @property
     def t_end(self) -> int:
@@ -258,7 +233,15 @@ class InterventionPolicy:
 
 
 # ---------------------------------------------------------------------------
-# action application
+# mechanisms
+#
+# An abrupt apply changes the concept in place.  A plan draws the endpoint
+# of an incremental window up front and returns a stepper
+# ``step(concept, frac, rng)`` that moves the concept to fraction ``frac`` of
+# the way there.  Draw order is fixed per mechanism.
+
+_ROOT = "root"
+_LABEL = "label"
 
 
 def _parent_matrix(concept: Concept, node: int, rng) -> np.ndarray:
@@ -269,6 +252,169 @@ def _parent_matrix(concept: Concept, node: int, rng) -> np.ndarray:
     upto = max(parents, key=lambda p: pos[p])
     sim = simulate_concept_samples(concept, concept.params.fit_samples, rng, upto=upto)
     return sim[:, parents]
+
+
+def _new_target_fn_kind(concept: Concept, node: int, params: dict, rng) -> str:
+    kind = params.get("target_fn")
+    if kind is None:
+        current = concept.mappers[node].fitted_target
+        menu = [k for k in TARGET_FN_KINDS if current is None or k != current.kind]
+        kind = menu[int(rng.integers(len(menu)))]
+    return kind
+
+
+def _check_refit(concept: Concept, params: dict) -> None:
+    if params.get("target_fn") not in (None, *TARGET_FN_KINDS):
+        raise ValueError(f"unknown target function {params['target_fn']!r}")
+
+
+def _refit(concept: Concept, action: ShiftAction, rng) -> None:
+    node, kind = action.node, concept.mappers[action.node].kind
+    fn_kind = _new_target_fn_kind(concept, node, action.params, rng)
+    P = _parent_matrix(concept, node, rng)
+    fn = draw_target_function(fn_kind, P.shape[1], rng)
+    concept.mappers[node] = fit_continuous_mapper(
+        kind, P, fn, rng, eps_scale=concept.params.eps_scale
+    )
+
+
+def _plan_sgd_refit(concept: Concept, action: ShiftAction, rng):
+    """One partial-fit step per instance toward a new target function."""
+
+    node, mapper = action.node, concept.mappers[action.node]
+    fn_kind = _new_target_fn_kind(concept, node, action.params, rng)
+    fn = draw_target_function(fn_kind, mapper.n_inputs, rng)
+    mapper.reset_partial_schedule()
+
+    def step(c: Concept, frac: float, rng) -> None:
+        m = c.mappers[node]
+        z = rng.normal(size=m.n_inputs)
+        m.partial_fit(z, float(eval_target_function(fn, z)))
+        if frac >= 1.0:
+            m.fitted_target = fn
+
+    return step
+
+
+def _lerp(put, start: list, end: list):
+    """Stepper that puts ``start + frac * (end - start)``, item by item."""
+
+    def step(c: Concept, frac: float, rng) -> None:
+        put(c, [s + frac * (e - s) for s, e in zip(start, end)])
+
+    return step
+
+
+def _reinit(concept: Concept, action: ShiftAction, rng) -> None:
+    concept.mappers[action.node].reinit(rng)
+
+
+def _plan_reinit(concept: Concept, action: ShiftAction, rng):
+    node, mapper = action.node, concept.mappers[action.node]
+    end = copy.deepcopy(mapper)
+    end.reinit(rng)
+
+    def put(c: Concept, vals: list) -> None:
+        m = c.mappers[node]
+        m.W1, m.b1, m.w2 = vals[:3]
+        m.b2 = float(vals[3])
+
+    start = [mapper.W1.copy(), mapper.b1.copy(), mapper.w2.copy(), mapper.b2]
+    return _lerp(put, start, [end.W1, end.b1, end.w2, end.b2])
+
+
+def _move_prototypes(concept: Concept, action: ShiftAction, rng) -> None:
+    P = _parent_matrix(concept, action.node, rng)
+    concept.mappers[action.node].move_centroids(rng, ParentStats.from_samples(P))
+
+
+def _plan_move_prototypes(concept: Concept, action: ShiftAction, rng):
+    node, mapper = action.node, concept.mappers[action.node]
+    end = copy.deepcopy(mapper)
+    P = _parent_matrix(concept, node, rng)
+    end.move_centroids(rng, ParentStats.from_samples(P))
+
+    def put(c: Concept, vals: list) -> None:
+        c.mappers[node].centroids = vals[0]
+        c.mappers[node].stats = end.stats
+
+    return _lerp(put, [mapper.centroids.copy()], [end.centroids])
+
+
+def _check_distance(concept: Concept, params: dict) -> None:
+    if params.get("distance") not in (None, *PrototypeMapper.DISTANCES):
+        raise ValueError(f"unknown distance {params['distance']!r}")
+
+
+def _change_distance(concept: Concept, action: ShiftAction, rng) -> None:
+    mapper = concept.mappers[action.node]
+    new = action.params.get("distance")
+    if new is None:
+        new = "manhattan" if mapper.distance == "euclidean" else "euclidean"
+    mapper.distance = new
+
+
+def _orthogonal_unit(w: np.ndarray, rng) -> np.ndarray:
+    if w.shape[0] == 1:
+        return np.zeros(1)
+    for _ in range(8):
+        v = rng.normal(size=w.shape[0])
+        v = v - (v @ w) / (w @ w) * w
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+    raise ValueError("could not draw a direction orthogonal to the hyperplane")
+
+
+def _rotation(mapper, params: dict, rng) -> tuple[float, np.ndarray]:
+    """(angle in radians, unit direction orthogonal to ``w``); angle first."""
+
+    angle = params.get("angle_deg")
+    if angle is None:
+        angle = float(rng.uniform(30.0, 150.0))
+    return np.deg2rad(float(angle)), _orthogonal_unit(mapper.w, rng)
+
+
+def _rotate(concept: Concept, action: ShiftAction, rng) -> None:
+    mapper = concept.mappers[action.node]
+    mapper.rotate(*_rotation(mapper, action.params, rng))
+
+
+def _plan_rotate(concept: Concept, action: ShiftAction, rng):
+    node, mapper = action.node, concept.mappers[action.node]
+    angle, u = _rotation(mapper, action.params, rng)
+    w0 = mapper.w.copy()
+
+    def step(c: Concept, frac: float, rng) -> None:
+        m = c.mappers[node]
+        m.w = w0
+        m.rotate(frac * angle, u)
+
+    return step
+
+
+def _check_swap(concept: Concept, params: dict) -> None:
+    n = concept.n_classes
+    if n is None:
+        raise ValueError("swap-classes requires a classification concept")
+    c1, c2 = params.get("c1"), params.get("c2")
+    if c1 is not None and c2 is not None:
+        c1, c2 = int(c1), int(c2)
+        if c1 == c2 or not (0 <= c1 < n and 0 <= c2 < n):
+            raise ValueError(f"cannot swap classes {c1} and {c2} of {n}")
+
+
+def _swap_classes(concept: Concept, action: ShiftAction, rng) -> None:
+    c1, c2 = action.params.get("c1"), action.params.get("c2")
+    if c1 is None or c2 is None:
+        c1, c2 = rng.choice(concept.n_classes, size=2, replace=False)
+    swap = {int(c1): int(c2), int(c2): int(c1)}
+    concept.class_permutation = tuple(swap.get(v, v) for v in concept.class_permutation)
+
+
+def _check_root(concept: Concept, params: dict) -> None:
+    if "scale_factor" in params and float(params["scale_factor"]) <= 0:
+        raise ValueError("scale_factor must be positive")
 
 
 def _shift_root_dist(
@@ -287,15 +433,11 @@ def _shift_root_dist(
     p1, p2 = dist.p1, dist.p2
     if "shift_std" in params:
         delta = float(params["shift_std"]) * dist.std()
-        if dist.kind == "normal":
-            p1 += delta
-        else:
-            p1 += delta
+        p1 += delta
+        if dist.kind == "uniform":
             p2 += delta
     if "scale_factor" in params:
         f = float(params["scale_factor"])
-        if f <= 0:
-            raise ValueError("scale_factor must be positive")
         if dist.kind == "normal":
             p2 *= f * f
         else:
@@ -311,107 +453,91 @@ def _shift_root_dist(
     return RootDistribution(dist.kind, p1, p2)
 
 
-def _draw_new_target_fn(concept: Concept, node: int, params: dict, rng) -> str:
-    current = concept.mappers[node].fitted_target
-    kind = params.get("target_fn")
-    if kind is None:
-        from .mappers import TARGET_FN_KINDS
-
-        menu = [k for k in TARGET_FN_KINDS if current is None or k != current.kind]
-        kind = menu[int(rng.integers(len(menu)))]
-    return kind
-
-
-def _orthogonal_unit(w: np.ndarray, rng) -> np.ndarray:
-    if w.shape[0] == 1:
-        return np.zeros(1)
-    for _ in range(8):
-        v = rng.normal(size=w.shape[0])
-        v = v - (v @ w) / (w @ w) * w
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
-    raise ValueError("could not draw a direction orthogonal to the hyperplane")
-
-
-def _apply_action(concept: Concept, action: ShiftAction, rng) -> None:
-    """Apply one action in place.  Draw order is fixed per mechanism."""
-
-    mech = action.mechanism
-    if mech == "swap-classes":
-        if concept.task != "classification":
-            raise ValueError("swap-classes requires a classification concept")
-        n = concept.n_classes
-        c1 = action.params.get("c1")
-        c2 = action.params.get("c2")
-        if c1 is None or c2 is None:
-            pair = rng.choice(n, size=2, replace=False)
-            c1, c2 = int(pair[0]), int(pair[1])
-        c1, c2 = int(c1), int(c2)
-        if c1 == c2 or not (0 <= c1 < n and 0 <= c2 < n):
-            raise ValueError(f"cannot swap classes {c1} and {c2} of {n}")
-        swap = {c1: c2, c2: c1}
-        concept.class_permutation = tuple(
-            swap.get(v, v) for v in concept.class_permutation
-        )
-        return
-
+def _shift_root(concept: Concept, action: ShiftAction, rng) -> None:
     node = action.node
-    if node is None or not 0 <= node < concept.graph.n_nodes:
+    concept.root_dists[node] = _shift_root_dist(
+        concept.root_dists[node], action.params, concept, rng
+    )
+
+
+def _plan_root(concept: Concept, action: ShiftAction, rng):
+    node, start = action.node, concept.root_dists[action.node]
+    end = _shift_root_dist(start, action.params, concept, rng)
+
+    def put(c: Concept, vals: list) -> None:
+        c.root_dists[node] = RootDistribution(start.kind, float(vals[0]), float(vals[1]))
+
+    return _lerp(put, [start.p1, start.p2], [end.p1, end.p2])
+
+
+@dataclass(frozen=True)
+class _Mechanism:
+    shift_kinds: tuple[str, ...]
+    # what the action's node may be: _ROOT, _LABEL or mapper kinds
+    targets: tuple[str, ...]
+    apply: Callable
+    plan: Callable | None = None
+    check: Callable | None = None
+    # narrower targets for the incremental plan, when they differ
+    plan_targets: tuple[str, ...] | None = None
+
+
+_MECHANISMS = {
+    "refit-new-target-fn": _Mechanism(
+        ("distributional",),
+        FITTABLE_KINDS,
+        _refit,
+        _plan_sgd_refit,
+        _check_refit,
+        plan_targets=("sgd-linear",),
+    ),
+    "reinit-random-mlp": _Mechanism(("distributional",), ("random-mlp",), _reinit, _plan_reinit),
+    "move-prototypes": _Mechanism(
+        ("distributional",), CENTROID_KINDS, _move_prototypes, _plan_move_prototypes
+    ),
+    "change-distance": _Mechanism(
+        ("distributional",), ("prototype",), _change_distance, check=_check_distance
+    ),
+    "rotate-hyperplane": _Mechanism(("distributional",), ("hyperplane",), _rotate, _plan_rotate),
+    "swap-classes": _Mechanism(("severe",), (_LABEL,), _swap_classes, check=_check_swap),
+    "root-params": _Mechanism(
+        ("covariate", "local"), (_ROOT,), _shift_root, _plan_root, _check_root
+    ),
+}
+MECHANISMS = tuple(_MECHANISMS)
+
+
+def _checked(concept: Concept, action: ShiftAction, incremental: bool = False) -> _Mechanism:
+    """The table entry of ``action``, once the action fits ``concept``."""
+
+    mech = _MECHANISMS[action.mechanism]
+    node = action.node
+    if node is None:
+        target = _LABEL
+    elif not 0 <= node < concept.graph.n_nodes:
         raise ValueError(f"shift action names unknown node {node}")
-
-    if mech == "root-params":
-        if not concept.graph.is_root(node):
-            raise ValueError(f"root-params targets a root node, {node} is not one")
-        concept.root_dists[node] = _shift_root_dist(
-            concept.root_dists[node], action.params, concept, rng
+    else:
+        target = _ROOT if concept.graph.is_root(node) else concept.mappers[node].kind
+    targets = mech.targets
+    if incremental:
+        targets = () if mech.plan is None else mech.plan_targets or mech.targets
+    if target not in targets:
+        how = " incrementally" if incremental else ""
+        raise ValueError(
+            f"mechanism {action.mechanism!r} does not apply{how} to node {node} ({target})"
         )
-        return
+    if mech.check is not None:
+        mech.check(concept, action.params)
+    return mech
 
-    mapper = concept.mappers.get(node)
-    if mapper is None:
-        raise ValueError(f"node {node} has no mapper")
 
-    if mech == "refit-new-target-fn":
-        if mapper.kind not in ("learned-mlp", "regression-tree", "sgd-linear"):
-            raise ValueError(
-                f"refit-new-target-fn needs a fitted continuous mapper, node {node} "
-                f"is {mapper.kind}"
-            )
-        fn_kind = _draw_new_target_fn(concept, node, action.params, rng)
-        P = _parent_matrix(concept, node, rng)
-        fn = draw_target_function(fn_kind, P.shape[1], rng)
-        concept.mappers[node] = fit_continuous_mapper(
-            mapper.kind, P, fn, rng, eps_scale=concept.params.eps_scale
-        )
-    elif mech == "reinit-random-mlp":
-        if mapper.kind != "random-mlp":
-            raise ValueError(f"node {node} is {mapper.kind}, not random-mlp")
-        mapper.reinit(rng)
-    elif mech == "move-prototypes":
-        if not hasattr(mapper, "move_centroids"):
-            raise ValueError(f"node {node} ({mapper.kind}) has no centroids to move")
-        P = _parent_matrix(concept, node, rng)
-        mapper.move_centroids(rng, ParentStats.from_samples(P))
-    elif mech == "change-distance":
-        if mapper.kind != "prototype":
-            raise ValueError("change-distance applies to prototype mappers")
-        new = action.params.get("distance")
-        if new is None:
-            new = "manhattan" if mapper.distance == "euclidean" else "euclidean"
-        if new not in ("euclidean", "manhattan"):
-            raise ValueError(f"unknown distance {new!r}")
-        mapper.distance = new
-    elif mech == "rotate-hyperplane":
-        if mapper.kind != "hyperplane":
-            raise ValueError("rotate-hyperplane applies to hyperplane mappers")
-        angle = action.params.get("angle_deg")
-        if angle is None:
-            angle = float(rng.uniform(30.0, 150.0))
-        u = _orthogonal_unit(mapper.w, rng)
-        mapper.rotate(np.deg2rad(float(angle)), u)
-    else:  # pragma: no cover - mechanisms are validated upstream
-        raise ValueError(mech)
+def validate_schedule_against(schedule: DriftSchedule, concept: Concept) -> None:
+    """Check every action of every event against the concept's nodes and
+    classes, so a bad schedule fails before the first row."""
+
+    for event in schedule:
+        for action in event.actions:
+            _checked(concept, action, incremental=event.rate == "incremental")
 
 
 def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
@@ -419,7 +545,7 @@ def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
 
     out = concept.copy()
     for action in spec.actions:
-        _apply_action(out, action, rng)
+        _checked(out, action).apply(out, action, rng)
     return out
 
 
@@ -449,62 +575,6 @@ def gradual_selector(t: int, spec: ShiftSpec, rng) -> bool:
     return bool(rng.random() < p)
 
 
-# ---------------------------------------------------------------------------
-# incremental plans
-
-
-class _Interpolator:
-    """Linearly walks one parameter set from start to endpoint."""
-
-    def __init__(self, getter, setter, start, end):
-        self._get = getter
-        self._set = setter
-        self.start = start
-        self.end = end
-
-    def step(self, concept: Concept, frac: float, rng) -> None:
-        self._set(
-            concept,
-            [s + frac * (e - s) for s, e in zip(self.start, self.end)]
-            if isinstance(self.start, list)
-            else self.start + frac * (self.end - self.start),
-        )
-
-
-class _SgdRefit:
-    """One partial-fit step per instance toward a new target function."""
-
-    def __init__(self, node: int, fn: TargetFunction):
-        self.node = node
-        self.fn = fn
-
-    def step(self, concept: Concept, frac: float, rng) -> None:
-        mapper = concept.mappers[self.node]
-        z = rng.normal(size=mapper.n_inputs)
-        y = float(eval_target_function(self.fn, z))
-        mapper.partial_fit(z, y)
-        if frac >= 1.0:
-            mapper.fitted_target = self.fn
-
-
-class _HyperplaneRotation:
-    def __init__(self, node: int, w0: np.ndarray, angle_rad: float, u: np.ndarray):
-        self.node = node
-        self.w0 = w0
-        self.angle = angle_rad
-        self.u = u
-
-    def step(self, concept: Concept, frac: float, rng) -> None:
-        mapper = concept.mappers[self.node]
-        a = frac * self.angle
-        if mapper.n_inputs == 1:
-            mapper.w = self.w0 * np.cos(a)
-        else:
-            norm = float(np.linalg.norm(self.w0))
-            mapper.w = np.cos(a) * self.w0 + np.sin(a) * norm * self.u
-        mapper.b = -float(mapper.w @ mapper.stats.center)
-
-
 @dataclass
 class IncrementalPlan:
     spec: ShiftSpec
@@ -513,8 +583,8 @@ class IncrementalPlan:
     def step(self, concept: Concept, step_index: int, rng) -> None:
         """Advance to position ``(step_index + 1) / duration`` of the window."""
         frac = (step_index + 1) / self.spec.duration
-        for s in self.steppers:
-            s.step(concept, frac, rng)
+        for step in self.steppers:
+            step(concept, frac, rng)
 
 
 def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan:
@@ -525,81 +595,10 @@ def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan
     first step.
     """
 
-    steppers = []
-    for action in spec.actions:
-        mech = action.mechanism
-        node = action.node
-        if mech == "root-params":
-            if not concept.graph.is_root(node):
-                raise ValueError(f"root-params targets a root node, {node} is not one")
-            start = concept.root_dists[node]
-            end = _shift_root_dist(start, action.params, concept, rng)
-            if end.kind != start.kind:
-                raise ValueError("incremental root-params cannot change the family")
-
-            def setter(c, vals, node=node, kind=start.kind):
-                c.root_dists[node] = RootDistribution(kind, float(vals[0]), float(vals[1]))
-
-            steppers.append(
-                _Interpolator(None, setter, [start.p1, start.p2], [end.p1, end.p2])
-            )
-        elif mech == "move-prototypes":
-            mapper = concept.mappers[node]
-            if not hasattr(mapper, "move_centroids"):
-                raise ValueError(f"node {node} ({mapper.kind}) has no centroids to move")
-            P = _parent_matrix(concept, node, rng)
-            stats = ParentStats.from_samples(P)
-            start = mapper.centroids.copy()
-            end = rng.uniform(
-                np.asarray(stats.mins), np.asarray(stats.maxs), size=start.shape
-            )
-
-            def setter(c, vals, node=node, stats=stats):
-                m = c.mappers[node]
-                m.centroids = np.asarray(vals)
-                m.stats = stats
-
-            steppers.append(_Interpolator(None, setter, start, end))
-        elif mech == "rotate-hyperplane":
-            mapper = concept.mappers[node]
-            if mapper.kind != "hyperplane":
-                raise ValueError("rotate-hyperplane applies to hyperplane mappers")
-            angle = action.params.get("angle_deg")
-            if angle is None:
-                angle = float(rng.uniform(30.0, 150.0))
-            u = _orthogonal_unit(mapper.w, rng)
-            steppers.append(
-                _HyperplaneRotation(node, mapper.w.copy(), np.deg2rad(float(angle)), u)
-            )
-        elif mech == "reinit-random-mlp":
-            mapper = concept.mappers[node]
-            if mapper.kind != "random-mlp":
-                raise ValueError(f"node {node} is {mapper.kind}, not random-mlp")
-            scratch = concept.copy()
-            scratch.mappers[node].reinit(rng)
-            end_m = scratch.mappers[node]
-            start = [mapper.W1.copy(), mapper.b1.copy(), mapper.w2.copy(), np.float64(mapper.b2)]
-            end = [end_m.W1, end_m.b1, end_m.w2, np.float64(end_m.b2)]
-
-            def setter(c, vals, node=node):
-                m = c.mappers[node]
-                m.W1, m.b1, m.w2 = vals[0], vals[1], vals[2]
-                m.b2 = float(vals[3])
-
-            steppers.append(_Interpolator(None, setter, start, end))
-        elif mech == "refit-new-target-fn":
-            mapper = concept.mappers[node]
-            if mapper.kind != "sgd-linear":
-                raise ValueError(
-                    "incremental target-function changes need an sgd-linear mapper; "
-                    f"node {node} is {mapper.kind}"
-                )
-            fn_kind = _draw_new_target_fn(concept, node, action.params, rng)
-            fn = draw_target_function(fn_kind, mapper.n_inputs, rng)
-            mapper.reset_partial_schedule()
-            steppers.append(_SgdRefit(node, fn))
-        else:
-            raise ValueError(f"{mech!r} cannot be applied incrementally")
+    steppers = [
+        _checked(concept, action, incremental=True).plan(concept, action, rng)
+        for action in spec.actions
+    ]
     return IncrementalPlan(spec=spec, steppers=steppers)
 
 
@@ -657,46 +656,3 @@ def draw_missing(
     k = min(int(rng.integers(lo, hi + 1)), len(feature_nodes))
     idx = rng.choice(len(feature_nodes), size=k, replace=False)
     return tuple(sorted(feature_nodes[int(i)] for i in idx))
-
-
-def validate_schedule_against(schedule: DriftSchedule, concept: Concept) -> None:
-    """Check every event's actions against the concept's node kinds."""
-
-    for event in schedule:
-        if event.kind == "recurrent":
-            continue
-        for action in event.actions:
-            mech, node = action.mechanism, action.node
-            if mech == "swap-classes":
-                if concept.task != "classification":
-                    raise ValueError("swap-classes requires classification")
-                continue
-            if node is None or node >= concept.graph.n_nodes or node < 0:
-                raise ValueError(f"shift action names unknown node {node}")
-            if mech == "root-params":
-                if not concept.graph.is_root(node):
-                    raise ValueError(
-                        f"root-params targets a root node, {node} is not one"
-                    )
-                continue
-            if concept.graph.is_root(node):
-                raise ValueError(f"{mech} cannot target root node {node}")
-            kind = concept.mappers[node].kind
-            if mech == "refit-new-target-fn":
-                ok = kind in ("learned-mlp", "regression-tree", "sgd-linear")
-                if ok and event.rate == "incremental":
-                    ok = kind == "sgd-linear"
-            elif mech == "reinit-random-mlp":
-                ok = kind == "random-mlp"
-            elif mech == "move-prototypes":
-                ok = kind in ("prototype", "gaussian-prototype", "random-rbf")
-            elif mech == "change-distance":
-                ok = kind == "prototype"
-            elif mech == "rotate-hyperplane":
-                ok = kind == "hyperplane"
-            else:  # pragma: no cover
-                ok = False
-            if not ok:
-                raise ValueError(
-                    f"mechanism {mech!r} does not apply to node {node} ({kind})"
-                )

@@ -21,7 +21,6 @@ __all__ = [
     "LEARNER_NAMES",
     "PrequentialCurve",
     "DelayedLabels",
-    "delayed_partial_overlay",
     "prequential_run",
     "mae_prequential",
     "drift_response_metrics",
@@ -282,12 +281,6 @@ class DelayedLabels:
             rng = np.random.default_rng(self.seed)
             mask[ts] = rng.random(len(ts)) < self.label_fraction
         return mask
-
-
-def delayed_partial_overlay(
-    delay: int, label_fraction: float, seed: int = 0
-) -> DelayedLabels:
-    return DelayedLabels(delay=delay, label_fraction=label_fraction, seed=seed)
 
 
 def _frame_arrays(stream) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ the value draws of the untouched parts of a paired run with the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -349,17 +349,10 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
         feats = graph.feature_nodes
         idx = rngs.init.choice(len(feats), size=config.feature_subsample, replace=False)
         emitted = tuple(sorted(feats[int(i)] for i in idx))
-    policy = config.policy
-    if policy is None:
-        policy = InterventionPolicy(p_intervene=config.p_i, p_missing=config.p_m)
-    else:
-        policy = InterventionPolicy(
-            p_intervene=config.p_i,
-            p_missing=config.p_m,
-            count_range=policy.count_range,
-            include_target=policy.include_target,
-            values=policy.values,
-        )
+    # the config's top-level p_i and p_m own the two rates
+    policy = replace(
+        config.policy or InterventionPolicy(), p_intervene=config.p_i, p_missing=config.p_m
+    )
     return StreamGenerator(
         concept, rngs, schedule=config.schedule, policy=policy, emitted_features=emitted
     )

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 __all__ = [
     "CONTINUOUS_KINDS",
+    "FITTABLE_KINDS",
+    "CENTROID_KINDS",
     "CATEGORICAL_KINDS",
     "TARGET_FN_KINDS",
     "RootDistribution",
@@ -42,14 +45,16 @@ __all__ = [
     "fit_continuous_mapper",
     "init_random_mlp",
     "init_categorical_mapper",
-    "mapper_predict",
-    "categorical_predict",
     "mapper_from_dict",
     "serialize_params",
 ]
 
 CONTINUOUS_KINDS = ("learned-mlp", "random-mlp", "regression-tree", "sgd-linear")
-CATEGORICAL_KINDS = ("prototype", "gaussian-prototype", "random-rbf", "hyperplane")
+# continuous kinds trained on a target function (a random MLP is not)
+FITTABLE_KINDS = ("learned-mlp", "regression-tree", "sgd-linear")
+# categorical kinds that classify by centroid geometry
+CENTROID_KINDS = ("prototype", "gaussian-prototype", "random-rbf")
+CATEGORICAL_KINDS = CENTROID_KINDS + ("hyperplane",)
 TARGET_FN_KINDS = ("linear", "sine", "step", "checkerboard", "rbf")
 
 _HIDDEN = 10          # MLP hidden width
@@ -207,9 +212,21 @@ def _standardize_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-bound, bound, size=shape)
+def _xavier_mlp(rng: np.random.Generator, k: int):
+    """Xavier-uniform (W1, b1, w2) of a k-input MLP; W1 is drawn before w2."""
+
+    def uniform(fan_in, fan_out, shape):
+        bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
+        return rng.uniform(-bound, bound, size=shape)
+
+    return uniform(k, _HIDDEN, (k, _HIDDEN)), np.zeros(_HIDDEN), uniform(_HIDDEN, 1, (_HIDDEN,))
+
+
+def _check_inputs(x, n_inputs: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != n_inputs:
+        raise ValueError(f"expected {n_inputs} inputs, got {x.shape[-1]}")
+    return x
 
 
 class _ContinuousBase:
@@ -229,12 +246,7 @@ class _ContinuousBase:
         return int(self.in_mean.shape[0])
 
     def _z(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} inputs, got {x.shape[-1]}"
-            )
-        return (x - self.in_mean) / self.in_scale
+        return (_check_inputs(x, self.n_inputs) - self.in_mean) / self.in_scale
 
     def predict(self, x: np.ndarray):
         z = self._z(x)
@@ -244,6 +256,15 @@ class _ContinuousBase:
 
     def _forward(self, z: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def calibrate(self, X: np.ndarray, fallback_scale: float = 1.0) -> None:
+        """Standardize inputs on the sample ``X`` and record the mean/std of
+        the outputs there; a constant output gets ``fallback_scale``."""
+        self.in_mean, self.in_scale = _standardize_stats(X)
+        preds = self._forward(self._z(X))
+        self.out_mean = float(preds.mean())
+        out_scale = float(preds.std())
+        self.out_scale = out_scale if out_scale > 0 else fallback_scale
 
     def _base_dict(self) -> dict:
         return {
@@ -263,8 +284,10 @@ class MLPMapper(_ContinuousBase):
     its Xavier-uniform initialization and acts as a fixed random function.
     """
 
+    KINDS = ("learned-mlp", "random-mlp")
+
     def __init__(self, kind, W1, b1, w2, b2, **base):
-        if kind not in ("learned-mlp", "random-mlp"):
+        if kind not in self.KINDS:
             raise ValueError(kind)
         self.kind = kind
         self.W1 = np.asarray(W1, dtype=float)
@@ -279,10 +302,7 @@ class MLPMapper(_ContinuousBase):
 
     def reinit(self, rng: np.random.Generator) -> None:
         """Redraw all weights (random-mlp drift); standardization is kept."""
-        k = self.n_inputs
-        self.W1 = _xavier(rng, k, _HIDDEN, (k, _HIDDEN))
-        self.b1 = np.zeros(_HIDDEN)
-        self.w2 = _xavier(rng, _HIDDEN, 1, (_HIDDEN,))
+        self.W1, self.b1, self.w2 = _xavier_mlp(rng, self.n_inputs)
         self.b2 = 0.0
 
     def to_dict(self) -> dict:
@@ -379,9 +399,7 @@ class SGDLinearMapper(_ContinuousBase):
 
 def _fit_mlp_weights(z, y, rng):
     n, k = z.shape
-    W1 = _xavier(rng, k, _HIDDEN, (k, _HIDDEN))
-    b1 = np.zeros(_HIDDEN)
-    w2 = _xavier(rng, _HIDDEN, 1, (_HIDDEN,))
+    W1, b1, w2 = _xavier_mlp(rng, k)
     b2 = 0.0
     moments = [np.zeros_like(p) for p in (W1, b1, w2)] + [0.0]
     moments2 = [np.zeros_like(p) for p in (W1, b1, w2)] + [0.0]
@@ -506,17 +524,17 @@ def fit_continuous_mapper(
         raise ValueError("cannot fit a mapper on an empty ancestor sample")
     if not np.all(np.isfinite(X)):
         raise ValueError("ancestor samples must be finite")
-    if kind not in ("learned-mlp", "regression-tree", "sgd-linear"):
+    if kind not in FITTABLE_KINDS:
         raise ValueError(f"not a fittable continuous mapper kind: {kind!r}")
 
     in_mean, in_scale = _standardize_stats(X)
     z = (X - in_mean) / in_scale
     y0 = np.asarray(eval_target_function(target_fn, z), dtype=float)
-    t_scale = float(y0.std())
+    t_scale = float(y0.std()) or 1.0  # a constant target falls back to unit scale
     if target_fn.kind == "checkerboard" or eps_scale == 0.0:
         y = y0
     else:
-        y = y0 + rng.normal(0.0, eps_scale * (t_scale if t_scale > 0 else 1.0), len(y0))
+        y = y0 + rng.normal(0.0, eps_scale * t_scale, len(y0))
 
     base = dict(in_mean=in_mean, in_scale=in_scale, fitted_target=target_fn)
     if kind == "learned-mlp":
@@ -530,12 +548,7 @@ def fit_continuous_mapper(
         w, b = _fit_sgd(z, y, rng)
         mapper = SGDLinearMapper(w, b, **base)
 
-    preds = mapper._forward(z)
-    mapper.out_mean = float(preds.mean())
-    out_scale = float(preds.std())
-    if out_scale <= 0:
-        out_scale = t_scale if t_scale > 0 else 1.0
-    mapper.out_scale = out_scale
+    mapper.calibrate(X, fallback_scale=t_scale)
     return mapper
 
 
@@ -544,24 +557,9 @@ def init_random_mlp(n_in: int, rng: np.random.Generator) -> MLPMapper:
 
     if n_in < 1:
         raise ValueError("random mlp needs at least one input")
-    W1 = _xavier(rng, n_in, _HIDDEN, (n_in, _HIDDEN))
-    b1 = np.zeros(_HIDDEN)
-    w2 = _xavier(rng, _HIDDEN, 1, (_HIDDEN,))
     return MLPMapper(
-        "random-mlp",
-        W1,
-        b1,
-        w2,
-        0.0,
-        in_mean=np.zeros(n_in),
-        in_scale=np.ones(n_in),
+        "random-mlp", *_xavier_mlp(rng, n_in), 0.0, in_mean=np.zeros(n_in), in_scale=np.ones(n_in)
     )
-
-
-def mapper_predict(mapper, x: np.ndarray):
-    """Functional alias for ``mapper.predict`` (continuous mappers)."""
-
-    return mapper.predict(x)
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +632,6 @@ class _CentroidBase:
     def n_inputs(self) -> int:
         return int(self.centroids.shape[1])
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n_inputs:
-            raise ValueError(f"expected {self.n_inputs} inputs, got {x.shape[-1]}")
-        return x
-
     def move_centroids(self, rng: np.random.Generator, stats: ParentStats | None = None) -> None:
         """Redraw centroid positions inside the (possibly updated) parent box."""
         if stats is not None:
@@ -663,8 +655,10 @@ class PrototypeMapper(_CentroidBase):
 
     kind = "prototype"
 
+    DISTANCES = ("euclidean", "manhattan")
+
     def __init__(self, centroids, classes, n_classes, stats, distance="euclidean"):
-        if distance not in ("euclidean", "manhattan"):
+        if distance not in self.DISTANCES:
             raise ValueError(f"unknown distance {distance!r}")
         self.distance = distance
         super().__init__(centroids, classes, n_classes, stats)
@@ -676,7 +670,7 @@ class PrototypeMapper(_CentroidBase):
         return np.abs(diff).sum(axis=2)
 
     def predict(self, x: np.ndarray):
-        x = self._check(x)
+        x = _check_inputs(x, self.n_inputs)
         single = x.ndim == 1
         X = x[None, :] if single else x
         # argmin returns the first minimum: ties break to the lowest centroid index
@@ -690,7 +684,40 @@ class PrototypeMapper(_CentroidBase):
         return d
 
 
-class GaussianPrototypeMapper(_CentroidBase):
+class _SpreadBase(_CentroidBase):
+    """Centroids with one spread each; the best log-activation wins.
+
+    The score is ``-d^2 / 2s^2``, minus ``k log s`` when ``normalized``.
+    """
+
+    normalized: bool = False
+
+    def __init__(self, centroids, classes, n_classes, stats, spreads):
+        self.spreads = np.asarray(spreads, dtype=float)
+        super().__init__(centroids, classes, n_classes, stats)
+        if len(self.spreads) != len(self.classes) or np.any(self.spreads <= 0):
+            raise ValueError("one positive spread per centroid required")
+
+    def predict(self, x: np.ndarray):
+        x = _check_inputs(x, self.n_inputs)
+        single = x.ndim == 1
+        X = x[None, :] if single else x
+        diff = X[:, None, :] - self.centroids[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        score = -d2 / (2.0 * self.spreads**2)
+        if self.normalized:
+            score = score - self.n_inputs * np.log(self.spreads)
+        win = np.argmax(score, axis=1)
+        out = self.classes[win]
+        return int(out[0]) if single else out
+
+    def to_dict(self) -> dict:
+        d = self._base_dict()
+        d["spreads"] = self.spreads.tolist()
+        return d
+
+
+class GaussianPrototypeMapper(_SpreadBase):
     """Assigns the class of the isotropic gaussian with highest density.
 
     Unlike the plain RBF activation this includes the ``s^-k`` normalization,
@@ -698,57 +725,13 @@ class GaussianPrototypeMapper(_CentroidBase):
     """
 
     kind = "gaussian-prototype"
-
-    def __init__(self, centroids, classes, n_classes, stats, spreads):
-        self.spreads = np.asarray(spreads, dtype=float)
-        super().__init__(centroids, classes, n_classes, stats)
-        if len(self.spreads) != len(self.classes) or np.any(self.spreads <= 0):
-            raise ValueError("one positive spread per centroid required")
-
-    def predict(self, x: np.ndarray):
-        x = self._check(x)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        diff = X[:, None, :] - self.centroids[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        k = self.n_inputs
-        logdens = -d2 / (2.0 * self.spreads**2) - k * np.log(self.spreads)
-        win = np.argmax(logdens, axis=1)
-        out = self.classes[win]
-        return int(out[0]) if single else out
-
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d["spreads"] = self.spreads.tolist()
-        return d
+    normalized = True
 
 
-class RadialBasisMapper(_CentroidBase):
+class RadialBasisMapper(_SpreadBase):
     """Assigns the class of the maximum RBF activation exp(-d^2 / 2s^2)."""
 
     kind = "random-rbf"
-
-    def __init__(self, centroids, classes, n_classes, stats, spreads):
-        self.spreads = np.asarray(spreads, dtype=float)
-        super().__init__(centroids, classes, n_classes, stats)
-        if len(self.spreads) != len(self.classes) or np.any(self.spreads <= 0):
-            raise ValueError("one positive spread per centroid required")
-
-    def predict(self, x: np.ndarray):
-        x = self._check(x)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        diff = X[:, None, :] - self.centroids[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        act = -d2 / (2.0 * self.spreads**2)  # log of the activation, same argmax
-        win = np.argmax(act, axis=1)
-        out = self.classes[win]
-        return int(out[0]) if single else out
-
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d["spreads"] = self.spreads.tolist()
-        return d
 
 
 class HyperplaneMapper:
@@ -756,7 +739,9 @@ class HyperplaneMapper:
 
     kind = "hyperplane"
 
-    def __init__(self, w, b, stats: ParentStats):
+    def __init__(self, w, b, stats: ParentStats, n_classes: int = 2):
+        if n_classes != 2:
+            raise ValueError("hyperplane mapper is binary only")
         self.w = np.asarray(w, dtype=float)
         self.b = float(b)
         self.n_classes = 2
@@ -767,9 +752,7 @@ class HyperplaneMapper:
         return int(self.w.shape[0])
 
     def predict(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n_inputs:
-            raise ValueError(f"expected {self.n_inputs} inputs, got {x.shape[-1]}")
+        x = _check_inputs(x, self.n_inputs)
         single = x.ndim == 1
         X = x[None, :] if single else x
         out = (X @ self.w + self.b > 0).astype(int)
@@ -848,87 +831,45 @@ def init_categorical_mapper(
         m = int(rng.integers(c_lo, c_hi + 1))
         centroids.append(rng.uniform(lo, hi, size=(m, len(lo))))
         classes.extend([c] * m)
-        if kind in ("gaussian-prototype", "random-rbf"):
+        if kind != "prototype":
             spreads.extend(rng.uniform(0.1, 0.5, size=m) * scale_ref)
     centroids = np.vstack(centroids)
     if kind == "prototype":
         return PrototypeMapper(centroids, classes, n_classes, parent_stats, distance)
-    if kind == "gaussian-prototype":
-        return GaussianPrototypeMapper(centroids, classes, n_classes, parent_stats, spreads)
-    return RadialBasisMapper(centroids, classes, n_classes, parent_stats, spreads)
-
-
-def categorical_predict(mapper, x: np.ndarray):
-    """Functional alias for ``mapper.predict`` (categorical mappers)."""
-
-    return mapper.predict(x)
+    return _MAPPERS[kind](centroids, classes, n_classes, parent_stats, spreads)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+# kind -> constructor; every constructor takes the keys of ``to_dict``
+_MAPPERS = {
+    **{kind: partial(MLPMapper, kind) for kind in MLPMapper.KINDS},
+    **{
+        cls.kind: cls
+        for cls in (
+            RegressionTreeMapper,
+            SGDLinearMapper,
+            PrototypeMapper,
+            GaussianPrototypeMapper,
+            RadialBasisMapper,
+            HyperplaneMapper,
+        )
+    },
+}
+
+
 def mapper_from_dict(d: dict):
-    kind = d["kind"]
-    if kind in ("learned-mlp", "random-mlp"):
-        return MLPMapper(
-            kind,
-            d["W1"],
-            d["b1"],
-            d["w2"],
-            d["b2"],
-            in_mean=d["in_mean"],
-            in_scale=d["in_scale"],
-            out_mean=d["out_mean"],
-            out_scale=d["out_scale"],
-            fitted_target=None
-            if d["fitted_target"] is None
-            else TargetFunction.from_dict(d["fitted_target"]),
-        )
-    if kind == "regression-tree":
-        return RegressionTreeMapper(
-            d["feature"],
-            d["threshold"],
-            d["left"],
-            d["right"],
-            d["value"],
-            d["max_depth"],
-            in_mean=d["in_mean"],
-            in_scale=d["in_scale"],
-            out_mean=d["out_mean"],
-            out_scale=d["out_scale"],
-            fitted_target=None
-            if d["fitted_target"] is None
-            else TargetFunction.from_dict(d["fitted_target"]),
-        )
-    if kind == "sgd-linear":
-        return SGDLinearMapper(
-            d["w"],
-            d["b"],
-            in_mean=d["in_mean"],
-            in_scale=d["in_scale"],
-            out_mean=d["out_mean"],
-            out_scale=d["out_scale"],
-            fitted_target=None
-            if d["fitted_target"] is None
-            else TargetFunction.from_dict(d["fitted_target"]),
-        )
-    stats = ParentStats.from_dict(d["stats"])
-    if kind == "prototype":
-        return PrototypeMapper(
-            d["centroids"], d["classes"], d["n_classes"], stats, d["distance"]
-        )
-    if kind == "gaussian-prototype":
-        return GaussianPrototypeMapper(
-            d["centroids"], d["classes"], d["n_classes"], stats, d["spreads"]
-        )
-    if kind == "random-rbf":
-        return RadialBasisMapper(
-            d["centroids"], d["classes"], d["n_classes"], stats, d["spreads"]
-        )
-    if kind == "hyperplane":
-        return HyperplaneMapper(d["w"], d["b"], stats)
-    raise ValueError(f"unknown mapper kind {kind!r}")
+    fields = dict(d)
+    make = _MAPPERS.get(fields.pop("kind"))
+    if make is None:
+        raise ValueError(f"unknown mapper kind {d['kind']!r}")
+    if fields.get("fitted_target") is not None:
+        fields["fitted_target"] = TargetFunction.from_dict(fields["fitted_target"])
+    if "stats" in fields:
+        fields["stats"] = ParentStats.from_dict(fields["stats"])
+    return make(**fields)
 
 
 def serialize_params(mapper) -> bytes:

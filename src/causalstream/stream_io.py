@@ -67,11 +67,8 @@ def read_stream_csv(path):
     from .generator import StreamFrame
 
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
     lines = [line for line in lines if line != ""]
     if not lines:
         raise StreamFormatError(f"{path}: empty file")

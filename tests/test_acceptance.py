@@ -21,10 +21,10 @@ from causalstream.concept import (
 from causalstream.config import TemporalParams
 from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec, apply_abrupt, apply_recurrent
 from causalstream.evaluate import (
+    DelayedLabels,
     LinearRegressorLearner,
     LogisticLearner,
     NaiveBayesLearner,
-    delayed_partial_overlay,
     drift_response_metrics,
     prequential_run,
 )
@@ -354,7 +354,7 @@ def test_criterion_11_delayed_partial_labeling(d1_runs):
             full = prequential_run(frame, make(cfg.d, k), W=100, initial_train=100)
             lag = prequential_run(
                 frame, make(cfg.d, k), W=100, initial_train=100,
-                overlay=delayed_partial_overlay(delay=100, label_fraction=0.5),
+                overlay=DelayedLabels(delay=100, label_fraction=0.5),
             )
             gap = float(full.raw.mean()) - float(lag.raw.mean())
             gaps.append(gap)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import COVERAGE_DOC
 from causalstream.cli import main
 from causalstream.config import config_to_document
 from causalstream.drift import DriftSchedule
@@ -77,6 +78,41 @@ def test_sidecar_regenerates_identical_stream(tmp_path):
     second = tmp_path / "replay.csv"
     assert main(["generate", "--config", str(cfg_path), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_sidecar_with_policy_regenerates_identical_stream(tmp_path):
+    """A sidecar written for a config with a policy block parses back."""
+    doc_path = tmp_path / "coverage.json"
+    doc_path.write_text(json.dumps(COVERAGE_DOC))
+    first = _generate(tmp_path, doc_path, "first.csv")
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(read_sidecar(first)["config"]))
+    second = _generate(tmp_path, replay, "second.csv")
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        {"kind": "severe", "actions": [
+            {"mechanism": "swap-classes", "params": {"c1": 0, "c2": 9}}]},
+        {"kind": "covariate", "actions": [
+            {"mechanism": "root-params", "node": 0, "params": {"scale_factor": 0.0}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "change-distance", "node": 5, "params": {"distance": "cosine"}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "refit-new-target-fn", "node": 2, "params": {"target_fn": "cubic"}}]},
+    ],
+    ids=["swap-class-out-of-range", "scale-factor-zero", "unknown-distance", "unknown-target-fn"],
+)
+def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
+    doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
+    doc["schedule"] = {"events": [dict(event, rate="abrupt", t_start=200)]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bad.csv"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_analyze_acf_report(tmp_path, small_config, capsys):

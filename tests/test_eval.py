@@ -8,7 +8,6 @@ from causalstream.evaluate import (
     LogisticLearner,
     NaiveBayesLearner,
     PrequentialCurve,
-    delayed_partial_overlay,
     drift_response_metrics,
     mae_prequential,
     make_learner,
@@ -87,7 +86,7 @@ def test_delayed_labels_arrive_exactly_delay_steps_later():
     audit = AuditLearner()
     prequential_run(
         (X, y), audit, W=5, initial_train=10,
-        overlay=delayed_partial_overlay(delay=7, label_fraction=1.0),
+        overlay=DelayedLabels(delay=7, label_fraction=1.0),
         task="classification",
     )
     entries = audit.log[10:]  # skip the warmup
@@ -110,7 +109,7 @@ def test_label_fraction_half_is_even_index_parity():
     audit = AuditLearner()
     prequential_run(
         (X, y), audit, W=5, initial_train=10,
-        overlay=delayed_partial_overlay(delay=0, label_fraction=0.5),
+        overlay=DelayedLabels(delay=0, label_fraction=0.5),
         task="classification",
     )
     learned = {idx for kind, idx in audit.log[10:] if kind == "learn"}
@@ -122,7 +121,7 @@ def test_label_fraction_zero_never_learns_post_warmup():
     audit = AuditLearner()
     prequential_run(
         (X, y), audit, W=5, initial_train=10,
-        overlay=delayed_partial_overlay(delay=0, label_fraction=0.0),
+        overlay=DelayedLabels(delay=0, label_fraction=0.0),
         task="classification",
     )
     assert all(kind == "predict" for kind, _ in audit.log[10:])
