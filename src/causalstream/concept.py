@@ -31,7 +31,6 @@ from .mappers import (
     ParentStats,
     PrototypeMapper,
     RootDistribution,
-    TargetFunction,
     draw_target_function,
     fit_continuous_mapper,
     init_categorical_mapper,
@@ -140,18 +139,6 @@ class Concept:
         if self.task == "regression":
             return None
         return self.mappers[self.graph.target].n_classes
-
-    @property
-    def target_fns(self) -> dict[int, TargetFunction]:
-        out = {}
-        for node, m in self.mappers.items():
-            fn = getattr(m, "fitted_target", None)
-            if fn is not None:
-                out[node] = fn
-        return out
-
-    def mapper_kind(self, node: int) -> str:
-        return self.mappers[node].kind
 
     def is_categorical(self, node: int) -> bool:
         return (
@@ -326,7 +313,8 @@ def _resolve_inner_kind(
     if pinned in CONTINUOUS_KINDS or (pinned is None and rng.random() >= params.p_categorical):
         return pinned or _pick(CONTINUOUS_KINDS, rng), None
     lo, hi = params.feature_classes_range
-    ncls = (pinned and int(pin.get("n_classes", 0))) or int(rng.integers(lo, hi + 1))
+    # a pinned class count is honoured only on a node whose kind is pinned
+    ncls = (int(pin.get("n_classes", 0)) if pinned else 0) or int(rng.integers(lo, hi + 1))
     kind = pinned or _pick(_categorical_menu(ncls), rng)
     if kind == "hyperplane" and ncls != 2:
         raise ValueError("hyperplane feature nodes must be binary")

@@ -8,6 +8,7 @@ dataclasses are re-raised as ConfigError with the offending path.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from .concept import NODE_PIN_KEYS, ConceptParams
@@ -96,6 +97,24 @@ def _check_keys(doc: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {path or 'config'}")
 
 
+@contextmanager
+def _section(path: str, *errors):
+    """Re-raise a domain error met while binding ``path`` as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError, *errors) as e:
+        raise ConfigError(f"{path}: {e}" if path else str(e)) from None
+
+
+def _flat_section(doc: dict, key: str, cls):
+    """Bind an optional section whose keys are exactly the fields of ``cls``."""
+    if key not in doc:
+        return cls()
+    _check_keys(doc[key], _keys(cls), key)
+    with _section(key):
+        return cls(**doc[key])
+
+
 def _int_keyed(doc: dict, path: str) -> dict[int, dict]:
     out = {}
     for key, value in doc.items():
@@ -117,21 +136,13 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
         raise ConfigError("dataset_size is mandatory")
     task = doc.get("task", "classification")
 
-    temporal = TemporalParams()
-    if "temporal" in doc:
-        _check_keys(doc["temporal"], _keys(TemporalParams), "temporal")
-        try:
-            temporal = TemporalParams(**doc["temporal"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"temporal: {e}") from None
+    temporal = _flat_section(doc, "temporal", TemporalParams)
 
     graph = None
     if doc.get("graph") is not None:
         _check_keys(doc["graph"], _keys(CausalGraph, "topo_order"), "graph")
-        try:
+        with _section("graph", KeyError):
             graph = CausalGraph.from_dict(doc["graph"])
-        except (TypeError, ValueError, KeyError) as e:
-            raise ConfigError(f"graph: {e}") from None
 
     concept = None
     if doc.get("concept") is not None:
@@ -145,10 +156,8 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
                     "variance_range", "low_range", "width_range"):
             if key in cdoc:
                 cdoc[key] = tuple(cdoc[key])
-        try:
+        with _section("concept"):
             concept = ConceptParams(task=task, nodes=nodes, **cdoc)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"concept: {e}") from None
 
     schedule = DriftSchedule()
     if doc.get("schedule") is not None:
@@ -157,10 +166,8 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
             _check_keys(event, _keys(ShiftSpec), f"schedule.events[{i}]")
             for j, action in enumerate(event.get("actions", [])):
                 _check_keys(action, _keys(ShiftAction), f"schedule.events[{i}].actions[{j}]")
-        try:
+        with _section("schedule"):
             schedule = DriftSchedule.from_dict(doc["schedule"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"schedule: {e}") from None
 
     policy = None
     if doc.get("policy") is not None:
@@ -177,46 +184,25 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
             if not isinstance(params, (list, tuple)) or len(params) != 2:
                 raise ConfigError(f"policy.values.{node}: params must be two numbers")
         pdoc["values"] = values
-        try:
+        with _section("policy"):
             policy = InterventionPolicy.from_dict(pdoc)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"policy: {e}") from None
 
-    gen_kwargs = {
-        key: doc[key]
-        for key in ("d", "n_roots", "min_parents", "max_parents", "p_i", "p_m", "feature_subsample")
-        if doc.get(key) is not None
-    }
-    try:
-        generator = GeneratorConfig(
-            dataset_size=int(doc["dataset_size"]),
-            seed=int(doc.get("seed", 0)),
-            task=task,
-            temporal=temporal,
-            schedule=schedule,
-            concept=concept,
-            policy=policy,
-            graph=graph,
-            **gen_kwargs,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from None
-
-    evaluation = EvalOptions()
-    if "evaluation" in doc:
-        _check_keys(doc["evaluation"], _keys(EvalOptions), "evaluation")
-        try:
-            evaluation = EvalOptions(**doc["evaluation"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"evaluation: {e}") from None
-
-    analysis = AnalysisOptions()
-    if "analysis" in doc:
-        _check_keys(doc["analysis"], _keys(AnalysisOptions), "analysis")
-        try:
-            analysis = AnalysisOptions(**doc["analysis"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"analysis: {e}") from None
+    bound = dict(
+        task=task,
+        temporal=temporal,
+        schedule=schedule,
+        concept=concept,
+        policy=policy,
+        graph=graph,
+    )
+    # the remaining generator fields are plain values, passed as given
+    plain = {k: doc[k] for k in _keys(GeneratorConfig) - set(bound) if doc.get(k) is not None}
+    with _section(""):
+        plain["dataset_size"] = int(doc["dataset_size"])
+        plain["seed"] = int(doc.get("seed", 0))
+        generator = GeneratorConfig(**bound, **plain)
+    evaluation = _flat_section(doc, "evaluation", EvalOptions)
+    analysis = _flat_section(doc, "analysis", AnalysisOptions)
 
     out = doc.get("out")
     if out is not None and not isinstance(out, str):

@@ -23,7 +23,6 @@ from .concept import (
 from .drift import (
     DriftSchedule,
     InterventionPolicy,
-    ShiftSpec,
     apply_abrupt,
     apply_recurrent,
     begin_gradual,
@@ -160,13 +159,10 @@ class StreamGenerator:
         self._concept_id = "concept0"
         self.snapshots["concept0"] = snapshot_concept(concept, self.state)
         self._next_event = 0
-        self._event_no = 0
-        # active-window runtime: at most one, windows are disjoint
-        self._active: str | None = None
-        self._active_spec: ShiftSpec | None = None
-        self._active_id: str | None = None
-        self._pending: Concept | None = None
-        self._plan = None
+        # the open gradual or incremental window, if any (windows are
+        # disjoint): its spec, its concept id, and the endpoint concept of a
+        # gradual window or the plan of an incremental one
+        self._window: tuple | None = None
 
     # -- event machinery ---------------------------------------------------
 
@@ -174,28 +170,21 @@ class StreamGenerator:
         self._concept_id = event_id
         self.snapshots[event_id] = snapshot_concept(self.concept, self.state)
 
-    def _finalize_active(self) -> None:
-        if self._active == "gradual":
-            self.concept = self._pending
-        # incremental concepts already sit exactly on the endpoint
-        self._complete(self._active_id)
-        self._active = None
-        self._active_spec = None
-        self._active_id = None
-        self._pending = None
-        self._plan = None
-
     def _advance_events(self) -> None:
         t = self.t
-        if self._active is not None and t >= self._active_spec.t_end:
-            self._finalize_active()
+        if self._window is not None and t >= self._window[0].t_end:
+            spec, event_id, shift = self._window
+            if spec.rate == "gradual":
+                self.concept = shift
+            # incremental concepts already sit exactly on the endpoint
+            self._complete(event_id)
+            self._window = None
         while self._next_event < len(self.schedule.events):
             spec = self.schedule.events[self._next_event]
             if spec.t_start > t:
                 break
             self._next_event += 1
-            self._event_no += 1
-            event_id = f"concept{self._event_no}"
+            event_id = f"concept{self._next_event}"
             if spec.kind == "recurrent":
                 snap = self.snapshots.get(spec.snapshot_id)
                 if snap is None:
@@ -206,30 +195,25 @@ class StreamGenerator:
                 self.concept = apply_abrupt(self.concept, spec, self.rngs.schedule)
                 self._complete(event_id)
             elif spec.rate == "gradual":
-                self._pending = begin_gradual(self.concept, spec, self.rngs.schedule)
-                self._active, self._active_spec, self._active_id = "gradual", spec, event_id
+                endpoint = begin_gradual(self.concept, spec, self.rngs.schedule)
+                self._window = (spec, event_id, endpoint)
             else:
                 self.concept = self.concept.copy()
-                self._plan = begin_incremental(self.concept, spec, self.rngs.schedule)
-                self._active, self._active_spec, self._active_id = (
-                    "incremental",
-                    spec,
-                    event_id,
-                )
+                plan = begin_incremental(self.concept, spec, self.rngs.schedule)
+                self._window = (spec, event_id, plan)
 
     def _instance_concept(self) -> tuple[Concept, str]:
         """Pick which concept produces the current instance."""
 
-        if self._active == "gradual":
-            if gradual_selector(self.t, self._active_spec, self.rngs.schedule):
-                return self._pending, self._active_id
+        if self._window is None:
             return self.concept, self._concept_id
-        if self._active == "incremental":
-            incremental_step(
-                self.concept, self._plan, self.t - self._active_spec.t_start, self.rngs.schedule
-            )
-            return self.concept, self._active_id
-        return self.concept, self._concept_id
+        spec, event_id, shift = self._window
+        if spec.rate == "gradual":
+            if gradual_selector(self.t, spec, self.rngs.schedule):
+                return shift, event_id
+            return self.concept, self._concept_id
+        incremental_step(self.concept, shift, self.t - spec.t_start, self.rngs.schedule)
+        return self.concept, event_id
 
     # -- intervention helpers ------------------------------------------------
 

@@ -245,11 +245,8 @@ class _ContinuousBase:
     def n_inputs(self) -> int:
         return int(self.in_mean.shape[0])
 
-    def _z(self, x: np.ndarray) -> np.ndarray:
-        return (_check_inputs(x, self.n_inputs) - self.in_mean) / self.in_scale
-
     def predict(self, x: np.ndarray):
-        z = self._z(x)
+        z = (_check_inputs(x, self.n_inputs) - self.in_mean) / self.in_scale
         if z.ndim == 1:
             return float(self._forward(z[None, :])[0])
         return self._forward(z)
@@ -261,7 +258,7 @@ class _ContinuousBase:
         """Standardize inputs on the sample ``X`` and record the mean/std of
         the outputs there; a constant output gets ``fallback_scale``."""
         self.in_mean, self.in_scale = _standardize_stats(X)
-        preds = self._forward(self._z(X))
+        preds = self._forward((X - self.in_mean) / self.in_scale)
         self.out_mean = float(preds.mean())
         out_scale = float(preds.std())
         self.out_scale = out_scale if out_scale > 0 else fallback_scale
@@ -398,42 +395,34 @@ class SGDLinearMapper(_ContinuousBase):
 
 
 def _fit_mlp_weights(z, y, rng):
+    """Adam on squared error; returns [W1, b1, w2, b2]."""
+
     n, k = z.shape
-    W1, b1, w2 = _xavier_mlp(rng, k)
-    b2 = 0.0
-    moments = [np.zeros_like(p) for p in (W1, b1, w2)] + [0.0]
-    moments2 = [np.zeros_like(p) for p in (W1, b1, w2)] + [0.0]
+    params = [*_xavier_mlp(rng, k), 0.0]
+    moments = [np.zeros_like(p) for p in params[:3]] + [0.0]
+    moments2 = [np.zeros_like(p) for p in params[:3]] + [0.0]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     for _ in range(_MLP_EPOCHS):
         perm = rng.permutation(n)
         for start in range(0, n, _MLP_BATCH):
+            W1, b1, w2, b2 = params
             idx = perm[start : start + _MLP_BATCH]
             zb, yb = z[idx], y[idx]
             pre = zb @ W1 + b1
             h = np.maximum(pre, 0.0)
             pred = h @ w2 + b2
             g_out = 2.0 * (pred - yb) / len(idx)
-            g_w2 = h.T @ g_out
-            g_b2 = float(g_out.sum())
             g_h = np.outer(g_out, w2) * (pre > 0)
-            g_W1 = zb.T @ g_h
-            g_b1 = g_h.sum(axis=0)
+            grads = [zb.T @ g_h, g_h.sum(axis=0), h.T @ g_out, float(g_out.sum())]
             step += 1
-            params = [W1, b1, w2]
-            grads = [g_W1, g_b1, g_w2]
-            for i in range(3):
+            for i in range(4):
                 moments[i] = beta1 * moments[i] + (1 - beta1) * grads[i]
                 moments2[i] = beta2 * moments2[i] + (1 - beta2) * grads[i] ** 2
                 mhat = moments[i] / (1 - beta1**step)
                 vhat = moments2[i] / (1 - beta2**step)
                 params[i] -= _MLP_LR * mhat / (np.sqrt(vhat) + eps)
-            moments[3] = beta1 * moments[3] + (1 - beta1) * g_b2
-            moments2[3] = beta2 * moments2[3] + (1 - beta2) * g_b2**2
-            b2 -= _MLP_LR * (moments[3] / (1 - beta1**step)) / (
-                np.sqrt(moments2[3] / (1 - beta2**step)) + eps
-            )
-    return W1, b1, w2, b2
+    return params
 
 
 def _fit_tree(z, y, max_depth):
