@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .stream_io import (
     StreamFormatError,
     format_value,
     read_stream_csv,
+    sidecar_path,
     write_sidecar,
     write_stream_csv,
 )
@@ -107,9 +109,25 @@ def _cmd_generate(args) -> int:
     cfg = run.generator
     out = Path(args.out or run.out or "stream.csv")
     gen = build_stream(cfg)
-    rows = write_stream_csv(
-        out, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names
-    )
+    # write beside the targets and rename at the end, so a run that fails
+    # part way leaves neither a partial CSV nor a stale sidecar
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    tmp_side = sidecar_path(tmp)
+    try:
+        rows = write_stream_csv(
+            tmp, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names
+        )
+        write_sidecar(tmp, _sidecar_meta(cfg, gen, rows))
+        os.replace(tmp_side, sidecar_path(out))
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
+        tmp_side.unlink(missing_ok=True)
+    print(f"wrote {rows} rows to {out} (metadata: {sidecar_path(out)})")
+    return 0
+
+
+def _sidecar_meta(cfg, gen, rows: int) -> dict:
     boundaries = [{"id": "concept0", "t_start": 0}]
     for i, event in enumerate(cfg.schedule):
         boundaries.append(
@@ -121,7 +139,7 @@ def _cmd_generate(args) -> int:
                 "rate": event.rate,
             }
         )
-    meta = {
+    return {
         "seed": cfg.seed,
         "rows": rows,
         "task": cfg.task,
@@ -133,9 +151,6 @@ def _cmd_generate(args) -> int:
         },
         "format": {"missing": "empty field", "categories": "integer codes"},
     }
-    side = write_sidecar(out, meta)
-    print(f"wrote {rows} rows to {out} (metadata: {side})")
-    return 0
 
 
 def _analysis_columns(frame) -> list[tuple[str, np.ndarray]]:

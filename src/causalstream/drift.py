@@ -23,6 +23,7 @@ added there and nowhere else.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -398,7 +399,9 @@ def _check_swap(concept: Concept, params: dict) -> None:
     if n is None:
         raise ValueError("swap-classes requires a classification concept")
     c1, c2 = params.get("c1"), params.get("c2")
-    if c1 is not None and c2 is not None:
+    if (c1 is None) != (c2 is None):
+        raise ValueError("swap-classes needs both c1 and c2, or neither")
+    if c1 is not None:
         c1, c2 = int(c1), int(c2)
         if c1 == c2 or not (0 <= c1 < n and 0 <= c2 < n):
             raise ValueError(f"cannot swap classes {c1} and {c2} of {n}")
@@ -406,15 +409,29 @@ def _check_swap(concept: Concept, params: dict) -> None:
 
 def _swap_classes(concept: Concept, action: ShiftAction, rng) -> None:
     c1, c2 = action.params.get("c1"), action.params.get("c2")
-    if c1 is None or c2 is None:
+    if c1 is None:
         c1, c2 = rng.choice(concept.n_classes, size=2, replace=False)
     swap = {int(c1): int(c2), int(c2): int(c1)}
     concept.class_permutation = tuple(swap.get(v, v) for v in concept.class_permutation)
 
 
+# root-params keys that take a number; ``low`` and ``high`` can only be
+# checked against each other once the event knows the distribution
+_ROOT_NUMBERS = ("shift_std", "scale_factor", "mean", "variance", "low", "high")
+
+
 def _check_root(concept: Concept, params: dict) -> None:
-    if "scale_factor" in params and float(params["scale_factor"]) <= 0:
-        raise ValueError("scale_factor must be positive")
+    for key in _ROOT_NUMBERS:
+        if key not in params:
+            continue
+        try:
+            value = float(params[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"root-params {key} must be a number, not {params[key]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"root-params {key} must be finite")
+        if key in ("scale_factor", "variance") and value <= 0:
+            raise ValueError(f"{key} must be positive")
 
 
 def _shift_root_dist(

@@ -1,10 +1,16 @@
-"""Streaming engine: topological value propagation with temporal state,
-per-instance interventions and missingness, drift-schedule execution.
+"""Streaming engine: drift-schedule execution, temporal state, per-instance
+interventions and missingness, and value propagation through the graph.
+
+The concept is fixed between two event boundaries, and the temporal state
+never reads a node's value, so the engine builds the stream in segments:
+the draws of a segment are made row by row, then every node is computed for
+all of its rows with one batched ``predict`` (see ``StreamGenerator``).
 
 Reproducibility contract: one master seed spawns five independent substreams
 (concept init, node values, interventions, missing masks, drift schedule).
 Toggling interventions, missingness, or the schedule therefore never perturbs
 the value draws of the untouched parts of a paired run with the same seed.
+Where segments end changes neither the draws nor the bytes of a stream.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ __all__ = [
     "generate",
     "collect",
 ]
+
+# rows per segment at most; a segment also ends at the next event boundary.
+# Larger segments batch more rows per ``predict`` call, but the engine may
+# build up to one segment past the last row a consumer asks for.
+_SEGMENT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,25 @@ def spawn_streams(seed: int) -> StreamRngs:
 
 
 class StreamGenerator:
-    """Sequential state machine producing one instance per ``step`` call.
+    """State machine that builds the stream in segments and hands out rows.
 
-    Temporal dependence forbids parallel instance generation; independent
-    streams parallelize freely.
+    A segment runs from the first unbuilt row to the next event boundary, at
+    most ``_SEGMENT_ROWS`` rows, and one concept produces all of it; a row
+    inside a gradual or incremental window is a segment of its own.  A
+    segment is built in two phases:
+
+    1. a row loop makes the segment's draws, row by row, in the order of a
+       row-at-a-time walk: on ``values`` the root and AR noise steps in
+       topological order, then ``draw_interventions`` and ``draw_missing``;
+    2. one batched ``predict`` per inner node, in topological order; forced
+       values overwrite their rows before the children read them.
+
+    Temporal state never reads a node's value, so phase 1 needs no mapper,
+    and every ``predict`` gives a row the same bits however many rows share
+    the call.  A stream's bytes therefore do not depend on where segments
+    end.  ``step``, ``take`` and iteration read rows from the current
+    segment; ``state`` and the substreams may run up to one segment ahead of
+    the rows handed out.
     """
 
     def __init__(
@@ -154,7 +180,11 @@ class StreamGenerator:
                 raise ValueError(f"cannot emit node {bad[0]}")
         self.emitted_features = emitted_features
         self.feature_names = tuple(f"x{i + 1}" for i in range(len(emitted_features)))
+        # ``t`` is the next row ``step`` hands out; ``_built`` the next row
+        # the engine builds
         self.t = 0
+        self._built = 0
+        self._rows = iter(())
         self.snapshots: dict[str, ConceptSnapshot] = {}
         self._concept_id = "concept0"
         self.snapshots["concept0"] = snapshot_concept(concept, self.state)
@@ -171,7 +201,7 @@ class StreamGenerator:
         self.snapshots[event_id] = snapshot_concept(self.concept, self.state)
 
     def _advance_events(self) -> None:
-        t = self.t
+        t = self._built
         if self._window is not None and t >= self._window[0].t_end:
             spec, event_id, shift = self._window
             if spec.rate == "gradual":
@@ -202,18 +232,26 @@ class StreamGenerator:
                 plan = begin_incremental(self.concept, spec, self.rngs.schedule)
                 self._window = (spec, event_id, plan)
 
-    def _instance_concept(self) -> tuple[Concept, str]:
-        """Pick which concept produces the current instance."""
+    def _segment_concept(self) -> tuple[Concept, str, int]:
+        """The concept of the next segment, its id and the segment's length.
 
+        Inside a window this makes the row's schedule draw, and the segment
+        is that one row.
+        """
+
+        t = self._built
         if self._window is None:
-            return self.concept, self._concept_id
+            n = _SEGMENT_ROWS
+            if self._next_event < len(self.schedule.events):
+                n = min(n, self.schedule.events[self._next_event].t_start - t)
+            return self.concept, self._concept_id, n
         spec, event_id, shift = self._window
         if spec.rate == "gradual":
-            if gradual_selector(self.t, spec, self.rngs.schedule):
-                return shift, event_id
-            return self.concept, self._concept_id
-        incremental_step(self.concept, shift, self.t - spec.t_start, self.rngs.schedule)
-        return self.concept, event_id
+            if gradual_selector(t, spec, self.rngs.schedule):
+                return shift, event_id, 1
+            return self.concept, self._concept_id, 1
+        incremental_step(self.concept, shift, t - spec.t_start, self.rngs.schedule)
+        return self.concept, event_id, 1
 
     # -- intervention helpers ------------------------------------------------
 
@@ -231,78 +269,122 @@ class StreamGenerator:
         mapper = concept.mappers[node]
         return ("normal", mapper.out_mean, mapper.out_scale)
 
-    # -- the stream loop -----------------------------------------------------
+    # -- the segment engine --------------------------------------------------
 
-    def step(self) -> Instance:
-        """Generate the next instance (Algorithm: events, interventions,
-        missing mask, topological walk, emission mask, advance time)."""
+    def _segment(self) -> list[Instance]:
+        """Apply due events, then build the rows of the next segment."""
 
         self._advance_events()
-        concept, concept_id = self._instance_concept()
-        graph = concept.graph
+        t0 = self._built
+        concept, concept_id, n = self._segment_concept()
+        drawn, forced, missing = self._draw_rows(concept, n)
+        V = self._walk(concept, drawn, forced, n)
+        self._built = t0 + n
+        return self._emit(concept, concept_id, t0, V, forced, missing)
 
+    def _draw_rows(self, concept: Concept, n: int):
+        """Phase 1: every draw of ``n`` rows, row by row.
+
+        Returns the per-node draws on ``values`` (a root's natural value, a
+        continuous inner node's AR noise), and per row the forced values and
+        the masked features.
+        """
+
+        graph = concept.graph
         eligible = graph.feature_nodes
         if self.policy.include_target:
             eligible = tuple(sorted(eligible + (graph.target,)))
-        specs = {n: self._value_spec(concept, n) for n in eligible}
-        interventions = draw_interventions(
-            self.policy, eligible, specs, self.rngs.interventions
-        )
-        missing = draw_missing(self.policy, self.emitted_features, self.rngs.missing)
+        specs = {node: self._value_spec(concept, node) for node in eligible}
+        # roots step their EWMA and noise, continuous inner nodes their AR
+        # noise, in topological order; the natural root draw always happens,
+        # so paired runs with and without interventions stay aligned
+        walk = [
+            (node, concept.root_dists.get(node), concept.noise_scale(node), [])
+            for node in graph.topo_order
+            if not concept.is_categorical(node)
+        ]
+        ewma, ar, temporal = self.state.ewma, self.state.ar, concept.temporal
+        policy, emitted, rngs = self.policy, self.emitted_features, self.rngs
+        vr = rngs.values
+        forced, missing = [], []
+        for _ in range(n):
+            for node, dist, scale, path in walk:
+                if dist is None:
+                    e = ar[node] = ar_noise_step(ar[node], temporal, vr, sigma_scale=scale)
+                    path.append(e)
+                else:
+                    x, ar[node] = root_value_step(ewma[node], ar[node], dist, temporal, vr)
+                    ewma[node] = x
+                    path.append(x)
+            forced.append(draw_interventions(policy, eligible, specs, rngs.interventions))
+            missing.append(draw_missing(policy, emitted, rngs.missing))
+        drawn = {node: path for node, _, _, path in walk}
+        return drawn, forced, missing
 
-        values: dict[int, float | int] = {}
-        vr = self.rngs.values
+    @staticmethod
+    def _walk(concept: Concept, drawn: dict, forced: list, n: int) -> np.ndarray:
+        """Phase 2: every node's value on all ``n`` rows, one batched
+        ``predict`` per inner node in topological order.  Column ``j`` of the
+        result holds node ``j``; forced values overwrite their rows before
+        the children read them."""
+
+        graph = concept.graph
+        overrides: dict[int, tuple[list[int], list]] = {}
+        for i, row in enumerate(forced):
+            for node, value in row.items():
+                rows, vals = overrides.setdefault(node, ([], []))
+                rows.append(i)
+                vals.append(value)
+        V = np.empty((n, graph.n_nodes))
         for node in graph.topo_order:
-            forced = interventions.get(node)
             if graph.is_root(node):
-                # natural draw always happens and feeds the temporal state,
-                # so paired runs with and without interventions stay aligned
-                x_nat, n_new = root_value_step(
-                    self.state.ewma[node],
-                    self.state.ar[node],
-                    concept.root_dists[node],
-                    concept.temporal,
-                    vr,
-                )
-                self.state.ewma[node] = x_nat
-                self.state.ar[node] = n_new
-                values[node] = x_nat if forced is None else float(forced)
-                continue
-            parents = np.array([values[p] for p in graph.parents[node]], dtype=float)
-            if concept.is_categorical(node):
-                if forced is not None:
-                    values[node] = int(forced)
-                elif node == graph.target:
-                    raw = int(concept.mappers[node].predict(parents))
-                    values[node] = int(concept.class_permutation[raw])
-                else:
-                    values[node] = int(concept.mappers[node].predict(parents))
+                V[:, node] = drawn[node]
             else:
-                n_new = ar_noise_step(
-                    self.state.ar[node],
-                    concept.temporal,
-                    vr,
-                    sigma_scale=concept.noise_scale(node),
-                )
-                self.state.ar[node] = n_new
-                if forced is None:
-                    values[node] = float(concept.mappers[node].predict(parents)) + n_new
-                else:
-                    values[node] = float(forced)
+                out = concept.mappers[node].predict(V.take(graph.parents[node], axis=1))
+                if node in drawn:
+                    out = out + np.asarray(drawn[node])
+                elif node == graph.target:
+                    out = np.asarray(concept.class_permutation)[out]
+                V[:, node] = out
+            if node in overrides:
+                rows, vals = overrides[node]
+                V[rows, node] = vals
+        return V
 
-        features = tuple(
-            None if n in missing else values[n] for n in self.emitted_features
-        )
-        inst = Instance(
-            t=self.t,
-            features=features,
-            label=values[graph.target],
-            values=values,
-            intervened=tuple(sorted(interventions)),
-            missing=missing,
-            concept_id=concept_id,
-        )
-        self.t += 1
+    def _emit(self, concept, concept_id, t0, V, forced, missing) -> list[Instance]:
+        """The segment's instances: Python ints for categorical nodes and
+        floats for continuous ones, ``None`` for masked features."""
+
+        topo = concept.graph.topo_order
+        columns = [
+            (V[:, node].astype(int) if concept.is_categorical(node) else V[:, node]).tolist()
+            for node in topo
+        ]
+        pos = {node: i for i, node in enumerate(topo)}
+        emit = [(node, pos[node]) for node in self.emitted_features]
+        label = pos[concept.graph.target]
+        out = []
+        for i, vals in enumerate(zip(*columns)):
+            masked = missing[i]
+            if masked:
+                features = tuple(None if node in masked else vals[j] for node, j in emit)
+            else:
+                features = tuple([vals[j] for _, j in emit])
+            values = dict(zip(topo, vals))
+            intervened = tuple(sorted(forced[i]))
+            out.append(
+                Instance(t0 + i, features, vals[label], values, intervened, masked, concept_id)
+            )
+        return out
+
+    def step(self) -> Instance:
+        """The next row, building a new segment when the current one is spent."""
+
+        inst = next(self._rows, None)
+        if inst is None:
+            self._rows = iter(self._segment())
+            inst = next(self._rows)
+        self.t = inst.t + 1
         return inst
 
     def take(self, n: int) -> list[Instance]:

@@ -222,6 +222,21 @@ def _xavier_mlp(rng: np.random.Generator, k: int):
     return uniform(k, _HIDDEN, (k, _HIDDEN)), np.zeros(_HIDDEN), uniform(_HIDDEN, 1, (_HIDDEN,))
 
 
+def _rows_times(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``X @ W``, summed over the columns of ``X`` in a fixed order.
+
+    BLAS kernels pick their summation order by shape, so a row of ``X @ W``
+    can round differently with 1 row or 4096 rows in the call.  Here every
+    row goes through the same elementwise products and sums, and its bits do
+    not depend on how many rows share the call.
+    """
+
+    acc = np.multiply.outer(X[:, 0], W[0])
+    for j in range(1, X.shape[1]):
+        acc += np.multiply.outer(X[:, j], W[j])
+    return acc
+
+
 def _check_inputs(x, n_inputs: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n_inputs:
@@ -246,19 +261,33 @@ class _ContinuousBase:
         return int(self.in_mean.shape[0])
 
     def predict(self, x: np.ndarray):
+        """Output for one input vector, or one per row of a matrix; a row's
+        bits do not depend on how many rows share the call."""
+        return self._predict(x, _rows_times)
+
+    def predict_sample(self, X: np.ndarray) -> np.ndarray:
+        """Outputs over a fit or warm-up sample, with BLAS products.
+
+        A row may round differently from ``predict``.  Fitted parameters
+        rest on these bits, so ancestor walks and ``calibrate`` use them.
+        """
+        return self._predict(X, np.matmul)
+
+    def _predict(self, x, dot):
         z = (_check_inputs(x, self.n_inputs) - self.in_mean) / self.in_scale
         if z.ndim == 1:
-            return float(self._forward(z[None, :])[0])
-        return self._forward(z)
+            return float(self._forward(z[None, :], dot)[0])
+        return self._forward(z, dot)
 
-    def _forward(self, z: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def _forward(self, z: np.ndarray, dot) -> np.ndarray:  # pragma: no cover
+        """Outputs for standardized rows ``z``; ``dot`` multiplies by weights."""
         raise NotImplementedError
 
     def calibrate(self, X: np.ndarray, fallback_scale: float = 1.0) -> None:
         """Standardize inputs on the sample ``X`` and record the mean/std of
         the outputs there; a constant output gets ``fallback_scale``."""
         self.in_mean, self.in_scale = _standardize_stats(X)
-        preds = self._forward((X - self.in_mean) / self.in_scale)
+        preds = self.predict_sample(X)
         self.out_mean = float(preds.mean())
         out_scale = float(preds.std())
         self.out_scale = out_scale if out_scale > 0 else fallback_scale
@@ -293,9 +322,9 @@ class MLPMapper(_ContinuousBase):
         self.b2 = float(b2)
         super().__init__(**base)
 
-    def _forward(self, z: np.ndarray) -> np.ndarray:
-        h = np.maximum(z @ self.W1 + self.b1, 0.0)
-        return h @ self.w2 + self.b2
+    def _forward(self, z: np.ndarray, dot) -> np.ndarray:
+        h = np.maximum(dot(z, self.W1) + self.b1, 0.0)
+        return dot(h, self.w2) + self.b2
 
     def reinit(self, rng: np.random.Generator) -> None:
         """Redraw all weights (random-mlp drift); standardization is kept."""
@@ -332,16 +361,21 @@ class RegressionTreeMapper(_ContinuousBase):
         self.max_depth = int(max_depth)
         super().__init__(**base)
 
-    def _forward(self, z: np.ndarray) -> np.ndarray:
+    def _forward(self, z: np.ndarray, dot) -> np.ndarray:
+        """Level-wise descent: all rows still inside the tree move one level
+        per pass, and a row leaves once it reaches a leaf."""
         out = np.empty(z.shape[0])
-        for i in range(z.shape[0]):
-            node = 0
-            while self.feature[node] >= 0:
-                if z[i, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
+        rows = np.arange(z.shape[0])
+        node = np.zeros(z.shape[0], dtype=int)
+        while rows.size:
+            feat = self.feature[node]
+            leaf = feat < 0
+            if leaf.any():
+                out[rows[leaf]] = self.value[node[leaf]]
+                inner = ~leaf
+                rows, node, feat = rows[inner], node[inner], feat[inner]
+            go_left = z[rows, feat] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
         return out
 
     def to_dict(self) -> dict:
@@ -375,8 +409,8 @@ class SGDLinearMapper(_ContinuousBase):
         self._partial_steps = 0
         super().__init__(**base)
 
-    def _forward(self, z: np.ndarray) -> np.ndarray:
-        return z @ self.w + self.b
+    def _forward(self, z: np.ndarray, dot) -> np.ndarray:
+        return dot(z, self.w) + self.b
 
     def partial_fit(self, z: np.ndarray, y: float) -> None:
         self._partial_steps += 1
@@ -621,6 +655,10 @@ class _CentroidBase:
     def n_inputs(self) -> int:
         return int(self.centroids.shape[1])
 
+    def predict_sample(self, X: np.ndarray) -> np.ndarray:
+        # centroid scores take no BLAS product, so ``predict`` serves both
+        return self.predict(X)
+
     def move_centroids(self, rng: np.random.Generator, stats: ParentStats | None = None) -> None:
         """Redraw centroid positions inside the (possibly updated) parent box."""
         if stats is not None:
@@ -741,10 +779,18 @@ class HyperplaneMapper:
         return int(self.w.shape[0])
 
     def predict(self, x: np.ndarray):
+        # the same two paths as the continuous mappers' ``predict`` and
+        # ``predict_sample``
+        return self._classify(x, _rows_times)
+
+    def predict_sample(self, X: np.ndarray) -> np.ndarray:
+        return self._classify(X, np.matmul)
+
+    def _classify(self, x, dot):
         x = _check_inputs(x, self.n_inputs)
         single = x.ndim == 1
         X = x[None, :] if single else x
-        out = (X @ self.w + self.b > 0).astype(int)
+        out = (dot(X, self.w) + self.b > 0).astype(int)
         return int(out[0]) if single else out
 
     def rotate(self, angle_rad: float, plane_dir: np.ndarray) -> None:

@@ -9,6 +9,7 @@ to the data file, never inside it.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     v = float(v)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError("stream values must be finite")
     return repr(v)
 

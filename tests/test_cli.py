@@ -6,8 +6,9 @@ import pytest
 
 from conftest import COVERAGE_DOC
 from causalstream.cli import main
-from causalstream.config import config_to_document
+from causalstream.config import config_to_document, load_config
 from causalstream.drift import DriftSchedule
+from causalstream.generator import build_stream
 from causalstream.presets import PRESET_NAMES, preset_config
 from causalstream.stream_io import read_sidecar
 
@@ -102,8 +103,22 @@ def test_sidecar_with_policy_regenerates_identical_stream(tmp_path):
             {"mechanism": "change-distance", "node": 5, "params": {"distance": "cosine"}}]},
         {"kind": "distributional", "actions": [
             {"mechanism": "refit-new-target-fn", "node": 2, "params": {"target_fn": "cubic"}}]},
+        {"kind": "covariate", "actions": [
+            {"mechanism": "root-params", "node": 0, "params": {"variance": -1.0}}]},
+        {"kind": "covariate", "actions": [
+            {"mechanism": "root-params", "node": 0, "params": {"shift_std": "big"}}]},
+        {"kind": "severe", "actions": [
+            {"mechanism": "swap-classes", "params": {"c1": 1}}]},
     ],
-    ids=["swap-class-out-of-range", "scale-factor-zero", "unknown-distance", "unknown-target-fn"],
+    ids=[
+        "swap-class-out-of-range",
+        "scale-factor-zero",
+        "unknown-distance",
+        "unknown-target-fn",
+        "negative-variance",
+        "shift-std-not-a-number",
+        "swap-one-class",
+    ],
 )
 def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
     doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
@@ -113,6 +128,23 @@ def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
     out = tmp_path / "bad.csv"
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+    # rejected when the stream is built, before any row is drawn
+    with pytest.raises(ValueError):
+        build_stream(load_config(path).generator)
+
+
+def test_failed_generate_leaves_no_output(tmp_path, capsys):
+    """A run that fails part way removes its CSV, sidecar and temporary files."""
+    doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
+    doc["schedule"] = {"events": [
+        {"kind": "recurrent", "rate": "abrupt", "t_start": 200, "snapshot_id": "concept7"},
+    ]}
+    path = tmp_path / "forward.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "forward.csv"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+    assert "concept7" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["forward.json"]
 
 
 def test_analyze_acf_report(tmp_path, small_config, capsys):

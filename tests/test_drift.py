@@ -167,6 +167,25 @@ def test_swap_classes_bad_pair_raises():
         apply_abrupt(c, spec, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("pair", [{"c1": 1}, {"c2": 0}])
+def test_swap_classes_needs_both_classes_or_neither(pair):
+    """A lone c1 or c2 is rejected up front instead of being ignored."""
+    c = _concept(3)
+    spec = ShiftSpec("severe", "abrupt", 100, actions=(ShiftAction("swap-classes", params=pair),))
+    with pytest.raises(ValueError, match="both c1 and c2"):
+        validate_schedule_against(DriftSchedule((spec,)), c)
+
+
+@pytest.mark.parametrize(
+    "params", [{"variance": -1.0}, {"variance": 0}, {"shift_std": "big"}, {"mean": float("nan")}]
+)
+def test_root_params_values_are_checked_up_front(params):
+    c = _concept(2)
+    spec = ShiftSpec("local", "abrupt", 10, actions=(ShiftAction("root-params", 0, params),))
+    with pytest.raises(ValueError):
+        validate_schedule_against(DriftSchedule((spec,)), c)
+
+
 def test_recurrent_restores_snapshot_labels():
     c = _concept(4)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)

@@ -1,11 +1,14 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from conftest import COVERAGE_DOC
+import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
 from causalstream.concept import ConceptParams
-from causalstream.config import GeneratorConfig
+from causalstream.config import GeneratorConfig, parse_config
 from causalstream.drift import (
     DriftSchedule,
     InterventionPolicy,
@@ -14,6 +17,7 @@ from causalstream.drift import (
 )
 from causalstream.generator import build_stream, collect, generate
 from causalstream.presets import example_graph, preset_config
+from causalstream.stream_io import write_stream_csv
 from causalstream.temporal import TemporalParams
 
 
@@ -194,3 +198,52 @@ def test_ewma_only_mode_breaks_whiteness():
             ljung_box(frame.X[:, j], 20).reject_at[0.05] for j in range(5)
         )
         assert rejected >= 3
+
+
+def _csv_bytes(cfg, path) -> bytes:
+    gen = build_stream(cfg)
+    write_stream_csv(path, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["dataset1", "dataset2", "coverage"])
+def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
+    """Segments of 1, 7 or 4096 rows write the same CSV as the default."""
+    if case == "coverage":
+        cfg = parse_config(copy.deepcopy(COVERAGE_DOC)).generator
+    else:
+        cfg = preset_config(case, 0)
+    expected = _csv_bytes(cfg, tmp_path / "default.csv")
+    for rows in (1, 7, 4096):
+        monkeypatch.setattr(generator_module, "_SEGMENT_ROWS", rows)
+        assert _csv_bytes(cfg, tmp_path / f"{rows}.csv") == expected, rows
+
+
+def test_instance_field_types():
+    """Python ints for categorical nodes and labels, floats for continuous
+    nodes, None for masked features."""
+    cfg = parse_config(copy.deepcopy(COVERAGE_DOC)).generator
+    gen = build_stream(cfg)
+    concept = gen.concept
+    for inst in gen.take(cfg.dataset_size):
+        assert type(inst.t) is int and type(inst.label) is int
+        for node, value in inst.values.items():
+            expected = int if concept.is_categorical(node) else float
+            assert type(value) is expected, (inst.t, node)
+        for node, value in zip(gen.emitted_features, inst.features):
+            if node in inst.missing:
+                assert value is None
+            else:
+                assert value == inst.values[node] and type(value) is type(inst.values[node])
+        assert all(type(n) is int for n in inst.intervened + inst.missing)
+
+
+def test_step_take_and_iteration_read_one_stream():
+    cfg = _drift_free(14, n=300, p_i=0.3, p_m=0.2)
+    a = build_stream(cfg)
+    rows = [a.step() for _ in range(5)] + a.take(100)
+    rows += [inst for _, inst in zip(range(195), a)]
+    b = build_stream(cfg).take(300)
+    assert [r.t for r in rows] == list(range(300))
+    assert rows == b
+    assert a.t == 300

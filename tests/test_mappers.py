@@ -235,3 +235,53 @@ def test_serialize_params_is_canonical():
     m = init_random_mlp(2, np.random.default_rng(3))
     assert serialize_params(m) == serialize_params(mapper_from_dict(m.to_dict()))
     assert isinstance(serialize_params(m), bytes)
+
+
+def _every_kind(k: int):
+    """One mapper of each kind over ``k`` inputs, fitted on a shared sample."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(0.0, 2.0, size=(300, k))
+    stats = ParentStats.from_samples(X)
+    mappers = [init_random_mlp(k, rng)]
+    for kind in ("learned-mlp", "regression-tree", "sgd-linear"):
+        mappers.append(fit_continuous_mapper(kind, X, TargetFunction("sine"), rng))
+    for kind in CATEGORICAL_KINDS:
+        n_classes = 2 if kind == "hyperplane" else 4
+        mappers.append(init_categorical_mapper(kind, n_classes, stats, rng))
+    return mappers
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+def test_predict_rows_do_not_depend_on_the_batch(k):
+    """A row's output has the same bits alone, in chunks of 7 and among 4096."""
+    X = np.random.default_rng(6).normal(0.0, 2.0, size=(4096, k))
+    for m in _every_kind(k):
+        full = m.predict(X)
+        chunked = np.concatenate([m.predict(X[s : s + 7]) for s in range(0, len(X), 7)])
+        assert np.array_equal(chunked, full), m.kind
+        single = np.array([m.predict(x) for x in X[:200]])
+        assert np.array_equal(single, full[:200]), m.kind
+
+
+def test_tree_forward_matches_a_row_by_row_descent():
+    rng = np.random.default_rng(7)
+    X = rng.normal(0.0, 2.0, size=(500, 2))
+    m = fit_continuous_mapper("regression-tree", X, TargetFunction("checkerboard"), rng)
+    Z = (X - m.in_mean) / m.in_scale
+    expected = []
+    for z in Z:
+        node = 0
+        while m.feature[node] >= 0:
+            node = m.left[node] if z[m.feature[node]] <= m.threshold[node] else m.right[node]
+        expected.append(m.value[node])
+    assert np.array_equal(m.predict(X), np.array(expected))
+
+
+def test_predict_sample_agrees_with_predict():
+    X = np.random.default_rng(8).normal(0.0, 2.0, size=(1024, 3))
+    for m in _every_kind(3):
+        sample = m.predict_sample(X)
+        if m.kind in CATEGORICAL_KINDS:
+            assert np.array_equal(sample, m.predict(X)), m.kind
+        else:
+            assert np.allclose(sample, m.predict(X), rtol=1e-12, atol=1e-12), m.kind
