@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import gammaincc
 
 __all__ = [
@@ -112,8 +111,41 @@ def ljung_box(series: np.ndarray, h: int = 20) -> LjungBoxResult:
     )
 
 
-def _rbf(sq_dists: np.ndarray, bandwidth: float) -> np.ndarray:
-    return np.exp(-sq_dists / (2.0 * bandwidth * bandwidth))
+# largest block of kernel values held at once, in bytes
+_BLOCK_BYTES = 4 << 20
+
+
+def _sq_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between the rows of P and Q.
+
+    Expanded as ``|p|^2 + |q|^2 - 2 p.q`` so one matrix product does the
+    work; rounding can leave a tiny negative where a distance is near zero,
+    so the result is clamped at 0.
+    """
+
+    D = P @ Q.T
+    D *= -2.0
+    D += np.einsum("ij,ij->i", P, P)[:, None]
+    D += np.einsum("ij,ij->i", Q, Q)
+    return np.maximum(D, 0.0, out=D)
+
+
+def _kernel_sums(P: np.ndarray, Q: np.ndarray, bandwidth: float, groups: int = 1) -> np.ndarray:
+    """RBF kernel sums between the rows of P and each of ``groups`` equal,
+    consecutive row groups of Q.
+
+    The kernel matrix is built in row blocks of at most ``_BLOCK_BYTES``.
+    """
+
+    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
+    step = max(1, _BLOCK_BYTES // (8 * Q.shape[0]))
+    sums = np.zeros(groups)
+    for s in range(0, P.shape[0], step):
+        K = _sq_dists(P[s : s + step], Q)
+        K *= gamma
+        np.exp(K, out=K)
+        sums += K.reshape(K.shape[0], groups, -1).sum(axis=(0, 2))
+    return sums
 
 
 def mmd2_rbf(A: np.ndarray, B: np.ndarray, bandwidth: float) -> float:
@@ -133,9 +165,10 @@ def mmd2_rbf(A: np.ndarray, B: np.ndarray, bandwidth: float) -> float:
         )
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    kaa = _rbf(cdist(A, A, "sqeuclidean"), bandwidth).mean()
-    kbb = _rbf(cdist(B, B, "sqeuclidean"), bandwidth).mean()
-    kab = _rbf(cdist(A, B, "sqeuclidean"), bandwidth).mean()
+    na, nb = A.shape[0], B.shape[0]
+    kaa = _kernel_sums(A, A, bandwidth)[0] / (na * na)
+    kbb = _kernel_sums(B, B, bandwidth)[0] / (nb * nb)
+    kab = _kernel_sums(A, B, bandwidth)[0] / (na * nb)
     return max(float(kaa + kbb - 2.0 * kab), 0.0)
 
 
@@ -150,7 +183,7 @@ def median_bandwidth(X: np.ndarray, seed: int = 0, subsample: int = 1000) -> flo
         rng = np.random.default_rng(seed)
         idx = rng.choice(n, size=subsample, replace=False)
         X = X[np.sort(idx)]
-    d = cdist(X, X)
+    d = np.sqrt(_sq_dists(X, X))
     med = float(np.median(d[np.triu_indices_from(d, k=1)]))
     return med if med > 0 else 1.0
 
@@ -192,12 +225,19 @@ def mmd_heatmap(
     Z = (M - mean) / scale
 
     bw = median_bandwidth(Z, seed=seed)
-    n_batches = n // batch_size
-    batches = [Z[i * batch_size : (i + 1) * batch_size] for i in range(n_batches)]
+    b = batch_size
+    n_batches = n // b
+    batches = [Z[i * b : (i + 1) * b] for i in range(n_batches)]
+    # each batch's self-term once; then the upper triangle of cross terms,
+    # as many whole batches per kernel block as fit in _BLOCK_BYTES
+    self_terms = np.array([_kernel_sums(B, B, bw)[0] for B in batches]) / (b * b)
+    per_block = max(1, _BLOCK_BYTES // (8 * b * b))
     values = np.zeros((n_batches, n_batches))
-    for i in range(n_batches):
-        for j in range(i + 1, n_batches):
-            v = mmd2_rbf(batches[i], batches[j], bw)
-            values[i, j] = v
-            values[j, i] = v
+    for i in range(n_batches - 1):
+        for j in range(i + 1, n_batches, per_block):
+            k = min(j + per_block, n_batches)
+            cross = _kernel_sums(batches[i], Z[j * b : k * b], bw, k - j) / (b * b)
+            values[i, j:k] = np.maximum(self_terms[i] + self_terms[j:k] - 2.0 * cross, 0.0)
+    # mirrored, so the matrix is exactly symmetric with a zero diagonal
+    values = values + values.T
     return MmdMatrix(batch_size=batch_size, values=values, bandwidth=bw)

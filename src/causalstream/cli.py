@@ -21,6 +21,7 @@ from .config import (
     config_to_document,
     load_config,
 )
+from .drift import concept_id
 from .evaluate import (
     DelayedLabels,
     drift_response_metrics,
@@ -128,11 +129,11 @@ def _cmd_generate(args) -> int:
 
 
 def _sidecar_meta(cfg, gen, rows: int) -> dict:
-    boundaries = [{"id": "concept0", "t_start": 0}]
+    boundaries = [{"id": concept_id(0), "t_start": 0}]
     for i, event in enumerate(cfg.schedule):
         boundaries.append(
             {
-                "id": f"concept{i + 1}",
+                "id": concept_id(i + 1),
                 "t_start": event.t_start,
                 "t_end": event.t_end,
                 "kind": event.kind,

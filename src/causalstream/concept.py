@@ -98,7 +98,15 @@ class ConceptParams:
             "variance_range": list(self.variance_range),
             "low_range": list(self.low_range),
             "width_range": list(self.width_range),
-            "nodes": {str(k): dict(v) for k, v in sorted(self.nodes.items())},
+            # pin values are copied too, as list or scalar: to_dict shares
+            # nothing mutable with the params
+            "nodes": {
+                str(k): {
+                    key: list(v) if isinstance(v, (list, tuple)) else v
+                    for key, v in pin.items()
+                }
+                for k, pin in sorted(self.nodes.items())
+            },
         }
 
     @classmethod
@@ -223,12 +231,9 @@ class ConceptSnapshot:
 
 
 def snapshot_concept(concept: Concept, state: TemporalState) -> ConceptSnapshot:
-    # round-tripping through JSON guarantees the snapshot shares nothing
-    # mutable with the live concept
-    return ConceptSnapshot(
-        concept=json.loads(json.dumps(concept.to_dict())),
-        state=json.loads(json.dumps(state.to_dict())),
-    )
+    # every to_dict builds fresh containers of JSON values, so the snapshot
+    # shares nothing mutable with the live concept
+    return ConceptSnapshot(concept=concept.to_dict(), state=state.to_dict())
 
 
 def restore_concept(snap: ConceptSnapshot) -> Concept:

@@ -201,6 +201,12 @@ def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
         plain["dataset_size"] = int(doc["dataset_size"])
         plain["seed"] = int(doc.get("seed", 0))
         generator = GeneratorConfig(**bound, **plain)
+    late = [e.t_start for e in schedule if e.t_start >= generator.dataset_size]
+    if late:
+        raise ConfigError(
+            f"schedule: event at t={late[0]} starts at or after the end of the "
+            f"stream (dataset_size {generator.dataset_size})"
+        )
     evaluation = _flat_section(doc, "evaluation", EvalOptions)
     analysis = _flat_section(doc, "analysis", AnalysisOptions)
 

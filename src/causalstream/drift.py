@@ -11,7 +11,9 @@ numeric parameters toward the abrupt endpoint in equal fractions per step,
 landing exactly on the endpoint; an sgd-linear target-function change instead
 takes one partial-fit step per instance on a sample from the new function.
 ``recurrent`` events restore an earlier concept snapshot, never its temporal
-state.
+state.  The initial concept is ``concept0`` and the k-th event completes
+``concept<k>``, so a recurrent event may name only a concept of an earlier
+event.
 
 Every mechanism is one entry of the ``_MECHANISMS`` table: the shift kinds it
 serves, what it may act on (a root, the label or mapper kinds), its parameter
@@ -55,6 +57,7 @@ __all__ = [
     "ShiftSpec",
     "DriftSchedule",
     "InterventionPolicy",
+    "concept_id",
     "apply_abrupt",
     "apply_recurrent",
     "begin_gradual",
@@ -165,6 +168,11 @@ class ShiftSpec:
         )
 
 
+def concept_id(k: int) -> str:
+    """Id of the concept completed by the k-th event; 0 is the initial one."""
+    return f"concept{k}"
+
+
 @dataclass(frozen=True)
 class DriftSchedule:
     events: tuple[ShiftSpec, ...] = ()
@@ -178,6 +186,14 @@ class DriftSchedule:
                 raise ValueError(
                     f"event windows overlap: [{a.t_start},{a.t_end}) and "
                     f"[{b.t_start},{b.t_end})"
+                )
+        # events are sorted and disjoint, so every earlier event has
+        # completed its concept when a recurrent event starts
+        for k, e in enumerate(self.events, start=1):
+            if e.kind == "recurrent" and e.snapshot_id not in map(concept_id, range(k)):
+                raise ValueError(
+                    f"recurrent event at t={e.t_start} restores {e.snapshot_id!r}, "
+                    f"which is not a concept completed before it"
                 )
 
     def __iter__(self):

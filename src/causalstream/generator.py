@@ -33,6 +33,7 @@ from .drift import (
     apply_recurrent,
     begin_gradual,
     begin_incremental,
+    concept_id,
     draw_interventions,
     draw_missing,
     gradual_selector,
@@ -186,8 +187,8 @@ class StreamGenerator:
         self._built = 0
         self._rows = iter(())
         self.snapshots: dict[str, ConceptSnapshot] = {}
-        self._concept_id = "concept0"
-        self.snapshots["concept0"] = snapshot_concept(concept, self.state)
+        self._concept_id = concept_id(0)
+        self.snapshots[self._concept_id] = snapshot_concept(concept, self.state)
         self._next_event = 0
         # the open gradual or incremental window, if any (windows are
         # disjoint): its spec, its concept id, and the endpoint concept of a
@@ -214,11 +215,10 @@ class StreamGenerator:
             if spec.t_start > t:
                 break
             self._next_event += 1
-            event_id = f"concept{self._next_event}"
+            event_id = concept_id(self._next_event)
             if spec.kind == "recurrent":
-                snap = self.snapshots.get(spec.snapshot_id)
-                if snap is None:
-                    raise ValueError(f"unknown snapshot id {spec.snapshot_id!r}")
+                # the schedule only names concepts of earlier events
+                snap = self.snapshots[spec.snapshot_id]
                 self.concept = apply_recurrent(self.concept, snap)
                 self._complete(event_id)
             elif spec.rate == "abrupt":

@@ -61,8 +61,9 @@ def read_stream_csv(path):
     """Parse a headered numeric CSV into a StreamFrame.
 
     The last column is the label; empty fields become NaN and are flagged in
-    the missing mask.  Works on any numeric CSV with a header row, not just
-    files this package wrote.
+    the missing mask.  The task is the one the metadata sidecar records;
+    without a sidecar, integer labels mean classification.  Works on any
+    numeric CSV with a header row, not just files this package wrote.
     """
 
     from .generator import StreamFrame
@@ -105,8 +106,13 @@ def read_stream_csv(path):
             raise StreamFormatError(
                 f"{path}: row {i + 2}: label is not a number: {parts[-1]!r}"
             ) from None
-    task = "classification" if n and np.allclose(y, np.round(y)) else "regression"
+    integral = bool(np.allclose(y, np.round(y)))
+    task = _sidecar_task(path)
+    if task is None:
+        task = "classification" if n and integral else "regression"
     if task == "classification":
+        if not integral:
+            raise StreamFormatError(f"{path}: classification labels must be integers")
         y = y.astype(int)
     return StreamFrame(
         X=X,
@@ -117,6 +123,21 @@ def read_stream_csv(path):
         intervened=[()] * n,
         concept_ids=[""] * n,
     )
+
+
+def _sidecar_task(path: Path) -> str | None:
+    """The task recorded in the stream's sidecar, or None without a sidecar."""
+
+    side = sidecar_path(path)
+    if not side.exists():
+        return None
+    try:
+        task = read_sidecar(path).get("task")
+    except (ValueError, AttributeError):  # not JSON, or not an object
+        task = None
+    if task not in ("classification", "regression"):
+        raise StreamFormatError(f"{side}: the sidecar records no valid task")
+    return task
 
 
 def sidecar_path(out_path) -> Path:

@@ -14,9 +14,9 @@ prediction std) before stepping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .mappers import RootDistribution
 
@@ -145,8 +145,7 @@ def simulate_ar_noise(
     """
 
     eps = rng.normal(0.0, params.sigma * sigma_scale, size=n_steps)
-    out, _ = lfilter([1.0], [1.0, -params.rho], eps, zi=np.asarray([params.rho * n0]))
-    return out
+    return _one_pole(eps, params.rho, n0)
 
 
 def simulate_root_values(
@@ -167,10 +166,17 @@ def simulate_root_values(
     noise = simulate_ar_noise(n_steps, params, rng, sigma_scale=dist.std())
     drive = params.alpha * theta + noise
     start = dist.mean() if x0 is None else x0
-    out, _ = lfilter(
-        [1.0],
-        [1.0, -(1.0 - params.alpha)],
-        drive,
-        zi=np.asarray([(1.0 - params.alpha) * start]),
-    )
-    return out
+    return _one_pole(drive, 1.0 - params.alpha, start)
+
+
+def _one_pole(x: np.ndarray, c: float, y0: float) -> np.ndarray:
+    """``y_t = x_t + c * y_{t-1}`` from ``y_{-1} = y0``.
+
+    Repeats the float operations of ``lfilter([1], [1, -c], x, zi=[c * y0])``
+    in their order, so the path is bit-identical to that filter's.
+    """
+
+    xs = x.tolist()
+    if xs:
+        xs[0] += c * y0
+    return np.fromiter(accumulate(xs, lambda y, v: v + c * y), dtype=float, count=len(xs))

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causalstream import analysis
 from causalstream.analysis import (
     SIGNIFICANCE_LEVELS,
     acf,
@@ -177,3 +181,73 @@ def test_mmd_heatmap_drops_trailing_partial_batch():
     X = rng.normal(size=(250, 2))
     hm = mmd_heatmap(X, batch_size=100)
     assert hm.values.shape == (2, 2)
+
+
+def _reference_heatmap(X, batch_size, y=None, include_label=False, seed=0):
+    """The heatmap from its definition: global standardization, median
+    distance over the seeded 1000-row subsample as bandwidth, and the biased
+    V-statistic from full pairwise kernel matrices."""
+
+    M = np.column_stack([X, y]) if include_label else X
+    scale = M.std(axis=0)
+    scale[scale == 0] = 1.0
+    Z = (M - M.mean(axis=0)) / scale
+
+    def sq(P, Q):
+        return ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
+
+    sub = Z
+    if len(Z) > 1000:
+        sub = Z[np.sort(np.random.default_rng(seed).choice(len(Z), size=1000, replace=False))]
+    dist = np.sqrt(sq(sub, sub))
+    bw = float(np.median(dist[np.triu_indices_from(dist, k=1)])) or 1.0
+    nb = len(Z) // batch_size
+    batches = [Z[i * batch_size : (i + 1) * batch_size] for i in range(nb)]
+
+    def k(P, Q):
+        return np.exp(-sq(P, Q) / (2.0 * bw * bw)).mean()
+
+    V = np.zeros((nb, nb))
+    for i in range(nb):
+        for j in range(nb):
+            if i != j:
+                A, B = batches[i], batches[j]
+                V[i, j] = max(k(A, A) + k(B, B) - 2.0 * k(A, B), 0.0)
+    return V, bw
+
+
+@pytest.mark.parametrize("block_bytes", [None, 3000], ids=["default-blocks", "tiny-blocks"])
+@pytest.mark.parametrize(
+    "d, n, batch_size, include_label",
+    [(1, 1300, 100, False), (12, 1237, 120, False), (12, 1237, 120, True), (3, 403, 200, True)],
+)
+def test_mmd_heatmap_matches_the_pairwise_definition(
+    monkeypatch, block_bytes, d, n, batch_size, include_label
+):
+    rng = np.random.default_rng(d * 1000 + n)
+    # a drifting mean, so the matrix has structure to get wrong
+    X = rng.normal(size=(n, d)) + np.linspace(0.0, 2.0, n)[:, None]
+    y = (rng.random(n) < np.linspace(0.1, 0.9, n)).astype(float)
+    if block_bytes is not None:
+        # forces row blocks within one batch and one batch per cross block
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+    hm = mmd_heatmap(X, batch_size, y=y, include_label=include_label, seed=5)
+    ref, bw = _reference_heatmap(X, batch_size, y=y, include_label=include_label, seed=5)
+    assert hm.bandwidth == pytest.approx(bw, rel=1e-12)
+    assert hm.values.shape == ref.shape == (n // batch_size, n // batch_size)
+    assert np.max(np.abs(hm.values - ref)) <= 1e-12
+    assert np.array_equal(hm.values, hm.values.T)
+    assert not np.diag(hm.values).any()
+
+
+def test_import_leaves_out_scipy_signal_and_spatial():
+    src = Path(analysis.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import causalstream; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

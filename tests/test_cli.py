@@ -5,12 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import COVERAGE_DOC
+from causalstream import cli
 from causalstream.cli import main
-from causalstream.config import config_to_document, load_config
+from causalstream.config import ConfigError, config_to_document, load_config, parse_config
 from causalstream.drift import DriftSchedule
 from causalstream.generator import build_stream
 from causalstream.presets import PRESET_NAMES, preset_config
-from causalstream.stream_io import read_sidecar
+from causalstream.stream_io import (
+    StreamFormatError,
+    read_sidecar,
+    read_stream_csv,
+    sidecar_path,
+    write_sidecar,
+)
 
 
 @pytest.fixture
@@ -133,18 +140,69 @@ def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
         build_stream(load_config(path).generator)
 
 
-def test_failed_generate_leaves_no_output(tmp_path, capsys):
+def test_failed_generate_leaves_no_output(tmp_path, small_config, capsys, monkeypatch):
     """A run that fails part way removes its CSV, sidecar and temporary files."""
+
+    def fail(*args):
+        raise ValueError("failed after the last row")
+
+    # raised once every row is written, before the sidecar
+    monkeypatch.setattr(cli, "_sidecar_meta", fail)
+    out = tmp_path / "late.csv"
+    assert main(["generate", "--config", str(small_config), "--out", str(out)]) == 2
+    assert "after the last row" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json"]
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        # names a concept the schedule completes later
+        ([{"kind": "recurrent", "rate": "abrupt", "t_start": 200, "snapshot_id": "concept7"}],
+         "concept7"),
+        # names its own concept
+        ([{"kind": "covariate", "rate": "abrupt", "t_start": 100,
+           "actions": [{"mechanism": "root-params", "node": 0, "params": {"redraw": True}}]},
+          {"kind": "recurrent", "rate": "abrupt", "t_start": 200, "snapshot_id": "concept2"}],
+         "concept2"),
+        ([{"kind": "recurrent", "rate": "abrupt", "t_start": 200, "snapshot_id": "warm"}],
+         "warm"),
+        # starts at the end of the 400-row stream
+        ([{"kind": "recurrent", "rate": "abrupt", "t_start": 400, "snapshot_id": "concept0"}],
+         "t=400"),
+        ([{"kind": "covariate", "rate": "gradual", "t_start": 650, "duration": 50,
+           "actions": [{"mechanism": "root-params", "node": 0, "params": {"redraw": True}}]}],
+         "t=650"),
+    ],
+    ids=["forward-snapshot", "own-snapshot", "unknown-snapshot", "at-end", "past-end"],
+)
+def test_bad_schedules_are_rejected_at_parse_time(tmp_path, capsys, events, message):
+    doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
+    doc["schedule"] = {"events": events}
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bad.csv"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_schedule_check_accepts_a_snapshot_of_an_earlier_window(tmp_path):
     doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
     doc["schedule"] = {"events": [
-        {"kind": "recurrent", "rate": "abrupt", "t_start": 200, "snapshot_id": "concept7"},
+        {"kind": "covariate", "rate": "gradual", "t_start": 100, "duration": 100,
+         "actions": [{"mechanism": "root-params", "node": 0, "params": {"redraw": True}}]},
+        # the window completes concept1 at t=200, where this event starts
+        {"kind": "recurrent", "rate": "abrupt", "t_start": 200, "snapshot_id": "concept1"},
+        {"kind": "recurrent", "rate": "abrupt", "t_start": 399, "snapshot_id": "concept0"},
     ]}
-    path = tmp_path / "forward.json"
+    path = tmp_path / "ok.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / "forward.csv"
-    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
-    assert "concept7" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["forward.json"]
+    out = _generate(tmp_path, path)
+    ids = [b["id"] for b in read_sidecar(out)["concept_boundaries"]]
+    assert ids == ["concept0", "concept1", "concept2", "concept3"]
 
 
 def test_analyze_acf_report(tmp_path, small_config, capsys):
@@ -262,6 +320,31 @@ def test_evaluate_regression_csv_uses_mae(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# prequential mae") and "learner=linear" in lines[0]
     assert lines[1] == "t,mae"
+
+
+def test_read_stream_takes_the_task_from_the_sidecar(tmp_path):
+    """A regression stream whose labels happen to be integers stays one."""
+    x = np.random.default_rng(5).normal(size=300)
+    y = np.round(4.0 * x).astype(int)
+    stream = tmp_path / "reg.csv"
+    stream.write_text("x1,y\n" + "".join(f"{float(a)!r},{int(b)}\n" for a, b in zip(x, y)))
+    guessed = read_stream_csv(stream)
+    assert guessed.task == "classification"
+    write_sidecar(stream, {"task": "regression"})
+    frame = read_stream_csv(stream)
+    assert frame.task == "regression"
+    assert frame.y.dtype.kind == "f" and np.array_equal(frame.y, y)
+    out = tmp_path / "mae.csv"
+    assert main(["evaluate", str(stream), "--out", str(out)]) == 0
+    assert out.read_text().startswith("# prequential mae")
+    # a classification sidecar needs integer labels
+    real = tmp_path / "real.csv"
+    real.write_text("x1,y\n0.5,0.25\n1.0,1.5\n")
+    write_sidecar(real, {"task": "classification"})
+    with pytest.raises(StreamFormatError, match="integers"):
+        read_stream_csv(real)
+    sidecar_path(real).write_text("[1, 2]")
+    assert main(["evaluate", str(real)]) == 3
 
 
 def test_evaluate_option_and_source_validation(tmp_path, small_config):

@@ -134,6 +134,28 @@ def test_snapshot_round_trip_and_isolation():
     )
 
 
+def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
+    pins = {0: {"dist": "normal", "dist_params": [0.5, 2.0]}}
+    c = _concept(10, nodes=pins)
+    state = TemporalState.initial(c.root_dists, c.continuous_nodes)
+    snap = snapshot_concept(c, state)
+    before = snap.to_json()
+    # equal to a JSON round trip of the concept, so the bytes are the same
+    assert snap.concept == json.loads(json.dumps(c.to_dict()))
+    assert snap.state == json.loads(json.dumps(state.to_dict()))
+    # change every array, list and dict the live concept holds, in place
+    for mapper in c.mappers.values():
+        for value in vars(mapper).values():
+            if isinstance(value, np.ndarray) and value.size:
+                value.flat[0] = -value.flat[0] - 1
+    c.params.nodes[0]["dist_params"][0] = 99.0
+    c.params.nodes[0]["dist"] = "uniform"
+    state.ewma[next(iter(state.ewma))] += 1.0
+    state.ar[next(iter(state.ar))] += 1.0
+    assert c.to_dict() != snap.concept
+    assert snap.to_json() == before
+
+
 def test_snapshot_json_round_trip():
     c = _concept(9)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)

@@ -107,6 +107,31 @@ def test_simulate_root_values_matches_step_recursion():
     assert np.allclose(sim, manual, atol=1e-10)
 
 
+def test_simulated_paths_match_a_one_pole_lfilter_bit_for_bit():
+    """Fitted concepts depend on these paths, so the recursion must repeat
+    the float operations of ``lfilter`` exactly."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        params = TemporalParams(alpha=rng.random(), rho=rng.random(), sigma=rng.random())
+        seed, n0 = int(rng.integers(1 << 30)), float(rng.normal())
+        sim = simulate_ar_noise(n, params, np.random.default_rng(seed), sigma_scale=1.7, n0=n0)
+        eps = np.random.default_rng(seed).normal(0.0, params.sigma * 1.7, size=n)
+        ref, _ = lfilter([1.0], [1.0, -params.rho], eps, zi=[params.rho * n0])
+        assert sim.tobytes() == ref.tobytes()
+        dist = RootDistribution("normal", float(rng.normal()), 0.5 + float(rng.random()))
+        sim = simulate_root_values(n, dist, params, np.random.default_rng(seed), x0=n0)
+        g = np.random.default_rng(seed)
+        theta = dist.sample(g, size=n)
+        drive = params.alpha * theta + simulate_ar_noise(
+            n, params, g, sigma_scale=dist.std()
+        )
+        c = 1.0 - params.alpha
+        ref, _ = lfilter([1.0], [1.0, -c], drive, zi=[c * n0])
+        assert sim.tobytes() == ref.tobytes()
+
+
 def test_ar_variance_law_rho_zero():
     params = TemporalParams(rho=0.0, sigma=1.0)
     sim = simulate_ar_noise(100_000, params, np.random.default_rng(2))
