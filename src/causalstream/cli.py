@@ -287,6 +287,10 @@ def _cmd_evaluate(args) -> int:
         frame, learner, W=ev.window, initial_train=ev.initial_train, overlay=overlay
     )
 
+    # the event scores may still fail, so they come before any output opens
+    events = None
+    if schedule is not None and len(schedule):
+        events = drift_response_metrics(curve, schedule)
     out = Path(args.out or (run.out if run else None) or "curve.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(
@@ -298,8 +302,7 @@ def _cmd_evaluate(args) -> int:
             fh.write(f"{t},{format_value(float(v))}\n")
     msg = f"wrote {curve.metric} curve to {out}"
 
-    if schedule is not None and len(schedule):
-        events = drift_response_metrics(curve, schedule)
+    if events is not None:
         ev_out = out.with_suffix(".events.csv")
         with open(ev_out, "w", encoding="utf-8", newline="") as fh:
             fh.write("event,kind,t_start,drop,recovery,min_t\n")

@@ -16,7 +16,7 @@ continuous across recurrent drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +31,7 @@ from .mappers import (
     ParentStats,
     PrototypeMapper,
     RootDistribution,
+    copy_mapper,
     draw_target_function,
     fit_continuous_mapper,
     init_categorical_mapper,
@@ -202,7 +203,17 @@ class Concept:
         )
 
     def copy(self) -> "Concept":
-        return Concept.from_dict(self.to_dict())
+        """A copy for drift to edit, equal to this concept in ``to_dict``.
+
+        The graph, params, temporal params and root distributions are never
+        edited in place and are shared; the two dicts and every mapper's
+        arrays are new.
+        """
+        return replace(
+            self,
+            root_dists=dict(self.root_dists),
+            mappers={n: copy_mapper(m) for n, m in self.mappers.items()},
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Concept):

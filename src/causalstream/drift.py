@@ -24,7 +24,6 @@ added there and nowhere else.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,6 +43,7 @@ from .mappers import (
     ParentStats,
     PrototypeMapper,
     RootDistribution,
+    copy_mapper,
     draw_target_function,
     eval_target_function,
     fit_continuous_mapper,
@@ -328,7 +328,7 @@ def _reinit(concept: Concept, action: ShiftAction, rng) -> None:
 
 def _plan_reinit(concept: Concept, action: ShiftAction, rng):
     node, mapper = action.node, concept.mappers[action.node]
-    end = copy.deepcopy(mapper)
+    end = copy_mapper(mapper)
     end.reinit(rng)
 
     def put(c: Concept, vals: list) -> None:
@@ -347,7 +347,7 @@ def _move_prototypes(concept: Concept, action: ShiftAction, rng) -> None:
 
 def _plan_move_prototypes(concept: Concept, action: ShiftAction, rng):
     node, mapper = action.node, concept.mappers[action.node]
-    end = copy.deepcopy(mapper)
+    end = copy_mapper(mapper)
     P = _parent_matrix(concept, node, rng)
     end.move_centroids(rng, ParentStats.from_samples(P))
 

@@ -154,7 +154,9 @@ class StreamGenerator:
     the call.  A stream's bytes therefore do not depend on where segments
     end.  ``step``, ``take`` and iteration read rows from the current
     segment; ``state`` and the substreams may run up to one segment ahead of
-    the rows handed out.
+    the rows handed out.  ``length``, when given, is one more segment
+    boundary: a consumer that takes ``length`` rows leaves nothing built
+    past them.
     """
 
     def __init__(
@@ -164,6 +166,7 @@ class StreamGenerator:
         schedule: DriftSchedule | None = None,
         policy: InterventionPolicy | None = None,
         emitted_features: tuple[int, ...] | None = None,
+        length: int | None = None,
     ):
         self.schedule = schedule if schedule is not None else DriftSchedule()
         self.policy = policy if policy is not None else InterventionPolicy()
@@ -185,6 +188,7 @@ class StreamGenerator:
         # the engine builds
         self.t = 0
         self._built = 0
+        self._length = length
         self._rows = iter(())
         self.snapshots: dict[str, ConceptSnapshot] = {}
         self._concept_id = concept_id(0)
@@ -244,6 +248,8 @@ class StreamGenerator:
             n = _SEGMENT_ROWS
             if self._next_event < len(self.schedule.events):
                 n = min(n, self.schedule.events[self._next_event].t_start - t)
+            if self._length is not None and t < self._length:
+                n = min(n, self._length - t)
             return self.concept, self._concept_id, n
         spec, event_id, shift = self._window
         if spec.rate == "gradual":
@@ -420,7 +426,12 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
         config.policy or InterventionPolicy(), p_intervene=config.p_i, p_missing=config.p_m
     )
     return StreamGenerator(
-        concept, rngs, schedule=config.schedule, policy=policy, emitted_features=emitted
+        concept,
+        rngs,
+        schedule=config.schedule,
+        policy=policy,
+        emitted_features=emitted,
+        length=config.dataset_size,
     )
 
 

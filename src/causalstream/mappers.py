@@ -46,6 +46,7 @@ __all__ = [
     "init_random_mlp",
     "init_categorical_mapper",
     "mapper_from_dict",
+    "copy_mapper",
     "serialize_params",
 ]
 
@@ -66,6 +67,7 @@ _SGD_ALPHA = 1e-4     # l2 penalty
 _SGD_ETA0 = 0.01
 _SGD_POWER_T = 0.25
 _TREE_DEPTH_RANGE = (5, 25)
+_TREE_CELLS = 1 << 16  # padded cells of one batched split search (see _fit_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +401,11 @@ class SGDLinearMapper(_ContinuousBase):
     at a time; its inverse-scaling schedule restarts whenever a drift event
     begins (``reset_partial_schedule``), otherwise steps at the tail of the
     original schedule would be invisibly small.
+
+    The step count ``_partial_steps`` is not serialized, and a concept copy
+    carries it over.  It never reaches a stream: the only caller of
+    ``partial_fit`` is an incremental plan, which resets the count before
+    its first step.
     """
 
     kind = "sgd-linear"
@@ -414,10 +421,8 @@ class SGDLinearMapper(_ContinuousBase):
 
     def partial_fit(self, z: np.ndarray, y: float) -> None:
         self._partial_steps += 1
-        lr = _SGD_ETA0 / self._partial_steps**_SGD_POWER_T
-        err = float(z @ self.w + self.b - y)
-        self.w -= lr * (err * z + _SGD_ALPHA * self.w)
-        self.b -= lr * err
+        z = np.asarray(z, dtype=float)
+        self.b = _sgd_step(self.w, self.b, z, float(y), self._partial_steps)
 
     def reset_partial_schedule(self) -> None:
         self._partial_steps = 0
@@ -459,56 +464,147 @@ def _fit_mlp_weights(z, y, rng):
     return params
 
 
+def _split_search(z, y, rows, lens):
+    """The best squared-error split of each node in one batch.
+
+    Node ``i`` owns the ``lens[i]`` rows of ``rows`` after those of the nodes
+    before it.  Per feature, one stable ``lexsort`` sorts every node by the
+    feature, ties in the node's own row order.  Prefix sums run along the
+    rows of a zero-padded (node x longest node) array, so each node's sums
+    are the sequential sums of its sorted targets alone; invalid split
+    positions score +inf, so ``argmin`` picks the first best valid one, and a
+    later feature wins only with a strictly smaller score.
+
+    Returns per node whether it splits (it needs two distinct targets and a
+    valid position), the feature, the position of the last left row, the
+    threshold, and the rows sorted by each node's best feature.
+    """
+
+    m, width = len(lens), int(lens.max())
+    starts = np.cumsum(lens) - lens
+    node = np.repeat(np.arange(m), lens)
+    col = np.arange(len(rows)) - starts[node]
+    ys = y[rows]
+    mixed = np.logical_or.reduceat(ys != ys[starts][node], starts)
+    found = np.zeros(m, dtype=bool)
+    best = np.full(m, np.inf)
+    feature = np.zeros(m, dtype=int)
+    pos = np.zeros(m, dtype=int)
+    threshold = np.zeros(m)
+    best_order = rows.copy()
+    for f in range(z.shape[1]):
+        order = rows[np.lexsort((z[rows, f], node))]
+        # -inf padding: no position at or past a node's last row is valid
+        xs = np.full((m, width), -np.inf)
+        xs[node, col] = z[order, f]
+        yp = np.zeros((m, width))
+        yp[node, col] = y[order]
+        cs = yp.cumsum(axis=1)
+        cs2 = (yp * yp).cumsum(axis=1)
+        valid = xs[:, :-1] < xs[:, 1:]
+        r, p = np.nonzero(valid)
+        n = lens[r]
+        nl = p + 1.0
+        nr = n - nl
+        sl = cs[r, p]
+        sr = cs[r, n - 1] - sl
+        s2l = cs2[r, p]
+        s2r = cs2[r, n - 1] - s2l
+        sse = np.full((m, width - 1), np.inf)
+        sse[r, p] = (s2l - sl * sl / nl) + (s2r - sr * sr / nr)
+        j = sse.argmin(axis=1)
+        low = sse.min(axis=1)
+        better = mixed & valid.any(axis=1) & (~found | (low < best))
+        if better.any():
+            found |= better
+            best[better] = low[better]
+            feature[better] = f
+            pos[better] = j[better]
+            i = np.flatnonzero(better)
+            threshold[i] = (xs[i, j[i]] + xs[i, j[i] + 1]) / 2.0
+            moved = better[node]
+            best_order[moved] = order[moved]
+    return found, feature, pos, threshold, best_order
+
+
 def _fit_tree(z, y, max_depth):
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    """CART regression tree with squared-error splits, grown level by level.
 
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(y[idx].mean()))
-        if depth >= max_depth or len(idx) < 2 or np.all(y[idx] == y[idx][0]):
-            return node
-        best = None  # (sse, feat, thr, order, pos)
-        for f in range(z.shape[1]):
-            order = idx[np.argsort(z[idx, f], kind="stable")]
-            xs = z[order, f]
-            ys = y[order]
-            valid = np.nonzero(xs[:-1] < xs[1:])[0]
-            if valid.size == 0:
-                continue
-            cs = np.cumsum(ys)
-            cs2 = np.cumsum(ys * ys)
-            n = len(ys)
-            nl = valid + 1.0
-            nr = n - nl
-            sl = cs[valid]
-            sr = cs[-1] - sl
-            s2l = cs2[valid]
-            s2r = cs2[-1] - s2l
-            sse = (s2l - sl * sl / nl) + (s2r - sr * sr / nr)
-            j = int(np.argmin(sse))
-            if best is None or sse[j] < best[0]:
-                pos = int(valid[j])
-                thr = float((xs[pos] + xs[pos + 1]) / 2.0)
-                best = (float(sse[j]), f, thr, order, pos)
-        if best is None:
-            return node
-        _, f, thr, order, pos = best
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = grow(order[: pos + 1], depth + 1)
-        right[node] = grow(order[pos + 1 :], depth + 1)
-        return node
+    Nodes are numbered in depth-first preorder (a node, its left subtree,
+    then its right subtree) and get the bits of a recursive fit: each node
+    keeps its rows in the order its parent sorted them, which fixes the tie
+    order of its own sorts and the summation order of its value and prefix
+    sums.  The splittable nodes of a level are searched longest first, in
+    batches of at most ``_TREE_CELLS`` padded cells (one node at least).
 
-    grow(np.arange(len(y)), 0)
-    return feature, threshold, left, right, value
+    Returns the parallel lists (feature, threshold, left, right, value).
+    """
+
+    feature, threshold, value, kids = [], [], [], []
+    level = [np.arange(len(y))]  # each node's rows, breadth-first
+    for depth in range(max_depth + 1):
+        first = len(value)
+        nxt_first = first + len(level)
+        # ``sum / len`` is ``mean`` without its wrapper: the same two roundings
+        value += [float(y[rows].sum()) / len(rows) for rows in level]
+        feature += [-1] * len(level)
+        threshold += [0.0] * len(level)
+        kids += [None] * len(level)
+        todo = [] if depth == max_depth else sorted(
+            (i for i, rows in enumerate(level) if len(rows) > 1), key=lambda i: -len(level[i])
+        )
+        nxt = []
+        while todo:
+            count = max(1, _TREE_CELLS // len(level[todo[0]]))
+            batch, todo = todo[:count], todo[count:]
+            lens = np.array([len(level[i]) for i in batch])
+            found, feat, pos, thr, order = _split_search(
+                z, y, np.concatenate([level[i] for i in batch]), lens
+            )
+            start = 0
+            for i, n, ok, f, p, t in zip(
+                batch, lens.tolist(), found.tolist(), feat.tolist(), pos.tolist(), thr.tolist()
+            ):
+                if ok:
+                    feature[first + i], threshold[first + i] = f, t
+                    kids[first + i] = (nxt_first + len(nxt), nxt_first + len(nxt) + 1)
+                    nxt += [order[start : start + p + 1], order[start + p + 1 : start + n]]
+                start += n
+        if not nxt:
+            break
+        level = nxt
+
+    preorder, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        if kids[node] is not None:
+            stack += kids[node][::-1]
+    new_id = [0] * len(preorder)
+    for i, node in enumerate(preorder):
+        new_id[node] = i
+    return (
+        [feature[n] for n in preorder],
+        [threshold[n] for n in preorder],
+        [new_id[kids[n][0]] if kids[n] else -1 for n in preorder],
+        [new_id[kids[n][1]] if kids[n] else -1 for n in preorder],
+        [value[n] for n in preorder],
+    )
+
+
+def _sgd_step(w: np.ndarray, b: float, z: np.ndarray, y: float, t: int) -> float:
+    """SGD step number ``t`` on one sample: updates ``w`` in place and
+    returns the new bias.
+
+    The row product stays the BLAS ``np.dot``; the update
+    ``w - lr * (err * z + alpha * w)`` runs elementwise in Python floats,
+    the same IEEE operations numpy would make, without its per-call cost.
+    """
+
+    lr = _SGD_ETA0 / t**_SGD_POWER_T
+    err = float(np.dot(z, w)) + b - y
+    w[:] = [wj - lr * (err * zj + _SGD_ALPHA * wj) for wj, zj in zip(w.tolist(), z.tolist())]
+    return b - lr * err
 
 
 def _fit_sgd(z, y, rng):
@@ -516,14 +612,11 @@ def _fit_sgd(z, y, rng):
     w = np.zeros(k)
     b = 0.0
     t = 0
+    rows, targets = list(z), y.tolist()
     for _ in range(_SGD_EPOCHS):
-        perm = rng.permutation(n)
-        for i in perm:
+        for i in rng.permutation(n).tolist():
             t += 1
-            lr = _SGD_ETA0 / t**_SGD_POWER_T
-            err = float(z[i] @ w + b - y[i])
-            w -= lr * (err * z[i] + _SGD_ALPHA * w)
-            b -= lr * err
+            b = _sgd_step(w, b, rows[i], targets[i], t)
     return w, b
 
 
@@ -905,6 +998,17 @@ def mapper_from_dict(d: dict):
     if "stats" in fields:
         fields["stats"] = ParentStats.from_dict(fields["stats"])
     return make(**fields)
+
+
+def copy_mapper(mapper):
+    """A copy of ``mapper`` with its own arrays; its other attributes are
+    immutable values and are shared."""
+
+    out = object.__new__(type(mapper))
+    out.__dict__.update(
+        (k, v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(mapper).items()
+    )
+    return out
 
 
 def serialize_params(mapper) -> bytes:

@@ -295,6 +295,15 @@ def test_evaluate_preset_full_pipeline(tmp_path):
     assert starts == [500, 1000, 1500, 2000]
 
 
+def test_evaluate_with_too_short_a_horizon_writes_nothing(tmp_path, capsys):
+    """A window too long to score the event at t=2000 fails before any output."""
+    out = tmp_path / "c.csv"
+    rc = main(["evaluate", "--preset", "dataset2", "--window", "300", "--out", str(out)])
+    assert rc == 2
+    assert "insufficient post-event horizon for the event at t=2000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_csv_input_no_schedule(tmp_path, small_config):
     stream = _generate(tmp_path, small_config)
     out = tmp_path / "c.csv"

@@ -119,6 +119,31 @@ def test_concept_round_trip_and_copy():
     assert cp != c  # mutating the copy leaves the original alone
 
 
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("learned-mlp", "regression-tree", "sgd-linear", "prototype"),
+        ("random-mlp", "gaussian-prototype", "random-rbf", "hyperplane"),
+    ],
+)
+def test_copy_shares_no_mapper_array(kinds):
+    """In-place edits to every array of the copy's mappers leave the
+    original as it was."""
+    nodes = {node: {"mapper": kind} for node, kind in zip((2, 3, 4, 5), kinds)}
+    c = init_concept(
+        example_graph(), ConceptParams(n_classes=2, nodes=nodes), np.random.default_rng(3)
+    )
+    before = c.to_dict()
+    cp = c.copy()
+    assert cp.to_dict() == before
+    for m in cp.mappers.values():
+        arrays = [v for v in vars(m).values() if isinstance(v, np.ndarray)]
+        assert arrays, m.kind
+        for v in arrays:
+            v += 1
+    assert c.to_dict() == before != cp.to_dict()
+
+
 def test_snapshot_round_trip_and_isolation():
     c = _concept(8)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from causalstream.drift import (
     incremental_step,
     validate_schedule_against,
 )
+from causalstream.generator import build_stream
 from causalstream.mappers import RootDistribution, serialize_params
 from causalstream.presets import example_graph, preset_config
 from causalstream.temporal import TemporalState
@@ -285,6 +288,17 @@ def test_incremental_endpoint_matches_abrupt():
         incremental_step(work, plan, i, np.random.default_rng(0))
     target = apply_abrupt(c, spec_abr, np.random.default_rng(77))
     assert np.allclose(work.mappers[5].centroids, target.mappers[5].centroids, atol=1e-12)
+
+
+def test_partial_step_count_never_reaches_the_stream():
+    """Two concepts that differ only in the unserialized SGD step count give
+    the same rows through dataset2's incremental refit of node 4."""
+    cfg = replace(preset_config("dataset2", 0), dataset_size=1300)
+    plain, carried = build_stream(cfg), build_stream(cfg)
+    carried.concept.mappers[4]._partial_steps = 12345
+    assert plain.take(1300) == carried.take(1300)
+    # the window made one step per row
+    assert plain.concept.mappers[4]._partial_steps == 250
 
 
 def test_incremental_refit_requires_sgd_linear():

@@ -219,6 +219,16 @@ def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
         assert _csv_bytes(cfg, tmp_path / f"{rows}.csv") == expected, rows
 
 
+def test_no_row_is_built_past_the_stream_length():
+    """The last segment ends at ``dataset_size``, not at the next event
+    (t=1000) or the segment cap; reading on past it still works."""
+    cfg = dataclasses.replace(preset_config("dataset1", 0), dataset_size=900)
+    gen = build_stream(cfg)
+    last = gen.take(cfg.dataset_size)[-1]
+    assert last.t == 899 and gen._built == cfg.dataset_size
+    assert gen.step().t == 900
+
+
 def test_instance_field_types():
     """Python ints for categorical nodes and labels, floats for continuous
     nodes, None for masked features."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from causalstream import mappers
 from causalstream.mappers import (
     CATEGORICAL_KINDS,
     GaussianPrototypeMapper,
@@ -285,3 +286,142 @@ def test_predict_sample_agrees_with_predict():
             assert np.array_equal(sample, m.predict(X)), m.kind
         else:
             assert np.allclose(sample, m.predict(X), rtol=1e-12, atol=1e-12), m.kind
+
+
+# -- the fits against their reference arithmetic ------------------------------
+
+
+def _recursive_fit_tree(z, y, max_depth):
+    """The tree fit as a recursive depth-first CART with one stable sort per
+    node and feature: the reference ``_fit_tree`` must match bit for bit."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[idx].mean()))
+        if depth >= max_depth or len(idx) < 2 or np.all(y[idx] == y[idx][0]):
+            return node
+        best = None  # (sse, feat, thr, order, pos)
+        for f in range(z.shape[1]):
+            order = idx[np.argsort(z[idx, f], kind="stable")]
+            xs = z[order, f]
+            ys = y[order]
+            valid = np.nonzero(xs[:-1] < xs[1:])[0]
+            if valid.size == 0:
+                continue
+            cs = np.cumsum(ys)
+            cs2 = np.cumsum(ys * ys)
+            n = len(ys)
+            nl = valid + 1.0
+            nr = n - nl
+            sl = cs[valid]
+            sr = cs[-1] - sl
+            s2l = cs2[valid]
+            s2r = cs2[-1] - s2l
+            sse = (s2l - sl * sl / nl) + (s2r - sr * sr / nr)
+            j = int(np.argmin(sse))
+            if best is None or sse[j] < best[0]:
+                pos = int(valid[j])
+                best = (float(sse[j]), f, float((xs[pos] + xs[pos + 1]) / 2.0), order, pos)
+        if best is None:
+            return node
+        _, f, thr, order, pos = best
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = grow(order[: pos + 1], depth + 1)
+        right[node] = grow(order[pos + 1 :], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return feature, threshold, left, right, value
+
+
+def _numpy_sgd_step(w, b, z, y, t):
+    """One SGD step with numpy updates: the reference ``_sgd_step`` must
+    match bit for bit."""
+    lr = mappers._SGD_ETA0 / t**mappers._SGD_POWER_T
+    err = float(z @ w + b - y)
+    w -= lr * (err * z + mappers._SGD_ALPHA * w)
+    return b - lr * err
+
+
+def _numpy_fit_sgd(z, y, rng):
+    w = np.zeros(z.shape[1])
+    b = 0.0
+    t = 0
+    for _ in range(mappers._SGD_EPOCHS):
+        for i in rng.permutation(len(z)):
+            t += 1
+            b = _numpy_sgd_step(w, b, z[i], y[i], t)
+    return w, b
+
+
+def _fit_case(n, k, target):
+    """Rows with ties: column 0 holds integers, column 1 tenths."""
+    rng = np.random.default_rng(n + 10 * k)
+    z = rng.normal(size=(n, k))
+    z[:, 0] = np.round(2.0 * z[:, 0])
+    if k > 1:
+        z[:, 1] = np.round(z[:, 1], 1)
+    if target == "constant":
+        y = np.full(n, 0.75)
+    elif target == "step":
+        y = (z.sum(axis=1) > 0).astype(float)
+    else:
+        y = np.sin(z).sum(axis=1) + rng.normal(0.0, 0.1, n)
+    return z, y
+
+
+def _same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+_TARGETS = ("constant", "step", "noisy")
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 1024])
+def test_tree_fit_matches_the_recursive_fit(n, k, target, monkeypatch):
+    """Every array of the level-wise fit has the bits of the recursive one,
+    also when a level is searched a few nodes at a time."""
+    z, y = _fit_case(n, k, target)
+    for cells in (mappers._TREE_CELLS, 16):
+        monkeypatch.setattr(mappers, "_TREE_CELLS", cells)
+        for depth in (5, 25):
+            got = mappers._fit_tree(z, y, depth)
+            expected = _recursive_fit_tree(z, y, depth)
+            names = ("feature", "threshold", "left", "right", "value")
+            for name, a, b in zip(names, got, expected):
+                assert _same_bits(a, b), (cells, depth, name)
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+@pytest.mark.parametrize("k", [1, 2, 3, 20])
+@pytest.mark.parametrize("n", [1, 2, 1024])
+def test_sgd_fit_matches_numpy_updates(n, k, target):
+    z, y = _fit_case(n, k, target)
+    w, b = mappers._fit_sgd(z, y, np.random.default_rng(4))
+    w0, b0 = _numpy_fit_sgd(z, y, np.random.default_rng(4))
+    assert _same_bits(w, w0)
+    assert type(b) is float and _same_bits(b, b0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_partial_fit_matches_numpy_updates(k):
+    X = np.random.default_rng(k).normal(size=(200, k))
+    m = fit_continuous_mapper("sgd-linear", X, TargetFunction("sine"), np.random.default_rng(1))
+    w, b = m.w.copy(), m.b
+    rng = np.random.default_rng(2)
+    for t in range(1, 300):
+        z = rng.normal(size=k)
+        y = float(eval_target_function(TargetFunction("rbf"), z))
+        m.partial_fit(z, y)
+        b = _numpy_sgd_step(w, b, z, y, t)
+    assert _same_bits(m.w, w)
+    assert type(m.b) is float and _same_bits(m.b, b)
