@@ -21,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._codec import Serializable
 from .graph import CausalGraph
 from .mappers import (
     CATEGORICAL_KINDS,
@@ -28,6 +29,7 @@ from .mappers import (
     CONTINUOUS_KINDS,
     FITTABLE_KINDS,
     TARGET_FN_KINDS,
+    Mapper,
     ParentStats,
     PrototypeMapper,
     RootDistribution,
@@ -36,7 +38,6 @@ from .mappers import (
     fit_continuous_mapper,
     init_categorical_mapper,
     init_random_mlp,
-    mapper_from_dict,
 )
 from .temporal import TemporalParams, TemporalState, simulate_ar_noise, simulate_root_values
 
@@ -53,8 +54,12 @@ __all__ = [
 ]
 
 
+# keys of a ``ConceptParams.nodes`` pin, each read by the initialization
+NODE_PIN_KEYS = frozenset({"dist", "dist_params", "mapper", "n_classes", "distance", "target_fn"})
+
+
 @dataclass(frozen=True)
-class ConceptParams:
+class ConceptParams(Serializable):
     """Ranges and pins controlling concept initialization.
 
     ``nodes`` maps node id to a pin dict with keys from ``NODE_PIN_KEYS``;
@@ -85,58 +90,21 @@ class ConceptParams:
             raise ValueError("fit_samples must be at least 2")
         if self.eps_scale < 0:
             raise ValueError("eps_scale must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "n_classes": self.n_classes,
-            "p_categorical": self.p_categorical,
-            "feature_classes_range": list(self.feature_classes_range),
-            "centroids_per_class": list(self.centroids_per_class),
-            "eps_scale": self.eps_scale,
-            "fit_samples": self.fit_samples,
-            "mean_range": list(self.mean_range),
-            "variance_range": list(self.variance_range),
-            "low_range": list(self.low_range),
-            "width_range": list(self.width_range),
-            # pin values are copied too, as list or scalar: to_dict shares
-            # nothing mutable with the params
-            "nodes": {
-                str(k): {
-                    key: list(v) if isinstance(v, (list, tuple)) else v
-                    for key, v in pin.items()
-                }
-                for k, pin in sorted(self.nodes.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConceptParams":
-        return cls(
-            task=d["task"],
-            n_classes=int(d["n_classes"]),
-            p_categorical=float(d["p_categorical"]),
-            feature_classes_range=tuple(d["feature_classes_range"]),
-            centroids_per_class=tuple(d["centroids_per_class"]),
-            eps_scale=float(d["eps_scale"]),
-            fit_samples=int(d["fit_samples"]),
-            mean_range=tuple(d["mean_range"]),
-            variance_range=tuple(d["variance_range"]),
-            low_range=tuple(d["low_range"]),
-            width_range=tuple(d["width_range"]),
-            nodes={int(k): dict(v) for k, v in d.get("nodes", {}).items()},
-        )
+        for node, pin in self.nodes.items():
+            unknown = sorted(set(pin) - NODE_PIN_KEYS)
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in nodes.{node}")
 
 
 @dataclass(eq=False)
-class Concept:
+class Concept(Serializable):
     """Everything needed to turn the graph into values at one point in time."""
 
     graph: CausalGraph
     params: ConceptParams
     temporal: TemporalParams
     root_dists: dict[int, RootDistribution]
-    mappers: dict[int, object]
+    mappers: dict[int, Mapper]
     class_permutation: tuple[int, ...] | None
 
     @property
@@ -171,36 +139,6 @@ class Concept:
 
     def initial_state(self) -> TemporalState:
         return TemporalState.initial(self.root_dists, self.continuous_nodes)
-
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_dict(),
-            "params": self.params.to_dict(),
-            "temporal": self.temporal.to_dict(),
-            "root_dists": {
-                str(n): d.to_dict() for n, d in sorted(self.root_dists.items())
-            },
-            "mappers": {str(n): m.to_dict() for n, m in sorted(self.mappers.items())},
-            "class_permutation": None
-            if self.class_permutation is None
-            else list(self.class_permutation),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Concept":
-        return cls(
-            graph=CausalGraph.from_dict(d["graph"]),
-            params=ConceptParams.from_dict(d["params"]),
-            temporal=TemporalParams.from_dict(d["temporal"]),
-            root_dists={
-                int(n): RootDistribution.from_dict(v)
-                for n, v in d["root_dists"].items()
-            },
-            mappers={int(n): mapper_from_dict(v) for n, v in d["mappers"].items()},
-            class_permutation=None
-            if d["class_permutation"] is None
-            else tuple(int(c) for c in d["class_permutation"]),
-        )
 
     def copy(self) -> "Concept":
         """A copy for drift to edit, equal to this concept in ``to_dict``.
@@ -272,10 +210,6 @@ def deterministic_label(concept: Concept, node_values: Mapping[int, float]) -> i
 
 # ---------------------------------------------------------------------------
 # initialization
-
-
-# keys of a ``ConceptParams.nodes`` pin, each read below
-NODE_PIN_KEYS = frozenset({"dist", "dist_params", "mapper", "n_classes", "distance", "target_fn"})
 
 
 def _pick(menu: tuple, rng):

@@ -1,22 +1,20 @@
 """JSON run-configuration parsing with a strict schema.
 
-Unknown keys are rejected at every nesting level so typos fail loudly
-instead of silently running defaults.  Value errors raised by the domain
+Every section is bound by the codec (see ``_codec``) from the fields of its
+dataclass.  Unknown keys are rejected at every nesting level so typos fail
+loudly instead of silently running defaults, and a value of the wrong JSON
+type is rejected, not converted.  Value errors raised by the domain
 dataclasses are re-raised as ConfigError with the offending path.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .concept import NODE_PIN_KEYS, ConceptParams
-from .drift import DriftSchedule, InterventionPolicy, ShiftAction, ShiftSpec
+from ._codec import decode, encode
 from .evaluate import LEARNER_NAMES
 from .generator import GeneratorConfig
-from .graph import CausalGraph
-from .temporal import TemporalParams
 
 __all__ = [
     "ConfigError",
@@ -77,139 +75,43 @@ class RunConfig:
     out: str | None = None
 
 
-def _keys(cls, *computed: str) -> frozenset:
-    """Field names of a dataclass, less those computed rather than given."""
-    return frozenset(f.name for f in fields(cls)) - set(computed)
+# the top level holds the generator's fields and these run sections
+_RUN_KEYS = ("evaluation", "analysis", "out")
+# keys of a section that the top level owns: its task and its p_i and p_m
+_OWNED = {"concept": ("task",), "policy": ("p_intervene", "p_missing")}
 
 
-# top level: the generator's own fields plus the run's other sections
-_TOP_KEYS = _keys(GeneratorConfig) | _keys(RunConfig, "generator")
-# the top-level p_i and p_m own the policy's two rates
-_POLICY_KEYS = _keys(InterventionPolicy, "p_intervene", "p_missing")
-_POLICY_VALUE_KEYS = {"dist", "params"}
+def parse_config(doc: dict) -> RunConfig:
+    """Validate a JSON document and bind it to runtime objects.
 
+    The codec checks every section against its dataclass; the rules here are
+    those that span sections.
+    """
 
-def _check_keys(doc: dict, allowed: set, path: str) -> None:
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'} must be a JSON object")
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {path or 'config'}")
-
-
-@contextmanager
-def _section(path: str, *errors):
-    """Re-raise a domain error met while binding ``path`` as a ConfigError."""
+        raise ConfigError("config must be a JSON object")
+    for key in ("seed", "dataset_size"):
+        if key not in doc:
+            raise ConfigError(f"{key} is mandatory")
+    gdoc = {k: v for k, v in doc.items() if k not in _RUN_KEYS}
+    for section, owned in _OWNED.items():
+        given = [k for k in owned if isinstance(gdoc.get(section), dict) and k in gdoc[section]]
+        if given:
+            raise ConfigError(f"unknown key {given[0]!r} in {section}")
+    if isinstance(gdoc.get("concept"), dict):
+        gdoc["concept"] = {**gdoc["concept"], "task": doc.get("task", "classification")}
     try:
-        yield
-    except (TypeError, ValueError, *errors) as e:
-        raise ConfigError(f"{path}: {e}" if path else str(e)) from None
-
-
-def _flat_section(doc: dict, key: str, cls):
-    """Bind an optional section whose keys are exactly the fields of ``cls``."""
-    if key not in doc:
-        return cls()
-    _check_keys(doc[key], _keys(cls), key)
-    with _section(key):
-        return cls(**doc[key])
-
-
-def _int_keyed(doc: dict, path: str) -> dict[int, dict]:
-    out = {}
-    for key, value in doc.items():
-        try:
-            node = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path} keys must be node ids, got {key!r}") from None
-        out[node] = value
-    return out
-
-
-def parse_config(doc: dict, require_seed: bool = True) -> RunConfig:
-    """Validate a JSON document and bind it to runtime objects."""
-
-    _check_keys(doc, _TOP_KEYS, "")
-    if require_seed and "seed" not in doc:
-        raise ConfigError("seed is mandatory")
-    if "dataset_size" not in doc:
-        raise ConfigError("dataset_size is mandatory")
-    task = doc.get("task", "classification")
-
-    temporal = _flat_section(doc, "temporal", TemporalParams)
-
-    graph = None
-    if doc.get("graph") is not None:
-        _check_keys(doc["graph"], _keys(CausalGraph, "topo_order"), "graph")
-        with _section("graph", KeyError):
-            graph = CausalGraph.from_dict(doc["graph"])
-
-    concept = None
-    if doc.get("concept") is not None:
-        cdoc = dict(doc["concept"])
-        _check_keys(cdoc, _keys(ConceptParams, "task"), "concept")
-        nodes = {}
-        for node, pin in _int_keyed(cdoc.pop("nodes", {}), "concept.nodes").items():
-            _check_keys(pin, NODE_PIN_KEYS, f"concept.nodes.{node}")
-            nodes[node] = dict(pin)
-        for key in ("feature_classes_range", "centroids_per_class", "mean_range",
-                    "variance_range", "low_range", "width_range"):
-            if key in cdoc:
-                cdoc[key] = tuple(cdoc[key])
-        with _section("concept"):
-            concept = ConceptParams(task=task, nodes=nodes, **cdoc)
-
-    schedule = DriftSchedule()
-    if doc.get("schedule") is not None:
-        _check_keys(doc["schedule"], _keys(DriftSchedule), "schedule")
-        for i, event in enumerate(doc["schedule"].get("events", [])):
-            _check_keys(event, _keys(ShiftSpec), f"schedule.events[{i}]")
-            for j, action in enumerate(event.get("actions", [])):
-                _check_keys(action, _keys(ShiftAction), f"schedule.events[{i}].actions[{j}]")
-        with _section("schedule"):
-            schedule = DriftSchedule.from_dict(doc["schedule"])
-
-    policy = None
-    if doc.get("policy") is not None:
-        pdoc = dict(doc["policy"])
-        _check_keys(pdoc, _POLICY_KEYS, "policy")
-        values = _int_keyed(pdoc.get("values", {}), "policy.values")
-        for node, spec in values.items():
-            _check_keys(spec, _POLICY_VALUE_KEYS, f"policy.values.{node}")
-            if spec.get("dist") not in ("normal", "uniform"):
-                raise ConfigError(
-                    f"policy.values.{node}: forced-value dist must be normal or uniform"
-                )
-            params = spec.get("params")
-            if not isinstance(params, (list, tuple)) or len(params) != 2:
-                raise ConfigError(f"policy.values.{node}: params must be two numbers")
-        pdoc["values"] = values
-        with _section("policy"):
-            policy = InterventionPolicy.from_dict(pdoc)
-
-    bound = dict(
-        task=task,
-        temporal=temporal,
-        schedule=schedule,
-        concept=concept,
-        policy=policy,
-        graph=graph,
-    )
-    # the remaining generator fields are plain values, passed as given
-    plain = {k: doc[k] for k in _keys(GeneratorConfig) - set(bound) if doc.get(k) is not None}
-    with _section(""):
-        plain["dataset_size"] = int(doc["dataset_size"])
-        plain["seed"] = int(doc.get("seed", 0))
-        generator = GeneratorConfig(**bound, **plain)
-    late = [e.t_start for e in schedule if e.t_start >= generator.dataset_size]
+        generator = decode(GeneratorConfig, gdoc)
+        evaluation = decode(EvalOptions, doc.get("evaluation", {}), "evaluation")
+        analysis = decode(AnalysisOptions, doc.get("analysis", {}), "analysis")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from None
+    late = [e.t_start for e in generator.schedule if e.t_start >= generator.dataset_size]
     if late:
         raise ConfigError(
             f"schedule: event at t={late[0]} starts at or after the end of the "
             f"stream (dataset_size {generator.dataset_size})"
         )
-    evaluation = _flat_section(doc, "evaluation", EvalOptions)
-    analysis = _flat_section(doc, "analysis", AnalysisOptions)
-
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
@@ -232,26 +134,11 @@ def config_to_document(cfg: GeneratorConfig) -> dict:
     byte for byte (the regeneration contract of the metadata sidecar).
     """
 
-    doc = {
-        "seed": cfg.seed,
-        "dataset_size": cfg.dataset_size,
-        "task": cfg.task,
-        "d": cfg.d,
-        "n_roots": cfg.n_roots,
-        "min_parents": cfg.min_parents,
-        "max_parents": cfg.max_parents,
-        "p_i": cfg.p_i,
-        "p_m": cfg.p_m,
-        "temporal": cfg.temporal.to_dict(),
-        "feature_subsample": cfg.feature_subsample,
-        "graph": None if cfg.graph is None else cfg.graph.to_dict(),
-        "schedule": cfg.schedule.to_dict(),
-        "policy": None
-        if cfg.policy is None
-        else {k: v for k, v in cfg.policy.to_dict().items() if k in _POLICY_KEYS},
-    }
-    if cfg.concept is not None:
-        cdoc = cfg.concept.to_dict()
-        cdoc.pop("task", None)
-        doc["concept"] = cdoc
+    doc = encode(cfg)
+    for section, owned in _OWNED.items():
+        for key in owned:
+            if doc[section] is not None:
+                del doc[section][key]
+    if doc["concept"] is None:
+        del doc["concept"]
     return doc

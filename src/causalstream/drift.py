@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._codec import Serializable
 from .concept import (
     Concept,
     ConceptSnapshot,
@@ -75,7 +76,7 @@ SHIFT_RATES = ("abrupt", "gradual", "incremental")
 
 
 @dataclass(frozen=True)
-class ShiftAction:
+class ShiftAction(Serializable):
     mechanism: str
     node: int | None = None
     params: dict = field(default_factory=dict)
@@ -89,20 +90,9 @@ class ShiftAction:
         elif self.node is None:
             raise ValueError(f"{self.mechanism} needs a node")
 
-    def to_dict(self) -> dict:
-        return {"mechanism": self.mechanism, "node": self.node, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShiftAction":
-        return cls(
-            mechanism=d["mechanism"],
-            node=d.get("node"),
-            params=dict(d.get("params", {})),
-        )
-
 
 @dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(Serializable):
     kind: str
     rate: str
     t_start: int
@@ -146,27 +136,6 @@ class ShiftSpec:
     def t_end(self) -> int:
         return self.t_start + self.duration
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "t_start": self.t_start,
-            "duration": self.duration,
-            "actions": [a.to_dict() for a in self.actions],
-            "snapshot_id": self.snapshot_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShiftSpec":
-        return cls(
-            kind=d["kind"],
-            rate=d["rate"],
-            t_start=int(d["t_start"]),
-            duration=int(d.get("duration", 1)),
-            actions=tuple(ShiftAction.from_dict(a) for a in d.get("actions", [])),
-            snapshot_id=d.get("snapshot_id"),
-        )
-
 
 def concept_id(k: int) -> str:
     """Id of the concept completed by the k-th event; 0 is the initial one."""
@@ -174,7 +143,7 @@ def concept_id(k: int) -> str:
 
 
 @dataclass(frozen=True)
-class DriftSchedule:
+class DriftSchedule(Serializable):
     events: tuple[ShiftSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -202,17 +171,15 @@ class DriftSchedule:
     def __len__(self) -> int:
         return len(self.events)
 
-    def to_dict(self) -> dict:
-        return {"events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DriftSchedule":
-        return cls(events=tuple(ShiftSpec.from_dict(e) for e in d.get("events", [])))
-
 
 @dataclass(frozen=True)
-class InterventionPolicy:
-    """Per-instance chances of forced node values and masked emissions."""
+class InterventionPolicy(Serializable):
+    """Per-instance chances of forced node values and masked emissions.
+
+    ``values`` maps a node id to the spec its forced values are drawn from,
+    ``{"dist": "normal", "params": [mean, std]}`` or
+    ``{"dist": "uniform", "params": [low, high]}``.
+    """
 
     p_intervene: float = 0.0
     p_missing: float = 0.0
@@ -228,25 +195,21 @@ class InterventionPolicy:
         lo, hi = self.count_range
         if not 1 <= lo <= hi <= 3:
             raise ValueError("count range must lie within [1, 3]")
-
-    def to_dict(self) -> dict:
-        return {
-            "p_intervene": self.p_intervene,
-            "p_missing": self.p_missing,
-            "count_range": list(self.count_range),
-            "include_target": self.include_target,
-            "values": {str(k): dict(v) for k, v in sorted(self.values.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InterventionPolicy":
-        return cls(
-            p_intervene=float(d.get("p_intervene", 0.0)),
-            p_missing=float(d.get("p_missing", 0.0)),
-            count_range=tuple(d.get("count_range", (1, 3))),
-            include_target=bool(d.get("include_target", False)),
-            values={int(k): dict(v) for k, v in d.get("values", {}).items()},
-        )
+        for node, spec in self.values.items():
+            unknown = sorted(set(spec) - {"dist", "params"})
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in values.{node}")
+            if spec.get("dist") not in ("normal", "uniform"):
+                raise ValueError(f"values.{node}: forced-value dist must be normal or uniform")
+            params = spec.get("params")
+            if not (
+                isinstance(params, (list, tuple))
+                and len(params) == 2
+                and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params)
+            ):
+                raise ValueError(f"values.{node}: params must be two numbers")
+            if spec["dist"] == "normal" and params[1] < 0:
+                raise ValueError(f"values.{node}: a normal spec needs a non-negative std")
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._codec import Serializable
+
 __all__ = ["CausalGraph", "build_dag", "topological_order"]
 
 
 @dataclass(frozen=True)
-class CausalGraph:
+class CausalGraph(Serializable):
     """Immutable DAG over node ids ``0 .. n_nodes - 1``.
 
     ``parents`` maps every node to its (ascending) parent tuple; roots map to
     the empty tuple.  ``topo_order`` is the stable Kahn order (ascending id
-    among simultaneously ready nodes) and is recomputed, never trusted, at
-    construction time.
+    among simultaneously ready nodes); it is computed at construction time
+    and never serialized.
     """
 
     n_nodes: int
     parents: dict[int, tuple[int, ...]]
     target: int
-    topo_order: tuple[int, ...] = field(default=())
+    topo_order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 3:
@@ -79,18 +81,6 @@ class CausalGraph:
                 seen.add(p)
                 stack.extend(self.parents[p])
         return tuple(sorted(seen))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "parents": {str(n): list(ps) for n, ps in sorted(self.parents.items())},
-            "target": self.target,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CausalGraph":
-        parents = {int(n): tuple(ps) for n, ps in d["parents"].items()}
-        return cls(n_nodes=int(d["n_nodes"]), parents=parents, target=int(d["target"]))
 
 
 def topological_order(graph: CausalGraph | dict[int, tuple[int, ...]]) -> tuple[int, ...]:

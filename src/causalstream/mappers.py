@@ -13,7 +13,8 @@ values and keep the parent min/max box so drift can redraw centroids inside
 the region the parents actually visit.
 
 All parameters serialize to plain JSON-compatible dicts with exact float
-round-trip; ``serialize_params`` gives canonical bytes for equality checks.
+round-trip (see ``Mapper``); ``serialize_params`` gives canonical bytes for
+equality checks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+
+from ._codec import Serializable, encode_value
 
 __all__ = [
     "CONTINUOUS_KINDS",
@@ -35,6 +38,7 @@ __all__ = [
     "eval_target_function",
     "draw_target_function",
     "ParentStats",
+    "Mapper",
     "MLPMapper",
     "RegressionTreeMapper",
     "SGDLinearMapper",
@@ -75,7 +79,7 @@ _TREE_CELLS = 1 << 16  # padded cells of one batched split search (see _fit_tree
 
 
 @dataclass(frozen=True)
-class RootDistribution:
+class RootDistribution(Serializable):
     """Sampling distribution of a root node.
 
     ``normal`` params are (mean, variance); ``uniform`` params are (low, high).
@@ -110,24 +114,19 @@ class RootDistribution:
             return float(np.sqrt(self.p2))
         return float((self.p2 - self.p1) / np.sqrt(12.0))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "p1": float(self.p1), "p2": float(self.p2)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RootDistribution":
-        return cls(kind=d["kind"], p1=float(d["p1"]), p2=float(d["p2"]))
-
 
 # ---------------------------------------------------------------------------
 # target functions
 
 
 @dataclass(frozen=True)
-class TargetFunction:
+class TargetFunction(Serializable):
     """Deterministic synthetic function fitted by continuous mappers.
 
     Observation noise is added by the fitting routine, never here; the
     checkerboard is noise-free by design (its output must stay in {0, 1}).
+    Its document holds only the fields its kind uses, so ``to_dict`` is
+    written out here; ``from_dict`` gives the others their defaults.
     """
 
     kind: str
@@ -151,15 +150,6 @@ class TargetFunction:
         if self.kind == "rbf":
             d["sigma"] = float(self.sigma)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TargetFunction":
-        return cls(
-            kind=d["kind"],
-            weights=tuple(d["weights"]) if "weights" in d else None,
-            bias=float(d.get("bias", 0.0)),
-            sigma=float(d.get("sigma", 1.0)),
-        )
 
 
 def eval_target_function(fn: TargetFunction, x: np.ndarray) -> np.ndarray | float:
@@ -246,8 +236,23 @@ def _check_inputs(x, n_inputs: int) -> np.ndarray:
     return x
 
 
-class _ContinuousBase:
+class Mapper:
+    """Base of every mapper.  Its document is ``kind``, then the attributes
+    named in ``_fields``: a base's fields first, then the class's own."""
+
     kind: str = ""
+    _fields: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **{f: encode_value(getattr(self, f)) for f in self._fields}}
+
+    @staticmethod
+    def from_dict(d: dict) -> "Mapper":
+        return mapper_from_dict(d)
+
+
+class _ContinuousBase(Mapper):
+    _fields = ("in_mean", "in_scale", "out_mean", "out_scale", "fitted_target")
 
     def __init__(self, in_mean, in_scale, out_mean=0.0, out_scale=1.0, fitted_target=None):
         self.in_mean = np.asarray(in_mean, dtype=float)
@@ -294,16 +299,6 @@ class _ContinuousBase:
         out_scale = float(preds.std())
         self.out_scale = out_scale if out_scale > 0 else fallback_scale
 
-    def _base_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "in_mean": self.in_mean.tolist(),
-            "in_scale": self.in_scale.tolist(),
-            "out_mean": self.out_mean,
-            "out_scale": self.out_scale,
-            "fitted_target": None if self.fitted_target is None else self.fitted_target.to_dict(),
-        }
-
 
 class MLPMapper(_ContinuousBase):
     """One-hidden-layer relu network; ``learned-mlp`` or ``random-mlp``.
@@ -313,6 +308,7 @@ class MLPMapper(_ContinuousBase):
     """
 
     KINDS = ("learned-mlp", "random-mlp")
+    _fields = _ContinuousBase._fields + ("W1", "b1", "w2", "b2")
 
     def __init__(self, kind, W1, b1, w2, b2, **base):
         if kind not in self.KINDS:
@@ -333,16 +329,6 @@ class MLPMapper(_ContinuousBase):
         self.W1, self.b1, self.w2 = _xavier_mlp(rng, self.n_inputs)
         self.b2 = 0.0
 
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d.update(
-            W1=self.W1.tolist(),
-            b1=self.b1.tolist(),
-            w2=self.w2.tolist(),
-            b2=self.b2,
-        )
-        return d
-
 
 class RegressionTreeMapper(_ContinuousBase):
     """CART regression tree with squared-error splits.
@@ -353,6 +339,9 @@ class RegressionTreeMapper(_ContinuousBase):
     """
 
     kind = "regression-tree"
+    _fields = _ContinuousBase._fields + (
+        "feature", "threshold", "left", "right", "value", "max_depth"
+    )
 
     def __init__(self, feature, threshold, left, right, value, max_depth, **base):
         self.feature = np.asarray(feature, dtype=int)
@@ -380,18 +369,6 @@ class RegressionTreeMapper(_ContinuousBase):
             node = np.where(go_left, self.left[node], self.right[node])
         return out
 
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d.update(
-            feature=self.feature.tolist(),
-            threshold=self.threshold.tolist(),
-            left=self.left.tolist(),
-            right=self.right.tolist(),
-            value=self.value.tolist(),
-            max_depth=self.max_depth,
-        )
-        return d
-
 
 class SGDLinearMapper(_ContinuousBase):
     """Linear model trained by per-sample SGD with l2 penalty.
@@ -409,6 +386,7 @@ class SGDLinearMapper(_ContinuousBase):
     """
 
     kind = "sgd-linear"
+    _fields = _ContinuousBase._fields + ("w", "b")
 
     def __init__(self, w, b, **base):
         self.w = np.asarray(w, dtype=float)
@@ -426,11 +404,6 @@ class SGDLinearMapper(_ContinuousBase):
 
     def reset_partial_schedule(self) -> None:
         self._partial_steps = 0
-
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d.update(w=self.w.tolist(), b=self.b)
-        return d
 
 
 def _fit_mlp_weights(z, y, rng):
@@ -683,7 +656,7 @@ def init_random_mlp(n_in: int, rng: np.random.Generator) -> MLPMapper:
 
 
 @dataclass(frozen=True)
-class ParentStats:
+class ParentStats(Serializable):
     """Per-parent summary of the values seen in the ancestor sample."""
 
     mins: tuple[float, ...]
@@ -711,28 +684,11 @@ class ParentStats:
     def center(self) -> np.ndarray:
         return (np.asarray(self.mins) + np.asarray(self.maxs)) / 2.0
 
-    def to_dict(self) -> dict:
-        return {
-            "mins": list(self.mins),
-            "maxs": list(self.maxs),
-            "means": list(self.means),
-            "scales": list(self.scales),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParentStats":
-        return cls(
-            mins=tuple(d["mins"]),
-            maxs=tuple(d["maxs"]),
-            means=tuple(d["means"]),
-            scales=tuple(d["scales"]),
-        )
-
-
-class _CentroidBase:
+class _CentroidBase(Mapper):
     """Shared storage for centroid-driven categorical mappers."""
 
-    kind: str = ""
+    _fields = ("centroids", "classes", "n_classes", "stats")
 
     def __init__(self, centroids, classes, n_classes, stats: ParentStats):
         self.centroids = np.asarray(centroids, dtype=float)
@@ -760,20 +716,12 @@ class _CentroidBase:
         hi = np.asarray(self.stats.maxs)
         self.centroids = rng.uniform(lo, hi, size=self.centroids.shape)
 
-    def _base_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "centroids": self.centroids.tolist(),
-            "classes": self.classes.tolist(),
-            "n_classes": self.n_classes,
-            "stats": self.stats.to_dict(),
-        }
-
 
 class PrototypeMapper(_CentroidBase):
     """Nearest-centroid classifier; euclidean or manhattan distance."""
 
     kind = "prototype"
+    _fields = _CentroidBase._fields + ("distance",)
 
     DISTANCES = ("euclidean", "manhattan")
 
@@ -798,11 +746,6 @@ class PrototypeMapper(_CentroidBase):
         out = self.classes[win]
         return int(out[0]) if single else out
 
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d["distance"] = self.distance
-        return d
-
 
 class _SpreadBase(_CentroidBase):
     """Centroids with one spread each; the best log-activation wins.
@@ -810,6 +753,7 @@ class _SpreadBase(_CentroidBase):
     The score is ``-d^2 / 2s^2``, minus ``k log s`` when ``normalized``.
     """
 
+    _fields = _CentroidBase._fields + ("spreads",)
     normalized: bool = False
 
     def __init__(self, centroids, classes, n_classes, stats, spreads):
@@ -831,11 +775,6 @@ class _SpreadBase(_CentroidBase):
         out = self.classes[win]
         return int(out[0]) if single else out
 
-    def to_dict(self) -> dict:
-        d = self._base_dict()
-        d["spreads"] = self.spreads.tolist()
-        return d
-
 
 class GaussianPrototypeMapper(_SpreadBase):
     """Assigns the class of the isotropic gaussian with highest density.
@@ -854,10 +793,11 @@ class RadialBasisMapper(_SpreadBase):
     kind = "random-rbf"
 
 
-class HyperplaneMapper:
+class HyperplaneMapper(Mapper):
     """Binary classifier: class 1 iff w . x + b > 0."""
 
     kind = "hyperplane"
+    _fields = ("w", "b", "n_classes", "stats")
 
     def __init__(self, w, b, stats: ParentStats, n_classes: int = 2):
         if n_classes != 2:
@@ -900,15 +840,6 @@ class HyperplaneMapper:
             u = np.asarray(plane_dir, dtype=float)
             self.w = np.cos(angle_rad) * self.w + np.sin(angle_rad) * norm * u
         self.b = -float(self.w @ self.stats.center)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "w": self.w.tolist(),
-            "b": self.b,
-            "n_classes": 2,
-            "stats": self.stats.to_dict(),
-        }
 
 
 def init_categorical_mapper(

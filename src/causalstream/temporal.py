@@ -18,6 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ._codec import Serializable
 from .mappers import RootDistribution
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TemporalParams:
+class TemporalParams(Serializable):
     alpha: float = 0.05   # smoothing weight of the fresh draw; 1 disables carryover
     rho: float = 0.5      # AR(1) coefficient of the additive noise
     sigma: float = 0.1    # innovation std, in standardized node units
@@ -45,16 +46,9 @@ class TemporalParams:
         if self.sigma < 0.0:
             raise ValueError("sigma must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "rho": self.rho, "sigma": self.sigma}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TemporalParams":
-        return cls(alpha=float(d["alpha"]), rho=float(d["rho"]), sigma=float(d["sigma"]))
-
 
 @dataclass
-class TemporalState:
+class TemporalState(Serializable):
     """Mutable per-node dynamic state.
 
     ``ewma`` holds the previous output of each root; ``ar`` holds the AR(1)
@@ -78,19 +72,6 @@ class TemporalState:
 
     def copy(self) -> "TemporalState":
         return TemporalState(ewma=dict(self.ewma), ar=dict(self.ar))
-
-    def to_dict(self) -> dict:
-        return {
-            "ewma": {str(n): v for n, v in sorted(self.ewma.items())},
-            "ar": {str(n): v for n, v in sorted(self.ar.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TemporalState":
-        return cls(
-            ewma={int(n): float(v) for n, v in d["ewma"].items()},
-            ar={int(n): float(v) for n, v in d["ar"].items()},
-        )
 
 
 def ewma_step(z_prev: float, x: float, alpha: float) -> float:

@@ -18,7 +18,7 @@ from causalstream.concept import (
     init_concept,
     snapshot_concept,
 )
-from causalstream.config import TemporalParams
+from causalstream.temporal import TemporalParams
 from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec, apply_abrupt, apply_recurrent
 from causalstream.evaluate import (
     DelayedLabels,

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -187,6 +188,45 @@ def test_bad_schedules_are_rejected_at_parse_time(tmp_path, capsys, events, mess
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def _put(doc: dict, path: str, value) -> None:
+    """Put ``value`` at the dotted ``path`` of ``doc``; numbers index lists."""
+    *outer, last = path.split(".")
+    for key in outer:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    doc[last] = value
+
+
+_SCHEMA_CASES = [
+    ("bogus", 1, "unknown key 'bogus' in the document"),
+    ("temporal.beta", 0.1, "unknown key 'beta' in temporal"),
+    ("graph.topo_order", [0, 1], "unknown key 'topo_order' in graph"),
+    ("concept.n_class", 2, "unknown key 'n_class' in concept"),
+    ("concept.task", "classification", "unknown key 'task' in concept"),
+    ("concept.nodes.3.maper", "sgd-linear", "concept: unknown key 'maper' in nodes.3"),
+    ("schedule.evnts", [], "unknown key 'evnts' in schedule"),
+    ("schedule.events.2.rates", "abrupt", r"unknown key 'rates' in schedule\.events\[2\]$"),
+    ("schedule.events.2.actions.0.nodes", 0,
+     r"unknown key 'nodes' in schedule\.events\[2\]\.actions\[0\]"),
+    ("policy.p_intervene", 0.5, "unknown key 'p_intervene' in policy"),
+    ("policy.values.3.low", 0.0, "policy: unknown key 'low' in values.3"),
+    ("evaluation", {"windw": 50}, "unknown key 'windw' in evaluation"),
+    ("analysis", {"lag": 5}, "unknown key 'lag' in analysis"),
+    ("schedule.events.1.t_start", "200",
+     r"schedule\.events\[1\]\.t_start must be an integer, not '200'"),
+    ("seed", True, "seed must be an integer"),
+    ("policy.count_range", [1, 2, 3], r"policy\.count_range must be a list of 2"),
+    ("graph.parents.x", [], "graph.parents keys must be node ids"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", _SCHEMA_CASES, ids=[c[0] for c in _SCHEMA_CASES])
+def test_config_schema_names_the_path_of_a_bad_key(path, value, message):
+    doc = copy.deepcopy(COVERAGE_DOC)
+    _put(doc, path, value)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
 
 
 def test_schedule_check_accepts_a_snapshot_of_an_earlier_window(tmp_path):

@@ -207,3 +207,6 @@ def test_params_validation():
         ConceptParams(p_categorical=1.5)
     with pytest.raises(ValueError):
         ConceptParams(fit_samples=1)
+    # a misspelt pin key fails here, not silently at init
+    with pytest.raises(ValueError, match="unknown key 'maper' in nodes.3"):
+        ConceptParams(nodes={3: {"maper": "sgd-linear"}})

@@ -414,6 +414,24 @@ def test_serialization_round_trips():
     assert DriftSchedule.from_dict(sched.to_dict()) == sched
     pol = InterventionPolicy(
         p_intervene=0.2, p_missing=0.1, count_range=(1, 2),
-        values={0: {"dist": "uniform", "low": 0.0, "high": 1.0}},
+        values={0: {"dist": "uniform", "params": [0.0, 1.0]}},
     )
     assert InterventionPolicy.from_dict(pol.to_dict()) == pol
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"dist": "uniform", "low": 0.0, "high": 1.0}, "unknown key 'high' in values.0"),
+        ({"dist": "cauchy", "params": [0.0, 1.0]}, "normal or uniform"),
+        ({"dist": "uniform", "params": [0.0]}, "two numbers"),
+        ({"dist": "uniform", "params": ["0", 1.0]}, "two numbers"),
+        ({"dist": "normal", "params": [0.0, -1.0]}, "non-negative std"),
+    ],
+    ids=["low-high-keys", "unknown-dist", "one-param", "string-param", "negative-std"],
+)
+def test_policy_rejects_a_bad_forced_value_spec(spec, message):
+    """A policy built through the API checks its specs when it is made,
+    not at the first row that draws from them."""
+    with pytest.raises(ValueError, match=message):
+        InterventionPolicy(p_intervene=0.5, values={0: spec})
