@@ -139,6 +139,8 @@ def config_to_document(cfg: GeneratorConfig) -> dict:
         for key in owned:
             if doc[section] is not None:
                 del doc[section][key]
+    # a config without concept params writes no concept key, which keeps
+    # the bytes of the sidecars written for such configs
     if doc["concept"] is None:
         del doc["concept"]
     return doc

@@ -244,7 +244,11 @@ class Mapper:
     _fields: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **{f: encode_value(getattr(self, f)) for f in self._fields}}
+        d = {"kind": self.kind}
+        for f in self._fields:
+            v = getattr(self, f)
+            d[f] = v.tolist() if isinstance(v, np.ndarray) else encode_value(v)
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "Mapper":
