@@ -8,6 +8,7 @@ with label_fraction 0 the model trains on warmup and is frozen afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,26 +35,45 @@ class RunningStats:
 
     Doubles as the imputation source: a missing feature is replaced by its
     running mean (0.0 until the feature has ever been observed).
+
+    A row is complete when ``x.dot(x)`` is finite, which implies every entry
+    is (an overflow only takes the masked path).  A complete row takes the
+    plain Welford step, the masked form's IEEE operations, and ``impute``
+    returns it as is.  ``std`` is cached until the next update.
     """
 
     def __init__(self, n_features: int):
         self.count = np.zeros(n_features)
         self.mean = np.zeros(n_features)
         self._m2 = np.zeros(n_features)
+        self._std = None
 
-    def update(self, x: np.ndarray) -> None:
+    def update(self, x: np.ndarray) -> bool:
+        """Add one row; returns whether every entry was observed."""
+        self._std = None
+        if math.isfinite(x.dot(x)):
+            self.count += 1
+            delta = x - self.mean
+            self.mean += delta / self.count
+            self._m2 += delta * (x - self.mean)
+            return True
         obs = np.isfinite(x)
         self.count[obs] += 1
         delta = np.where(obs, x - self.mean, 0.0)
         self.mean += np.where(obs, delta / np.maximum(self.count, 1), 0.0)
         delta2 = np.where(obs, x - self.mean, 0.0)
         self._m2 += delta * delta2
+        return False
 
     def std(self) -> np.ndarray:
-        var = np.where(self.count > 1, self._m2 / np.maximum(self.count, 1), 1.0)
-        return np.sqrt(np.maximum(var, 1e-12))
+        if self._std is None:
+            var = np.where(self.count > 1, self._m2 / np.maximum(self.count, 1), 1.0)
+            self._std = np.sqrt(np.maximum(var, 1e-12))
+        return self._std
 
     def impute(self, x: np.ndarray) -> np.ndarray:
+        if math.isfinite(x.dot(x)):
+            return x
         return np.where(np.isfinite(x), x, self.mean)
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
@@ -95,22 +115,20 @@ class LogisticLearner:
         self.err_fast = 0.5
         self.W = np.zeros((n_features, n_classes))
         self.b = np.zeros(n_classes)
-
-    def _z(self, x: np.ndarray) -> np.ndarray:
-        xi = self.imputer.impute(np.asarray(x, dtype=float))
-        return (xi - self.mean) / np.sqrt(self.var + 1e-12)
+        # the standardizing scale changes only in learn
+        self._scale = np.sqrt(self.var + 1e-12)
 
     def predict(self, x: np.ndarray) -> int:
-        z = self._z(x)
-        return int(np.argmax(z @ self.W + self.b))
+        xi = self.imputer.impute(np.asarray(x, dtype=float))
+        z = (xi - self.mean) / self._scale
+        return int((z.dot(self.W) + self.b).argmax())
 
     def learn(self, x: np.ndarray, y: int) -> None:
         y = int(y)
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
         x = np.asarray(x, dtype=float)
-        self.imputer.update(x)
-        xi = self.imputer.impute(x)
+        xi = x if self.imputer.update(x) else self.imputer.impute(x)
         if self.seen == 0:
             self.mean = xi.copy()
         else:
@@ -118,17 +136,18 @@ class LogisticLearner:
             d = xi - self.mean
             self.mean += r * d
             self.var = (1 - r) * self.var + r * d * d
+            self._scale = np.sqrt(self.var + 1e-12)
         self.seen += 1
-        z = (xi - self.mean) / np.sqrt(self.var + 1e-12)
-        s = z @ self.W + self.b
-        wrong = int(np.argmax(s)) != y
+        z = (xi - self.mean) / self._scale
+        s = z.dot(self.W) + self.b
+        wrong = int(s.argmax()) != y
         self.err_fast += (float(wrong) - self.err_fast) / self.err_horizon
         step = self.lr_floor + (self.lr - self.lr_floor) * self.err_fast
-        s = s - s.max()
+        s -= max(s.tolist())
         p = np.exp(s)
-        p /= p.sum()
+        p /= np.add.reduce(p)
         p[y] -= 1.0
-        self.W -= step * np.outer(z, p)
+        self.W -= step * (z[:, None] * p)
         self.b -= step * p
 
 
@@ -143,6 +162,8 @@ class NaiveBayesLearner:
         self.counts = np.zeros(n_classes)
         self.means = np.zeros((n_classes, n_features))
         self._m2 = np.zeros((n_classes, n_features))
+        # (log prior, class variance, log(2 pi var)), reset by learn
+        self._terms = None
 
     def _class_var(self) -> np.ndarray:
         var = np.where(
@@ -154,18 +175,21 @@ class NaiveBayesLearner:
 
     def predict(self, x: np.ndarray) -> int:
         z = self.stats.impute(np.asarray(x, dtype=float))
-        prior = (self.counts + 1.0) / (self.counts.sum() + self.n_classes)
-        var = self._class_var()
-        ll = -0.5 * ((z - self.means) ** 2 / var + np.log(2 * np.pi * var)).sum(axis=1)
-        return int(np.argmax(np.log(prior) + ll))
+        if self._terms is None:
+            prior = (self.counts + 1.0) / (self.counts.sum() + self.n_classes)
+            var = self._class_var()
+            self._terms = (np.log(prior), var, np.log(2 * np.pi * var))
+        log_prior, var, log_norm = self._terms
+        ll = -0.5 * ((z - self.means) ** 2 / var + log_norm).sum(axis=1)
+        return int((log_prior + ll).argmax())
 
     def learn(self, x: np.ndarray, y: int) -> None:
         y = int(y)
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
         x = np.asarray(x, dtype=float)
-        self.stats.update(x)
-        z = self.stats.impute(x)
+        z = x if self.stats.update(x) else self.stats.impute(x)
+        self._terms = None
         self.counts[y] += 1
         delta = z - self.means[y]
         self.means[y] += delta / self.counts[y]
@@ -191,7 +215,7 @@ class LinearRegressorLearner:
 
     def predict(self, x: np.ndarray) -> float:
         z = self.stats.standardize(np.asarray(x, dtype=float))
-        return self._y_mean + (float(z @ self.w) + self.b) * self._y_std()
+        return self._y_mean + (float(z.dot(self.w)) + self.b) * self._y_std()
 
     def learn(self, x: np.ndarray, y: float) -> None:
         x = np.asarray(x, dtype=float)
@@ -202,7 +226,7 @@ class LinearRegressorLearner:
         self._y_mean += delta / self._y_count
         self._y_m2 += delta * (y - self._y_mean)
         z = self.stats.standardize(x)
-        err = float(z @ self.w) + self.b - (y - self._y_mean) / self._y_std()
+        err = float(z.dot(self.w)) + self.b - (y - self._y_mean) / self._y_std()
         self.w -= self.lr * err * z
         self.b -= self.lr * err
 
@@ -320,32 +344,40 @@ def prequential_run(
     classification = task == "classification"
     metric = "accuracy" if classification else "mae"
 
+    labels = y.tolist()
     for t in range(initial_train):
-        learner.learn(X[t], y[t])
+        learner.learn(X[t], labels[t])
 
     if overlay is None:
         overlay = DelayedLabels()
-    labeled = overlay.labeled_mask(n, initial_train)
+    labeled = overlay.labeled_mask(n, initial_train).tolist()
     pending: dict[int, int] = {}  # arrival step -> instance index
 
-    raw = np.empty(n - initial_train)
-    series = np.empty(n - initial_train)
-    for i, t in enumerate(range(initial_train, n)):
+    raw = []
+    for t in range(initial_train, n):
         if t in pending:
             u = pending.pop(t)
-            learner.learn(X[u], y[u])
+            learner.learn(X[u], labels[u])
         pred = learner.predict(X[t])
         if classification:
-            raw[i] = 1.0 if int(pred) == int(y[t]) else 0.0
+            raw.append(1.0 if int(pred) == int(labels[t]) else 0.0)
         else:
-            raw[i] = abs(float(pred) - float(y[t]))
+            raw.append(abs(float(pred) - float(labels[t])))
         if labeled[t]:
             if overlay.delay == 0:
-                learner.learn(X[t], y[t])
+                learner.learn(X[t], labels[t])
             else:
                 pending[t + overlay.delay] = t
-        lo = max(0, i - W + 1)
-        series[i] = raw[lo : i + 1].mean()
+    raw = np.array(raw)
+    hi = np.arange(1, len(raw) + 1)
+    lo = np.maximum(hi - W, 0)
+    if classification:
+        # every partial sum of 0/1 values is an integer below 2**53, so the
+        # prefix-sum difference equals the window's slice sum exactly
+        c = np.concatenate(([0.0], np.cumsum(raw)))
+        series = (c[hi] - c[lo]) / (hi - lo)
+    else:
+        series = np.array([raw[a:b].mean() for a, b in zip(lo.tolist(), hi.tolist())])
     ts = np.arange(initial_train, n)
     return PrequentialCurve(
         W=W, initial_train=initial_train, metric=metric, t=ts, raw=raw, series=series

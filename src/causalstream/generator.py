@@ -406,6 +406,14 @@ class StreamGenerator:
 def build_stream(config: GeneratorConfig) -> StreamGenerator:
     """Wire config to a ready generator: graph, concept, substreams."""
 
+    from .config import ConfigError
+
+    base = config.policy or InterventionPolicy()
+    # the config's top-level p_i and p_m own the two rates
+    for owner, name in (("p_i", "p_intervene"), ("p_m", "p_missing")):
+        rate, own = getattr(base, name), getattr(config, owner)
+        if rate and rate != own:
+            raise ConfigError(f"policy.{name} is {rate!r} but {owner} is {own!r}; set {owner}")
     rngs = spawn_streams(config.seed)
     graph = config.graph
     if graph is None:
@@ -416,15 +424,17 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
     if params is None:
         params = ConceptParams(task=config.task)
     concept = init_concept(graph, params, rngs.init, temporal=config.temporal)
+    for node in base.values:
+        if node not in range(graph.n_nodes) or concept.is_categorical(node):
+            raise ConfigError(
+                f"policy.values.{node}: node {node} is not a continuous node of the graph"
+            )
     emitted = None
     if config.feature_subsample is not None:
         feats = graph.feature_nodes
         idx = rngs.init.choice(len(feats), size=config.feature_subsample, replace=False)
         emitted = tuple(sorted(feats[int(i)] for i in idx))
-    # the config's top-level p_i and p_m own the two rates
-    policy = replace(
-        config.policy or InterventionPolicy(), p_intervene=config.p_i, p_missing=config.p_m
-    )
+    policy = replace(base, p_intervene=config.p_i, p_missing=config.p_m)
     return StreamGenerator(
         concept,
         rngs,

@@ -106,6 +106,19 @@ def read_stream_csv(path):
             raise StreamFormatError(
                 f"{path}: row {i + 2}: label is not a number: {parts[-1]!r}"
             ) from None
+    # float() also parses nan and inf, which the writer never emits
+    bad = ~(np.isfinite(X) | mask)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), k)
+        raise StreamFormatError(
+            f"{path}: row {i + 2}, column {header[j]}: not a finite number: {float(X[i, j])!r}"
+        )
+    bad_y = ~np.isfinite(y)
+    if bad_y.any():
+        i = int(bad_y.argmax())
+        raise StreamFormatError(
+            f"{path}: row {i + 2}: label is not a finite number: {float(y[i])!r}"
+        )
     integral = bool(np.allclose(y, np.round(y)))
     task = _sidecar_task(path)
     if task is None:

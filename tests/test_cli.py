@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,22 @@ def test_sidecar_with_policy_regenerates_identical_stream(tmp_path):
     replay.write_text(json.dumps(read_sidecar(first)["config"]))
     second = _generate(tmp_path, replay, "second.csv")
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("node", ["99", "2"], ids=["unknown-node", "categorical-node"])
+def test_forced_value_spec_needs_a_continuous_node(tmp_path, capsys, node):
+    """Node 99 is not in the coverage graph; node 2 is a prototype node,
+    whose forced values are class codes."""
+    doc = copy.deepcopy(COVERAGE_DOC)
+    doc["policy"]["values"][node] = {"dist": "normal", "params": [100.0, 1.0]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bad.csv"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+    assert f"policy.values.{node}: node {node} is not a continuous node" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+    with pytest.raises(ConfigError):
+        build_stream(load_config(path).generator)
 
 
 @pytest.mark.parametrize(
@@ -394,6 +411,29 @@ def test_read_stream_takes_the_task_from_the_sidecar(tmp_path):
         read_stream_csv(real)
     sidecar_path(real).write_text("[1, 2]")
     assert main(["evaluate", str(real)]) == 3
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1.0,nan,0", "row 3, column x2: not a finite number: nan"),
+        ("-inf,1.0,0", "row 3, column x1: not a finite number: -inf"),
+        ("1.0,2.0,nan", "row 3: label is not a finite number: nan"),
+    ],
+    ids=["nan-feature", "inf-feature", "nan-label"],
+)
+def test_read_stream_rejects_non_finite_cells(tmp_path, body, message):
+    stream = tmp_path / "s.csv"
+    stream.write_text(f"x1,x2,y\n0.5,,1\n{body}\n")
+    with pytest.raises(StreamFormatError, match=re.escape(message)):
+        read_stream_csv(stream)
+    assert main(["evaluate", str(stream)]) == 3
+    # an empty field is still a missing value
+    stream.write_text("x1,x2,y\n0.5,,1\n,1.0,0\n")
+    frame = read_stream_csv(stream)
+    assert np.array_equal(frame.missing_mask, [[False, True], [True, False]])
+    assert np.isnan(frame.X[frame.missing_mask]).all()
+    assert frame.task == "classification"
 
 
 def test_evaluate_option_and_source_validation(tmp_path, small_config):

@@ -8,7 +8,7 @@ from conftest import COVERAGE_DOC
 import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
 from causalstream.concept import ConceptParams
-from causalstream.config import GeneratorConfig, parse_config
+from causalstream.config import ConfigError, GeneratorConfig, parse_config
 from causalstream.drift import (
     DriftSchedule,
     InterventionPolicy,
@@ -257,3 +257,16 @@ def test_step_take_and_iteration_read_one_stream():
     assert [r.t for r in rows] == list(range(300))
     assert rows == b
     assert a.t == 300
+
+
+def test_policy_rates_must_match_the_config_rates():
+    """The config's p_i and p_m own the two rates; a policy naming other
+    nonzero rates is rejected rather than silently overridden."""
+    policy = InterventionPolicy(p_intervene=0.5, p_missing=0.5)
+    with pytest.raises(ConfigError, match=r"policy\.p_intervene is 0\.5 but p_i is 0\.0"):
+        build_stream(GeneratorConfig(dataset_size=200, seed=1, policy=policy))
+    with pytest.raises(ConfigError, match=r"policy\.p_missing is 0\.5 but p_m is 0\.2"):
+        build_stream(GeneratorConfig(dataset_size=200, seed=1, p_i=0.5, p_m=0.2, policy=policy))
+    cfg = GeneratorConfig(dataset_size=200, seed=1, p_i=0.5, p_m=0.5, policy=policy)
+    rows = build_stream(cfg).take(200)
+    assert any(r.intervened for r in rows) and any(r.missing for r in rows)
