@@ -39,37 +39,31 @@ class RunningStats:
     A row is complete when ``x.dot(x)`` is finite, which implies every entry
     is (an overflow only takes the masked path).  A complete row takes the
     plain Welford step, the masked form's IEEE operations, and ``impute``
-    returns it as is.  ``std`` is cached until the next update.
+    returns it as is.
     """
 
     def __init__(self, n_features: int):
         self.count = np.zeros(n_features)
         self.mean = np.zeros(n_features)
         self._m2 = np.zeros(n_features)
-        self._std = None
 
-    def update(self, x: np.ndarray) -> bool:
-        """Add one row; returns whether every entry was observed."""
-        self._std = None
+    def update(self, x: np.ndarray) -> None:
         if math.isfinite(x.dot(x)):
             self.count += 1
             delta = x - self.mean
             self.mean += delta / self.count
             self._m2 += delta * (x - self.mean)
-            return True
+            return
         obs = np.isfinite(x)
         self.count[obs] += 1
         delta = np.where(obs, x - self.mean, 0.0)
         self.mean += np.where(obs, delta / np.maximum(self.count, 1), 0.0)
         delta2 = np.where(obs, x - self.mean, 0.0)
         self._m2 += delta * delta2
-        return False
 
     def std(self) -> np.ndarray:
-        if self._std is None:
-            var = np.where(self.count > 1, self._m2 / np.maximum(self.count, 1), 1.0)
-            self._std = np.sqrt(np.maximum(var, 1e-12))
-        return self._std
+        var = np.where(self.count > 1, self._m2 / np.maximum(self.count, 1), 1.0)
+        return np.sqrt(np.maximum(var, 1e-12))
 
     def impute(self, x: np.ndarray) -> np.ndarray:
         if math.isfinite(x.dot(x)):
@@ -128,7 +122,8 @@ class LogisticLearner:
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
         x = np.asarray(x, dtype=float)
-        xi = x if self.imputer.update(x) else self.imputer.impute(x)
+        self.imputer.update(x)
+        xi = self.imputer.impute(x)
         if self.seen == 0:
             self.mean = xi.copy()
         else:
@@ -188,7 +183,8 @@ class NaiveBayesLearner:
         if not 0 <= y < self.n_classes:
             raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
         x = np.asarray(x, dtype=float)
-        z = x if self.stats.update(x) else self.stats.impute(x)
+        self.stats.update(x)
+        z = self.stats.impute(x)
         self._terms = None
         self.counts[y] += 1
         delta = z - self.means[y]
@@ -215,7 +211,7 @@ class LinearRegressorLearner:
 
     def predict(self, x: np.ndarray) -> float:
         z = self.stats.standardize(np.asarray(x, dtype=float))
-        return self._y_mean + (float(z.dot(self.w)) + self.b) * self._y_std()
+        return self._y_mean + (float(z @ self.w) + self.b) * self._y_std()
 
     def learn(self, x: np.ndarray, y: float) -> None:
         x = np.asarray(x, dtype=float)
@@ -226,7 +222,7 @@ class LinearRegressorLearner:
         self._y_mean += delta / self._y_count
         self._y_m2 += delta * (y - self._y_mean)
         z = self.stats.standardize(x)
-        err = float(z.dot(self.w)) + self.b - (y - self._y_mean) / self._y_std()
+        err = float(z @ self.w) + self.b - (y - self._y_mean) / self._y_std()
         self.w -= self.lr * err * z
         self.b -= self.lr * err
 
