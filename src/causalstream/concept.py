@@ -319,10 +319,10 @@ def _ancestor_walk(graph, temporal, n, rng, root_dist, mapper, upto=None) -> np.
             P = out[:, graph.parents[node]]
             m = mapper(node, P)
             if m.kind in CATEGORICAL_KINDS:
-                out[:, node] = m.predict_sample(P).astype(float)
+                out[:, node] = m.predict(P).astype(float)
             else:
                 noise = simulate_ar_noise(n, temporal, rng, sigma_scale=m.out_scale)
-                out[:, node] = m.predict_sample(P) + noise
+                out[:, node] = m.predict(P) + noise
         if node == upto:
             break
     return out

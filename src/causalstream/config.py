@@ -106,12 +106,6 @@ def parse_config(doc: dict) -> RunConfig:
         analysis = decode(AnalysisOptions, doc.get("analysis", {}), "analysis")
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
-    late = [e.t_start for e in generator.schedule if e.t_start >= generator.dataset_size]
-    if late:
-        raise ConfigError(
-            f"schedule: event at t={late[0]} starts at or after the end of the "
-            f"stream (dataset_size {generator.dataset_size})"
-        )
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")

@@ -97,6 +97,12 @@ class GeneratorConfig:
             raise ValueError("concept params disagree with task")
         if self.graph is not None and self.graph.n_nodes != self.d + 1:
             raise ValueError("pinned graph must have d + 1 nodes")
+        late = [e.t_start for e in self.schedule if e.t_start >= self.dataset_size]
+        if late:
+            raise ValueError(
+                f"schedule: event at t={late[0]} starts at or after the end of the "
+                f"stream (dataset_size {self.dataset_size})"
+            )
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ equality checks.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def eval_target_function(fn: TargetFunction, x: np.ndarray) -> np.ndarray | floa
         w = np.asarray(fn.weights, dtype=float)
         if X.shape[1] != w.shape[0]:
             raise ValueError("input width does not match linear weights")
-        out = X @ w + fn.bias
+        out = _rows_times(X, w) + fn.bias
     elif fn.kind == "sine":
         out = np.sin(X).sum(axis=1)
     elif fn.kind == "step":
@@ -274,31 +275,20 @@ class _ContinuousBase(Mapper):
     def predict(self, x: np.ndarray):
         """Output for one input vector, or one per row of a matrix; a row's
         bits do not depend on how many rows share the call."""
-        return self._predict(x, _rows_times)
-
-    def predict_sample(self, X: np.ndarray) -> np.ndarray:
-        """Outputs over a fit or warm-up sample, with BLAS products.
-
-        A row may round differently from ``predict``.  Fitted parameters
-        rest on these bits, so ancestor walks and ``calibrate`` use them.
-        """
-        return self._predict(X, np.matmul)
-
-    def _predict(self, x, dot):
         z = (_check_inputs(x, self.n_inputs) - self.in_mean) / self.in_scale
         if z.ndim == 1:
-            return float(self._forward(z[None, :], dot)[0])
-        return self._forward(z, dot)
+            return float(self._forward(z[None, :])[0])
+        return self._forward(z)
 
-    def _forward(self, z: np.ndarray, dot) -> np.ndarray:  # pragma: no cover
-        """Outputs for standardized rows ``z``; ``dot`` multiplies by weights."""
+    def _forward(self, z: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """Outputs for standardized rows ``z``."""
         raise NotImplementedError
 
     def calibrate(self, X: np.ndarray, fallback_scale: float = 1.0) -> None:
         """Standardize inputs on the sample ``X`` and record the mean/std of
         the outputs there; a constant output gets ``fallback_scale``."""
         self.in_mean, self.in_scale = _standardize_stats(X)
-        preds = self.predict_sample(X)
+        preds = self.predict(X)
         self.out_mean = float(preds.mean())
         out_scale = float(preds.std())
         self.out_scale = out_scale if out_scale > 0 else fallback_scale
@@ -324,9 +314,9 @@ class MLPMapper(_ContinuousBase):
         self.b2 = float(b2)
         super().__init__(**base)
 
-    def _forward(self, z: np.ndarray, dot) -> np.ndarray:
-        h = np.maximum(dot(z, self.W1) + self.b1, 0.0)
-        return dot(h, self.w2) + self.b2
+    def _forward(self, z: np.ndarray) -> np.ndarray:
+        h = np.maximum(_rows_times(z, self.W1) + self.b1, 0.0)
+        return _rows_times(h, self.w2) + self.b2
 
     def reinit(self, rng: np.random.Generator) -> None:
         """Redraw all weights (random-mlp drift); standardization is kept."""
@@ -356,7 +346,7 @@ class RegressionTreeMapper(_ContinuousBase):
         self.max_depth = int(max_depth)
         super().__init__(**base)
 
-    def _forward(self, z: np.ndarray, dot) -> np.ndarray:
+    def _forward(self, z: np.ndarray) -> np.ndarray:
         """Level-wise descent: all rows still inside the tree move one level
         per pass, and a row leaves once it reaches a leaf."""
         out = np.empty(z.shape[0])
@@ -398,13 +388,15 @@ class SGDLinearMapper(_ContinuousBase):
         self._partial_steps = 0
         super().__init__(**base)
 
-    def _forward(self, z: np.ndarray, dot) -> np.ndarray:
-        return dot(z, self.w) + self.b
+    def _forward(self, z: np.ndarray) -> np.ndarray:
+        return _rows_times(z, self.w) + self.b
 
     def partial_fit(self, z: np.ndarray, y: float) -> None:
         self._partial_steps += 1
-        z = np.asarray(z, dtype=float)
-        self.b = _sgd_step(self.w, self.b, z, float(y), self._partial_steps)
+        w = self.w.tolist()
+        z = np.asarray(z, dtype=float).tolist()
+        self.b = _sgd_step(w, self.b, z, float(y), self._partial_steps)
+        self.w[:] = w
 
     def reset_partial_schedule(self) -> None:
         self._partial_steps = 0
@@ -569,32 +561,32 @@ def _fit_tree(z, y, max_depth):
     )
 
 
-def _sgd_step(w: np.ndarray, b: float, z: np.ndarray, y: float, t: int) -> float:
-    """SGD step number ``t`` on one sample: updates ``w`` in place and
-    returns the new bias.
+def _sgd_step(w: list, b: float, z: list, y: float, t: int) -> float:
+    """SGD step number ``t`` on one sample, in Python floats: updates the
+    list ``w`` in place and returns the new bias.
 
-    The row product stays the BLAS ``np.dot``; the update
-    ``w - lr * (err * z + alpha * w)`` runs elementwise in Python floats,
-    the same IEEE operations numpy would make, without its per-call cost.
+    The row product is summed left to right, as ``_rows_times`` sums a row,
+    and ``b - y`` is added after it; the update is
+    ``w - lr * (err * z + alpha * w)``, elementwise.
     """
 
     lr = _SGD_ETA0 / t**_SGD_POWER_T
-    err = float(np.dot(z, w)) + b - y
-    w[:] = [wj - lr * (err * zj + _SGD_ALPHA * wj) for wj, zj in zip(w.tolist(), z.tolist())]
+    err = reduce(operator.add, map(operator.mul, z, w)) + b - y
+    w[:] = [wj - lr * (err * zj + _SGD_ALPHA * wj) for wj, zj in zip(w, z)]
     return b - lr * err
 
 
 def _fit_sgd(z, y, rng):
     n, k = z.shape
-    w = np.zeros(k)
+    w = [0.0] * k
     b = 0.0
     t = 0
-    rows, targets = list(z), y.tolist()
+    rows, targets = z.tolist(), y.tolist()
     for _ in range(_SGD_EPOCHS):
         for i in rng.permutation(n).tolist():
             t += 1
             b = _sgd_step(w, b, rows[i], targets[i], t)
-    return w, b
+    return np.array(w), b
 
 
 def fit_continuous_mapper(
@@ -708,10 +700,6 @@ class _CentroidBase(Mapper):
     def n_inputs(self) -> int:
         return int(self.centroids.shape[1])
 
-    def predict_sample(self, X: np.ndarray) -> np.ndarray:
-        # centroid scores take no BLAS product, so ``predict`` serves both
-        return self.predict(X)
-
     def move_centroids(self, rng: np.random.Generator, stats: ParentStats | None = None) -> None:
         """Redraw centroid positions inside the (possibly updated) parent box."""
         if stats is not None:
@@ -816,18 +804,10 @@ class HyperplaneMapper(Mapper):
         return int(self.w.shape[0])
 
     def predict(self, x: np.ndarray):
-        # the same two paths as the continuous mappers' ``predict`` and
-        # ``predict_sample``
-        return self._classify(x, _rows_times)
-
-    def predict_sample(self, X: np.ndarray) -> np.ndarray:
-        return self._classify(X, np.matmul)
-
-    def _classify(self, x, dot):
         x = _check_inputs(x, self.n_inputs)
         single = x.ndim == 1
         X = x[None, :] if single else x
-        out = (dot(X, self.w) + self.b > 0).astype(int)
+        out = (_rows_times(X, self.w) + self.b > 0).astype(int)
         return int(out[0]) if single else out
 
     def rotate(self, angle_rad: float, plane_dir: np.ndarray) -> None:

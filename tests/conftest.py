@@ -1,5 +1,17 @@
 """Shared test helpers and the acceptance-criteria summary hook."""
 
+from dataclasses import replace
+
+from hypothesis import settings
+
+from causalstream.drift import DriftSchedule
+from causalstream.presets import preset_config
+
+# property tests draw the same examples on every run, so tier-1 stays
+# deterministic and its time bounded
+settings.register_profile("ci", derandomize=True, max_examples=20, deadline=None)
+settings.load_profile("ci")
+
 # the acceptance tests register one line per criterion here; the terminal
 # summary hook below reprints them after the run so the pass/fail lines are
 # visible even when pytest captures stdout
@@ -19,6 +31,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for number in sorted(criterion_lines):
         terminalreporter.write_line(criterion_lines[number])
+
+
+def preset_prefix(name: str, rows: int, seed: int = 0):
+    """The first ``rows`` rows of a preset, with its schedule cut to the
+    events that end inside them."""
+    cfg = preset_config(name, seed)
+    events = tuple(e for e in cfg.schedule if e.t_end <= rows)
+    return replace(cfg, dataset_size=rows, schedule=DriftSchedule(events))
 
 
 # One run configuration that reaches every drift mechanism and both the

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import COVERAGE_DOC
+from conftest import COVERAGE_DOC, preset_prefix
 from causalstream import cli
 from causalstream.cli import main
 from causalstream.config import ConfigError, config_to_document, load_config, parse_config
@@ -146,7 +146,7 @@ def test_forced_value_spec_needs_a_continuous_node(tmp_path, capsys, node):
     ],
 )
 def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
-    doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
+    doc = config_to_document(preset_prefix("dataset1", 400))
     doc["schedule"] = {"events": [dict(event, rate="abrupt", t_start=200)]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -195,7 +195,7 @@ def test_failed_generate_leaves_no_output(tmp_path, small_config, capsys, monkey
     ids=["forward-snapshot", "own-snapshot", "unknown-snapshot", "at-end", "past-end"],
 )
 def test_bad_schedules_are_rejected_at_parse_time(tmp_path, capsys, events, message):
-    doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
+    doc = config_to_document(preset_prefix("dataset1", 400))
     doc["schedule"] = {"events": events}
     with pytest.raises(ConfigError, match=message):
         parse_config(doc)
@@ -247,7 +247,7 @@ def test_config_schema_names_the_path_of_a_bad_key(path, value, message):
 
 
 def test_schedule_check_accepts_a_snapshot_of_an_earlier_window(tmp_path):
-    doc = config_to_document(replace(preset_config("dataset1", 0), dataset_size=400))
+    doc = config_to_document(preset_prefix("dataset1", 400))
     doc["schedule"] = {"events": [
         {"kind": "covariate", "rate": "gradual", "t_start": 100, "duration": 100,
          "actions": [{"mechanism": "root-params", "node": 0, "params": {"redraw": True}}]},

@@ -11,6 +11,13 @@ values differently in the last bits, so every ``csv`` entry moved except
 dataset4's, whose stream has no node where the rounding differs.  No
 ``concept`` or ``snapshots`` entry moved, and the RNG layout is unchanged.
 
+It moved a second time when fitting took the streaming arithmetic (ROADMAP
+item 3): ``calibrate``, the ancestor walks, the linear target function and
+the SGD step sum their products in the fixed order of ``predict``, not by
+BLAS.  Every ``concept`` and ``snapshots`` entry and every ``csv`` entry but
+the coverage config's moved; no ``sidecar`` entry moved, and the RNG layout
+is unchanged.
+
 The ``sidecar`` column was added later, before the JSON codec replaced the
 hand-written ``config_to_document``: it pins the config document that
 ``generate`` writes into the metadata sidecar (``json.dumps`` with
@@ -24,23 +31,14 @@ so an update is a paste that can be reviewed line by line.
 import copy
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
-from conftest import COVERAGE_DOC
+from conftest import COVERAGE_DOC, preset_prefix
 from causalstream.config import config_to_document, parse_config
-from causalstream.drift import DriftSchedule
 from causalstream.generator import build_stream
 from causalstream.presets import preset_config
 from causalstream.stream_io import write_stream_csv
-
-
-def _prefix(name: str, rows: int, seed: int = 0):
-    """The first ``rows`` rows of a preset, with its schedule cut to them."""
-    cfg = preset_config(name, seed)
-    events = tuple(e for e in cfg.schedule if e.t_end <= rows)
-    return replace(cfg, dataset_size=rows, schedule=DriftSchedule(events))
 
 
 CASES = {
@@ -48,59 +46,59 @@ CASES = {
     "dataset2": lambda: preset_config("dataset2", 0),
     "dataset3": lambda: preset_config("dataset3", 0),
     "regression1": lambda: preset_config("regression1", 0),
-    "dataset4[:1100]": lambda: _prefix("dataset4", 1100),
-    "dataset5[:1100]": lambda: _prefix("dataset5", 1100),
-    "dataset6[:600]": lambda: _prefix("dataset6", 600),
+    "dataset4[:1100]": lambda: preset_prefix("dataset4", 1100),
+    "dataset5[:1100]": lambda: preset_prefix("dataset5", 1100),
+    "dataset6[:600]": lambda: preset_prefix("dataset6", 600),
     "coverage": lambda: parse_config(copy.deepcopy(COVERAGE_DOC)).generator,
 }
 
 DIGESTS = {
     "dataset1": {
-        "csv": "87c4b499bb1ac2e7088ee639ab717efb4bd97da3ed67aa759bc6e02f0e62c7aa",
-        "concept": "224ba9588df39d46f51aa69a25eab29db954c452edb25befc4b37957d839fb15",
-        "snapshots": "cf0fd405b294610dc6386b99543997c9bb6f123c676e72a6b2579bbc142d2ef5",
+        "csv": "6027a32f79d74436e18cbede906f053da6086b5725f9b7ebd903cadc4662cf85",
+        "concept": "38a62b81b61299015774a7d041bf003962231c4eaf3e4742f1861b001281ef0e",
+        "snapshots": "48a94a2dc2edb994376654a61a72f568d2fc23d4b818923deb1a5f48a0e4e653",
         "sidecar": "e319b7d3d468fbabc33997f3921d7b93b71c3af2e6cf4a633196312b7dbb7ed9",
     },
     "dataset2": {
-        "csv": "bb4c67c0eab51c4aadad1a59a36432061359a6264e30f1d04d1030dfbe0e8bfe",
-        "concept": "c38f0f37296792e9e0e5b681f9dece09ea1736ff3cf9c5919a33782903c1026a",
-        "snapshots": "6a439cd8c4a7d6efb9c240edd329a1a1f74fda14b2d91535af649a98120422ec",
+        "csv": "c3a4b9bd09db156e9a2e1453aaa4aa6af6c775bf833fad0adf56dc830bf8b097",
+        "concept": "d166502765214a515a5d9404ae8175057f73ad71c68056a21280fd5464585561",
+        "snapshots": "2ebf498337a979bf30a92f0549147bc6f6a9bdea769440e8a570f219b68c5a9a",
         "sidecar": "c2d86cea358ace9ceaf45e7d765409117ccb9a409b04f86660852d5d46744af1",
     },
     "dataset3": {
-        "csv": "e59d44e0a030eb4345abbc3e51dcb65ef8aa3fec9f3ebd38f40e49fb7f57b5ee",
-        "concept": "b6b116968d61056dcec9a2fbc399ca5ae5e720dfadee129798996d1491217e74",
-        "snapshots": "a12e01e9f1d4494d249df4d08ec5245d9003c4e34d76ac840afd5f2e953ab2cd",
+        "csv": "108c35f03bebb6c4abca4467f1d856980de5b8feb9e2ed02ba9a0b829ce3fef7",
+        "concept": "3975f10e277bb60eb2eab5d33ecfa0212dd974cb543d98e36ef2356d1654480a",
+        "snapshots": "fc0beaf0b3fd254af822ada87f20195b816673cd0945fe3cc76f24d6466ffe11",
         "sidecar": "b698d7f3aff1b8e2d898e1e6966e0a30ee4fff64da5d3d398165702ef8782667",
     },
     "regression1": {
-        "csv": "9a7d3d4a4f05b25a1dd3f19630af08ac30a7e510cbb3246ed98138bff8ff8e13",
-        "concept": "ce8805abf00b36549e114242e21aea09620e13eee7d457630c3ff27bfda48d06",
-        "snapshots": "ac632172283c3ecb5389a8b57219be867c1f4a5354bd703d838d3bc522bb6cd1",
+        "csv": "4e8c6d61ab91d4f179091408e431549122b2a94a0e89d2114e501a191e63e1ae",
+        "concept": "1f1ac4992bcb4dab32c3324d3e6b3dc3a84fc52596edb79576c3c3402bc2f49c",
+        "snapshots": "19cb12bfef1c40ed541bc1dc97fe7a5c0e6bde601dc385119e110eb36aa0f45b",
         "sidecar": "18472918eb7c10991863a6448a1ae90a4e8122a3ba2a3316a8c0ef2cab1d7d38",
     },
     "dataset4[:1100]": {
-        "csv": "9328c69f48755aaeb32412575532a4aee62136dd6097d10f89d0192de44b0ec9",
-        "concept": "704ebe3a46f4d2a2f473444ebfc4796d808a09968a9e477d941962f1862bfc06",
-        "snapshots": "037e52047028c8b7686499d5c76033d4f3be560b18c36919c1d7bac4fc63560b",
+        "csv": "8a9271a97a1f9fbbc9d1a2e38e1f1f25d9258b032a90dcc3134685c8b13e43dd",
+        "concept": "2bc21084b2c1ff9d142d7795b898ae95f671ec15a070f18faf0cd03d87102afd",
+        "snapshots": "00139bb63992d12e884819e6f707f9b1b7ddc65a22d6e242f3dbf0c2a3667109",
         "sidecar": "eee4d68fb505e7a525a790634383961e512bf608e690a3fcc360e53a2aadb24e",
     },
     "dataset5[:1100]": {
-        "csv": "28f9a81ab1a5243e28c4f4835d4b5731400907ca3bbba8ac26bd831d5b256497",
-        "concept": "90821bf1cbd5ee4728d17a8e95b29870ac959ff3e7f64198fa66eb2788d2c6c2",
-        "snapshots": "345c6d8e5394dba1f00fb2da2a61da8826359fcddd4314dbea3c00960854b883",
+        "csv": "9aceafe4690dc52b83b2a00526eaf354ee002b11d4c6683023760e2d0321e8f5",
+        "concept": "b86674361fc718e687d56652dcc7b9608d3039a7d83488984c603916e7b69de9",
+        "snapshots": "cc00c6b6e9004420ecf7a5358ace7366a81835b329206bca3bab7beb3008880f",
         "sidecar": "65250994759aa16db987e641276f3a06946b167670c270a33c8116113a29f8b0",
     },
     "dataset6[:600]": {
-        "csv": "0d62ab0a70f03ae1ad23b0ca54e806d04f33b7aa92e60d8f3d9dff612092fa2a",
-        "concept": "5c8fcc22c9f4c1af126a903da410ae50b13424988aacf17ed8e2bbf150b2df68",
-        "snapshots": "0c25abc7fb43482c1bfca6de507e5016318cf333f170b40a335dbea8de6936f5",
+        "csv": "ae1854dfe8454bba5681254020f620e7c71a55ba822610cb4b5bea308328817d",
+        "concept": "4c35efb4641fa99eed9a0759ba7ffdc05709f8c1fb1e0c99571e9f2f10cbc646",
+        "snapshots": "fdde8a4c6b40689fc556226499ed08fa07173d322172ecd045fa46946426c3fa",
         "sidecar": "5f3655ac7dfa4cba66353853afc24b0358fd0ff7650b0ed6bc8334b9cf076c70",
     },
     "coverage": {
         "csv": "9a00c9dd097f68143dccb77b88919f671644b4cb6bc949cca1038b38af3d3628",
-        "concept": "7c7a973db2a9183ee77c86f9523bacdee31183e45c943f385c72c2f088d4acbe",
-        "snapshots": "9254357845f62ec69214158f5bae2fba88bad58c8f0fa4c3e4864f8ff8d8e73a",
+        "concept": "5687981576da6250c1e6b2b27c22f52011950ded53722a4e866177f40d4ee4c3",
+        "snapshots": "7a6d46930c698fe506c0dccb1da32f49a8981052ea5fdf760ab9b8038ee1858a",
         "sidecar": "b8376ede3a5a48944d5bbe950d26d33238ee0c18a6fb939fb8180f2d22307761",
     },
 }

@@ -1,8 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from conftest import preset_prefix
 from causalstream.concept import (
     deterministic_label,
     init_concept,
@@ -293,7 +292,7 @@ def test_incremental_endpoint_matches_abrupt():
 def test_partial_step_count_never_reaches_the_stream():
     """Two concepts that differ only in the unserialized SGD step count give
     the same rows through dataset2's incremental refit of node 4."""
-    cfg = replace(preset_config("dataset2", 0), dataset_size=1300)
+    cfg = preset_prefix("dataset2", 1300)
     plain, carried = build_stream(cfg), build_stream(cfg)
     carried.concept.mappers[4]._partial_steps = 12345
     assert plain.take(1300) == carried.take(1300)

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import COVERAGE_DOC
+from conftest import COVERAGE_DOC, preset_prefix
 import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
 from causalstream.concept import ConceptParams
@@ -42,7 +42,7 @@ def test_stream_is_reproducible():
 
 def test_schedule_touches_nothing_before_t_start():
     """A paired run without the schedule is identical up to the first event."""
-    cfg = dataclasses.replace(preset_config("dataset1", 1), dataset_size=700)
+    cfg = preset_prefix("dataset1", 700, seed=1)
     with_events = build_stream(cfg).take(700)
     without = build_stream(
         dataclasses.replace(cfg, schedule=DriftSchedule(()))
@@ -188,6 +188,15 @@ def test_config_cross_validation():
         GeneratorConfig(dataset_size=100, seed=0, feature_subsample=9)
 
 
+def test_api_configs_reject_events_past_the_end():
+    """A preset cut without its schedule would run with its late events
+    never fired while the sidecar still lists them."""
+    with pytest.raises(ValueError, match=r"event at t=1000 starts at or after the end"):
+        dataclasses.replace(preset_config("dataset1", 1), dataset_size=600)
+    # an event at the last row is still inside the stream
+    assert preset_prefix("dataset1", 501, seed=1).schedule.events[0].t_start == 500
+
+
 def test_ewma_only_mode_breaks_whiteness():
     """alpha < 1 alone already leaves detectable memory in every column."""
     tp = TemporalParams(alpha=0.05, rho=0.0, sigma=0.4)
@@ -220,9 +229,9 @@ def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
 
 
 def test_no_row_is_built_past_the_stream_length():
-    """The last segment ends at ``dataset_size``, not at the next event
-    (t=1000) or the segment cap; reading on past it still works."""
-    cfg = dataclasses.replace(preset_config("dataset1", 0), dataset_size=900)
+    """The last segment ends at ``dataset_size``, not at the segment cap;
+    reading on past it still works."""
+    cfg = preset_prefix("dataset1", 900)
     gen = build_stream(cfg)
     last = gen.take(cfg.dataset_size)[-1]
     assert last.t == 899 and gen._built == cfg.dataset_size

@@ -278,14 +278,20 @@ def test_tree_forward_matches_a_row_by_row_descent():
     assert np.array_equal(m.predict(X), np.array(expected))
 
 
-def test_predict_sample_agrees_with_predict():
+def test_predict_is_the_one_product_path():
+    """A row has the same bits alone, in 7 rows and in 1024 rows, and
+    ``calibrate`` records the mean and std of ``predict`` on its sample."""
     X = np.random.default_rng(8).normal(0.0, 2.0, size=(1024, 3))
     for m in _every_kind(3):
-        sample = m.predict_sample(X)
-        if m.kind in CATEGORICAL_KINDS:
-            assert np.array_equal(sample, m.predict(X)), m.kind
-        else:
-            assert np.allclose(sample, m.predict(X), rtol=1e-12, atol=1e-12), m.kind
+        full = m.predict(X)
+        chunked = np.concatenate([m.predict(X[s : s + 7]) for s in range(0, len(X), 7)])
+        assert np.array_equal(chunked, full), m.kind
+        assert np.array_equal(np.array([m.predict(x) for x in X]), full), m.kind
+        if m.kind not in CATEGORICAL_KINDS:
+            m.calibrate(X)
+            preds = m.predict(X)
+            assert m.out_mean == float(preds.mean()), m.kind
+            assert m.out_scale == float(preds.std()), m.kind
 
 
 # -- the fits against their reference arithmetic ------------------------------
@@ -340,9 +346,34 @@ def _recursive_fit_tree(z, y, max_depth):
     return feature, threshold, left, right, value
 
 
+def _float_sgd_step(w, b, z, y, t):
+    """One SGD step on lists of Python floats, the row product summed left
+    to right before ``b - y``: the reference ``_sgd_step`` must match bit
+    for bit."""
+    lr = mappers._SGD_ETA0 / t**mappers._SGD_POWER_T
+    dot = z[0] * w[0]
+    for j in range(1, len(z)):
+        dot += z[j] * w[j]
+    err = dot + b - y
+    for j in range(len(w)):
+        w[j] = w[j] - lr * (err * z[j] + mappers._SGD_ALPHA * w[j])
+    return b - lr * err
+
+
+def _float_fit_sgd(z, y, rng):
+    w = [0.0] * z.shape[1]
+    b = 0.0
+    t = 0
+    for _ in range(mappers._SGD_EPOCHS):
+        for i in rng.permutation(len(z)):
+            t += 1
+            b = _float_sgd_step(w, b, z[i].tolist(), float(y[i]), t)
+    return np.array(w), b
+
+
 def _numpy_sgd_step(w, b, z, y, t):
-    """One SGD step with numpy updates: the reference ``_sgd_step`` must
-    match bit for bit."""
+    """One SGD step with numpy updates and a BLAS row product: the same SGD
+    as ``_sgd_step``, equal up to the rounding of the product."""
     lr = mappers._SGD_ETA0 / t**mappers._SGD_POWER_T
     err = float(z @ w + b - y)
     w -= lr * (err * z + mappers._SGD_ALPHA * w)
@@ -407,21 +438,28 @@ def test_tree_fit_matches_the_recursive_fit(n, k, target, monkeypatch):
 def test_sgd_fit_matches_numpy_updates(n, k, target):
     z, y = _fit_case(n, k, target)
     w, b = mappers._fit_sgd(z, y, np.random.default_rng(4))
-    w0, b0 = _numpy_fit_sgd(z, y, np.random.default_rng(4))
+    w0, b0 = _float_fit_sgd(z, y, np.random.default_rng(4))
     assert _same_bits(w, w0)
     assert type(b) is float and _same_bits(b, b0)
+    w1, b1 = _numpy_fit_sgd(z, y, np.random.default_rng(4))
+    assert np.allclose(w, w1, rtol=1e-9) and np.isclose(b, b1, rtol=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 3, 20])
 def test_partial_fit_matches_numpy_updates(k):
     X = np.random.default_rng(k).normal(size=(200, k))
     m = fit_continuous_mapper("sgd-linear", X, TargetFunction("sine"), np.random.default_rng(1))
-    w, b = m.w.copy(), m.b
+    w_array = m.w
+    w, b = m.w.tolist(), m.b
+    w1, b1 = m.w.copy(), m.b
     rng = np.random.default_rng(2)
     for t in range(1, 300):
         z = rng.normal(size=k)
         y = float(eval_target_function(TargetFunction("rbf"), z))
         m.partial_fit(z, y)
-        b = _numpy_sgd_step(w, b, z, y, t)
-    assert _same_bits(m.w, w)
+        b = _float_sgd_step(w, b, z.tolist(), y, t)
+        b1 = _numpy_sgd_step(w1, b1, z, y, t)
+    assert m.w is w_array  # updated in place
+    assert _same_bits(m.w, np.array(w))
     assert type(m.b) is float and _same_bits(m.b, b)
+    assert np.allclose(m.w, w1, rtol=1e-9) and np.isclose(m.b, b1, rtol=1e-9)

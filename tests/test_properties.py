@@ -1,0 +1,110 @@
+"""Property-based invariants over small random configs and schedules.
+
+Each example draws a graph (pinned in the config, so the event can name one
+of its roots), a task, temporal parameters at their edges, intervention and
+missing rates, and one abrupt or gradual event.  The ``ci`` profile in
+``conftest.py`` makes the draws deterministic and bounds their number.
+
+A run either raises ``ValueError`` before its first row or yields its rows;
+the properties compare these outcomes.  With ``alpha = sigma = 0`` every
+node is constant, so a concept with a categorical node has a degenerate
+parent box and is rejected at init.
+"""
+
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import causalstream.generator as generator_module
+from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec
+from causalstream.generator import GeneratorConfig, build_stream
+from causalstream.graph import build_dag
+from causalstream.stream_io import write_stream_csv
+from causalstream.temporal import TemporalParams
+
+
+@st.composite
+def configs(draw):
+    d = draw(st.integers(2, 6))
+    graph = build_dag(
+        d,
+        draw(st.integers(1, d)),
+        1,
+        draw(st.integers(1, 3)),
+        np.random.default_rng(draw(st.integers(0, 2**16))),
+    )
+    task = draw(st.sampled_from(["classification", "regression"]))
+    rows = draw(st.integers(40, 120))
+    t_start = draw(st.integers(1, rows - 1))
+    rate = draw(st.sampled_from(["abrupt", "gradual"]))
+    duration = 1 if rate == "abrupt" else draw(st.integers(2, max(2, rows - t_start)))
+    if task == "classification" and draw(st.booleans()):
+        kind, action = "severe", ShiftAction("swap-classes")
+    else:
+        root = draw(st.sampled_from(graph.roots))
+        params = draw(st.sampled_from([{"redraw": True}, {"shift_std": 1.0, "scale_factor": 1.5}]))
+        kind, action = "covariate", ShiftAction("root-params", root, params)
+    event = ShiftSpec(kind, rate, t_start, duration, (action,))
+    return GeneratorConfig(
+        dataset_size=rows,
+        seed=draw(st.integers(0, 2**16)),
+        d=d,
+        p_i=draw(st.sampled_from([0.0, 0.3])),
+        p_m=draw(st.sampled_from([0.0, 0.3])),
+        task=task,
+        temporal=TemporalParams(
+            alpha=draw(st.sampled_from([0.0, 1.0])),
+            rho=draw(st.sampled_from([0.0, 1.0])),
+            sigma=draw(st.sampled_from([0.0, 0.3])),
+        ),
+        schedule=DriftSchedule((event,)),
+        graph=graph,
+    )
+
+
+def _build(cfg):
+    """The run's generator, or the message that rejected it."""
+    try:
+        return build_stream(cfg)
+    except ValueError as e:
+        return str(e)
+
+
+def _csv_bytes(cfg) -> bytes | str:
+    gen = _build(cfg)
+    if isinstance(gen, str):
+        return gen
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        write_stream_csv(path, gen.take(cfg.dataset_size), gen.feature_names)
+        return path.read_bytes()
+
+
+def _first_rows(cfg, n: int) -> list | str:
+    gen = _build(cfg)
+    return gen if isinstance(gen, str) else gen.take(n)
+
+
+@given(configs())
+def test_the_same_seed_gives_the_same_bytes(cfg):
+    assert _csv_bytes(cfg) == _csv_bytes(cfg)
+
+
+@given(configs())
+def test_segment_length_never_changes_the_bytes(cfg):
+    expected = _csv_bytes(cfg)
+    for rows in (1, 7, 4096):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generator_module, "_SEGMENT_ROWS", rows)
+            assert _csv_bytes(cfg) == expected, rows
+
+
+@given(configs())
+def test_the_schedule_leaves_every_row_before_its_first_event(cfg):
+    first = cfg.schedule.events[0].t_start
+    without = replace(cfg, schedule=DriftSchedule(()))
+    assert _first_rows(cfg, first) == _first_rows(without, first)
