@@ -3,10 +3,11 @@ maximum-mean-discrepancy heatmaps over stream batches."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 __all__ = [
     "AcfResult",
@@ -77,13 +78,44 @@ def acf(series: np.ndarray, max_lag: int) -> AcfResult:
 
 
 def chi_square_upper_tail(x: float, k: int) -> float:
-    """P(X >= x) for X ~ chi-square with k degrees of freedom."""
+    """P(X >= x) for X ~ chi-square with k degrees of freedom.
 
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if k < 1:
+    The closed form for integer k (Abramowitz & Stegun 26.4.4-26.4.5), with
+    lam = x/2: for even k, e^-lam times the Poisson sum of lam^r/r! over
+    r < k/2; for odd k, erfc(sqrt(lam)) plus e^-lam times the sum of
+    sqrt(4 lam/pi) lam^r / ((3/2)(5/2)...(r+1/2)) over r < (k-1)/2.  All
+    terms are positive, so nothing cancels.  The terms are running
+    products, and e^-lam is multiplied in by chunks as they grow, so no
+    product overflows and a tail below the smallest float is 0.0, not NaN.
+    """
+
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
-    return float(gammaincc(k / 2.0, x / 2.0))
+    if not 0.0 <= x < math.inf:
+        raise ValueError("x must be finite and non-negative")
+    # Chernoff bound: the tail is below e^-750, which rounds to 0.0
+    if x > k and x - k - k * math.log(x / k) > 1500.0:
+        return 0.0
+    lam = x / 2.0
+    odd = k % 2
+    head = math.erfc(math.sqrt(lam)) if odd else 0.0
+    term = math.sqrt(4.0 * lam / math.pi) if odd else 1.0
+    total, pending = 0.0, lam  # e^-pending is still to be multiplied in
+
+    def fold():
+        nonlocal total, term, pending
+        f = min(pending, 460.0)
+        scale = math.exp(-f)
+        total, term, pending = total * scale, term * scale, pending - f
+
+    for r in range(1, k // 2 + 1):
+        total += term
+        term *= lam / (r + 0.5 * odd)
+        if term > 1e200:
+            fold()
+    while pending > 0.0 and total > 0.0:
+        fold()
+    return min(head + total, 1.0)
 
 
 def ljung_box(series: np.ndarray, h: int = 20) -> LjungBoxResult:
@@ -130,21 +162,37 @@ def _sq_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.maximum(D, 0.0, out=D)
 
 
-def _kernel_sums(P: np.ndarray, Q: np.ndarray, bandwidth: float, groups: int = 1) -> np.ndarray:
-    """RBF kernel sums between the rows of P and each of ``groups`` equal,
-    consecutive row groups of Q.
+def _kernel_operands(Z: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The left ``[Z, -gamma|z|^2, 1]`` and right ``[2 gamma Z, 1, -gamma|z|^2]``
+    operands of the RBF kernel, with gamma = 1/(2 h^2).
 
-    The kernel matrix is built in row blocks of at most ``_BLOCK_BYTES``.
+    The product of a left row p and a right row q is the kernel exponent
+    ``-gamma |p - q|^2``, so one matrix product gives a block of them.
     """
 
-    gamma = -1.0 / (2.0 * bandwidth * bandwidth)
-    step = max(1, _BLOCK_BYTES // (8 * Q.shape[0]))
+    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
+    sq = np.einsum("ij,ij->i", Z, Z)[:, None]
+    ones = np.ones_like(sq)
+    return np.hstack([Z, -gamma * sq, ones]), np.hstack([(2.0 * gamma) * Z, ones, -gamma * sq])
+
+
+def _kernel_sums(left: np.ndarray, right: np.ndarray, groups: int = 1) -> np.ndarray:
+    """RBF kernel sums between the rows of ``left`` and each of ``groups``
+    equal, consecutive row groups of ``right`` (see ``_kernel_operands``).
+
+    Rounding can leave a tiny positive exponent where two rows coincide, so
+    it is clamped at 0.  The kernel matrix is built in row blocks of at most
+    ``_BLOCK_BYTES``.
+    """
+
+    step = max(1, _BLOCK_BYTES // (8 * right.shape[0]))
+    ones = np.ones(min(step, left.shape[0]))
     sums = np.zeros(groups)
-    for s in range(0, P.shape[0], step):
-        K = _sq_dists(P[s : s + step], Q)
-        K *= gamma
+    for s in range(0, left.shape[0], step):
+        K = left[s : s + step] @ right.T
+        np.minimum(K, 0.0, out=K)
         np.exp(K, out=K)
-        sums += K.reshape(K.shape[0], groups, -1).sum(axis=(0, 2))
+        sums += (ones[: K.shape[0]] @ K).reshape(groups, -1).sum(axis=1)
     return sums
 
 
@@ -166,9 +214,10 @@ def mmd2_rbf(A: np.ndarray, B: np.ndarray, bandwidth: float) -> float:
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     na, nb = A.shape[0], B.shape[0]
-    kaa = _kernel_sums(A, A, bandwidth)[0] / (na * na)
-    kbb = _kernel_sums(B, B, bandwidth)[0] / (nb * nb)
-    kab = _kernel_sums(A, B, bandwidth)[0] / (na * nb)
+    (la, ra), (lb, rb) = _kernel_operands(A, bandwidth), _kernel_operands(B, bandwidth)
+    kaa = _kernel_sums(la, ra)[0] / (na * na)
+    kbb = _kernel_sums(lb, rb)[0] / (nb * nb)
+    kab = _kernel_sums(la, rb)[0] / (na * nb)
     return max(float(kaa + kbb - 2.0 * kab), 0.0)
 
 
@@ -227,16 +276,18 @@ def mmd_heatmap(
     bw = median_bandwidth(Z, seed=seed)
     b = batch_size
     n_batches = n // b
-    batches = [Z[i * b : (i + 1) * b] for i in range(n_batches)]
+    left, right = _kernel_operands(Z[: n_batches * b], bw)
     # each batch's self-term once; then the upper triangle of cross terms,
     # as many whole batches per kernel block as fit in _BLOCK_BYTES
-    self_terms = np.array([_kernel_sums(B, B, bw)[0] for B in batches]) / (b * b)
+    self_terms = np.array(
+        [_kernel_sums(left[i * b : (i + 1) * b], right[i * b : (i + 1) * b])[0] for i in range(n_batches)]
+    ) / (b * b)
     per_block = max(1, _BLOCK_BYTES // (8 * b * b))
     values = np.zeros((n_batches, n_batches))
     for i in range(n_batches - 1):
         for j in range(i + 1, n_batches, per_block):
             k = min(j + per_block, n_batches)
-            cross = _kernel_sums(batches[i], Z[j * b : k * b], bw, k - j) / (b * b)
+            cross = _kernel_sums(left[i * b : (i + 1) * b], right[j * b : k * b], k - j) / (b * b)
             values[i, j:k] = np.maximum(self_terms[i] + self_terms[j:k] - 2.0 * cross, 0.0)
     # mirrored, so the matrix is exactly symmetric with a zero diagonal
     values = values + values.T

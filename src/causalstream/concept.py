@@ -369,7 +369,16 @@ def init_concept(
     try:
         return _init_once(graph, params, temporal, np.random.default_rng(int(seeds[0])))
     except ValueError:
+        pass
+    try:
         return _init_once(graph, params, temporal, np.random.default_rng(int(seeds[1])))
+    except ValueError as e:
+        if "degenerate parent box" in str(e) and temporal.alpha == 0 and temporal.sigma == 0:
+            raise ValueError(
+                f"{e}: temporal alpha = 0 and sigma = 0 hold every node at a "
+                "constant, so a categorical node has no parent spread to fit"
+            ) from e
+        raise
 
 
 def simulate_concept_samples(

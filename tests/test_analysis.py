@@ -37,6 +37,45 @@ def test_chi_square_upper_tail_oracles():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_chi_square_upper_tail_matches_scipy():
+    gammaincc = pytest.importorskip("scipy.special").gammaincc
+    for k in range(1, 201):
+        xs = np.linspace(0.0, 3.0 * k + 30.0, 61)
+        ref = gammaincc(k / 2.0, xs / 2.0)
+        got = np.array([chi_square_upper_tail(float(x), k) for x in xs])
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref), k
+    # past k ~ 1500 the tail is not negligible where e^(-x/2) underflows
+    for k in (1000, 2001, 5000):
+        xs = np.linspace(0.0, 3.0 * k + 3000.0, 200)
+        got = np.array([chi_square_upper_tail(float(x), k) for x in xs])
+        assert np.max(np.abs(got - gammaincc(k / 2.0, xs / 2.0))) <= 1e-13, k
+
+
+def test_chi_square_upper_tail_edges():
+    for k in range(1, 12):
+        assert chi_square_upper_tail(0.0, k) == 1.0
+        for x in (1e-300, 1e-12, 1e-6):
+            assert 0.0 < chi_square_upper_tail(x, k) <= 1.0
+    for k in (1, 2, 200):
+        assert chi_square_upper_tail(1e6, k) == 0.0
+        assert chi_square_upper_tail(1.7e308, k) == 0.0
+    # e^(-x/2) underflows here, yet x lies 6 sd below the mean 2000
+    assert chi_square_upper_tail(1600.0, 2000) > 1.0 - 1e-9
+    assert chi_square_upper_tail(1600.0, 2001) > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, True, np.float64(3.0), "3", 0, -1])
+def test_chi_square_upper_tail_rejects_non_integer_k(k):
+    with pytest.raises(ValueError):
+        chi_square_upper_tail(3.0, k)
+
+
+@pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
+def test_chi_square_upper_tail_rejects_bad_x(x):
+    with pytest.raises(ValueError):
+        chi_square_upper_tail(x, 3)
+
+
 def test_acf_hand_oracles():
     rho = acf(np.asarray(_HAND_SERIES), 3)
     assert rho[0] == pytest.approx(1.0)
@@ -111,6 +150,37 @@ def test_mmd_singleton_oracle():
 def test_mmd_identical_batches_is_zero():
     X = np.random.default_rng(4).normal(size=(40, 3))
     assert mmd2_rbf(X, X, 1.3) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 12])
+@pytest.mark.parametrize("bandwidth", [0.05, 1.3, 40.0])
+def test_mmd_of_a_batch_with_itself_is_zero_with_duplicate_rows(d, bandwidth):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(3.0, 2.0, size=(25, d))
+    X = rows[rng.integers(0, 25, size=90)]  # every row repeats
+    assert mmd2_rbf(X, X, bandwidth) == 0.0
+    assert mmd2_rbf(np.repeat(X[:1], 7, axis=0), X[:1], bandwidth) == 0.0
+
+
+def _mmd2_definition(A, B, bandwidth):
+    def k(P, Q):
+        sq = ((P[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
+        return np.exp(-sq / (2.0 * bandwidth * bandwidth)).mean()
+
+    return max(k(A, A) + k(B, B) - 2.0 * k(A, B), 0.0)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 3000], ids=["default-blocks", "tiny-blocks"])
+@pytest.mark.parametrize("d", [1, 12])
+def test_mmd2_rbf_matches_the_definition(monkeypatch, block_bytes, d):
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(40 + d)
+    for na, nb, shift in [(1, 1, 0.5), (37, 150, 0.0), (150, 37, 0.8), (200, 200, 3.0)]:
+        A = rng.normal(size=(na, d))
+        B = rng.normal(shift, 1.5, size=(nb, d))
+        for bw in (0.3, median_bandwidth(np.vstack([A, B])), 25.0):
+            assert abs(mmd2_rbf(A, B, bw) - _mmd2_definition(A, B, bw)) <= 1e-12
 
 
 def test_mmd_guards():
@@ -244,10 +314,11 @@ def test_import_leaves_out_scipy_signal_and_spatial():
     src = Path(analysis.__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import causalstream; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.spatial') if m in sys.modules)); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

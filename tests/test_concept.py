@@ -14,8 +14,9 @@ from causalstream.concept import (
     snapshot_concept,
 )
 from causalstream.mappers import CATEGORICAL_KINDS, serialize_params
+from causalstream.generator import GeneratorConfig, build_stream, collect
 from causalstream.presets import example_graph
-from causalstream.temporal import TemporalState
+from causalstream.temporal import TemporalParams, TemporalState
 
 
 def _concept(seed=0, **kw):
@@ -52,6 +53,19 @@ def test_pinned_target_kind_mismatch_raises():
     params = ConceptParams(n_classes=3, nodes={5: {"mapper": "learned-mlp"}})
     with pytest.raises(ValueError):
         init_concept(example_graph(), params, np.random.default_rng(0))
+
+
+def test_constant_nodes_name_their_temporal_cause():
+    """With alpha = sigma = 0 every node holds its start value, so a
+    categorical node has a degenerate parent box on both init attempts."""
+    still = TemporalParams(alpha=0.0, rho=0.0, sigma=0.0)
+    cfg = GeneratorConfig(dataset_size=50, seed=0, d=2, task="classification", temporal=still)
+    with pytest.raises(ValueError, match="degenerate parent box.*alpha = 0 and sigma = 0"):
+        build_stream(cfg)
+    # no categorical node, nothing to fit a box to: the run goes ahead
+    regression = GeneratorConfig(dataset_size=50, seed=0, d=2, task="regression", temporal=still)
+    frame = collect(build_stream(regression), 50)
+    assert len(frame.y) == 50 and np.isfinite(frame.X).all()
 
 
 def test_node_pins_respected():
