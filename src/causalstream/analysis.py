@@ -101,20 +101,15 @@ def chi_square_upper_tail(x: float, k: int) -> float:
     head = math.erfc(math.sqrt(lam)) if odd else 0.0
     term = math.sqrt(4.0 * lam / math.pi) if odd else 1.0
     total, pending = 0.0, lam  # e^-pending is still to be multiplied in
-
-    def fold():
-        nonlocal total, term, pending
-        f = min(pending, 460.0)
-        scale = math.exp(-f)
-        total, term, pending = total * scale, term * scale, pending - f
-
     for r in range(1, k // 2 + 1):
         total += term
         term *= lam / (r + 0.5 * odd)
         if term > 1e200:
-            fold()
+            f = min(pending, 460.0)
+            total, term, pending = total * math.exp(-f), term * math.exp(-f), pending - f
     while pending > 0.0 and total > 0.0:
-        fold()
+        f = min(pending, 460.0)
+        total, pending = total * math.exp(-f), pending - f
     return min(head + total, 1.0)
 
 
@@ -276,18 +271,17 @@ def mmd_heatmap(
     bw = median_bandwidth(Z, seed=seed)
     b = batch_size
     n_batches = n // b
-    left, right = _kernel_operands(Z[: n_batches * b], bw)
+    left, right = _kernel_operands(Z, bw)
+    rows = [slice(i * b, (i + 1) * b) for i in range(n_batches)]
     # each batch's self-term once; then the upper triangle of cross terms,
     # as many whole batches per kernel block as fit in _BLOCK_BYTES
-    self_terms = np.array(
-        [_kernel_sums(left[i * b : (i + 1) * b], right[i * b : (i + 1) * b])[0] for i in range(n_batches)]
-    ) / (b * b)
+    self_terms = np.array([_kernel_sums(left[r], right[r])[0] for r in rows]) / (b * b)
     per_block = max(1, _BLOCK_BYTES // (8 * b * b))
     values = np.zeros((n_batches, n_batches))
     for i in range(n_batches - 1):
         for j in range(i + 1, n_batches, per_block):
             k = min(j + per_block, n_batches)
-            cross = _kernel_sums(left[i * b : (i + 1) * b], right[j * b : k * b], k - j) / (b * b)
+            cross = _kernel_sums(left[rows[i]], right[j * b : k * b], k - j) / (b * b)
             values[i, j:k] = np.maximum(self_terms[i] + self_terms[j:k] - 2.0 * cross, 0.0)
     # mirrored, so the matrix is exactly symmetric with a zero diagonal
     values = values + values.T
