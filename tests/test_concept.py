@@ -13,8 +13,8 @@ from causalstream.concept import (
     simulate_concept_samples,
     snapshot_concept,
 )
-from causalstream.mappers import CATEGORICAL_KINDS, serialize_params
 from causalstream.generator import GeneratorConfig, build_stream, collect
+from causalstream.mappers import CATEGORICAL_KINDS, serialize_params
 from causalstream.presets import example_graph
 from causalstream.temporal import TemporalParams, TemporalState
 
