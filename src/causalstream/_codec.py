@@ -36,7 +36,7 @@ class Serializable:
 def encode(obj) -> dict:
     """The JSON document of dataclass ``obj``."""
 
-    return {name: encode_value(getattr(obj, name)) for name in _schema(type(obj))}
+    return {name: enc(getattr(obj, name)) for name, enc in _encoders(type(obj))}
 
 
 _PLAIN = (str, int, float, type(None))
@@ -91,6 +91,42 @@ def _schema(cls) -> dict:
         for f in fields(cls)
         if f.init
     }
+
+
+@cache
+def _encoders(cls) -> tuple:
+    """(name, encoder) of each init field, in declaration order."""
+
+    hints = typing.get_type_hints(cls)
+    return tuple((name, _encoder(hints[name])) for name in _schema(cls))
+
+
+def _same(v):
+    return v
+
+
+@cache
+def _encoder(hint):
+    """A function ``value -> JSON form`` for values of type ``hint``; it
+    gives what ``encode_value`` gives, without dispatching per element."""
+
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        return _same
+    if origin is types.UnionType:  # X | None
+        (inner,) = [_encoder(a) for a in args if a is not type(None)]
+        return lambda v: None if v is None else inner(v)
+    if origin is tuple:
+        items = [_encoder(a) for a in args if a is not Ellipsis]
+        if all(item is _same for item in items):
+            return lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v)
+        return encode_value
+    if origin is dict and args[0] is int:
+        value = _encoder(args[1])
+        return lambda v: {str(k): value(x) for k, x in sorted(v.items())}
+    if is_dataclass(hint):
+        return lambda v: v.to_dict()
+    return encode_value
 
 
 _SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
