@@ -40,19 +40,38 @@ def format_value(v) -> str:
     return repr(v)
 
 
+# a row of these cell types is joined from their ``repr``s, which are the
+# ``format_value`` strings except for None, nan and inf: the only ones that
+# hold an "n"
+_EXACT = frozenset({float, int, type(None)})
+
+
+def _csv_line(cells: tuple) -> str:
+    """One CSV line of ``cells``, byte for byte ``format_value`` per cell."""
+
+    if _EXACT.issuperset(map(type, cells)):
+        line = ",".join(map(repr, cells))
+        if "n" not in line:
+            return line
+        line = line.replace("None", "")
+        if "n" not in line:
+            return line
+    # other types, and nan or inf, which raises
+    return ",".join(map(format_value, cells))
+
+
 def write_stream_csv(path, instances, feature_names) -> int:
     """Write instances to ``path``; returns the row count."""
 
     path = Path(path)
+    k = len(feature_names)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(list(feature_names) + ["y"]) + "\n")
         count = 0
         for inst in instances:
-            if len(inst.features) != len(feature_names):
+            if len(inst.features) != k:
                 raise ValueError("instance arity does not match the header")
-            fields = [format_value(v) for v in inst.features]
-            fields.append(format_value(inst.label))
-            fh.write(",".join(fields) + "\n")
+            fh.write(_csv_line((*inst.features, inst.label)) + "\n")
             count += 1
     return count
 
@@ -78,34 +97,14 @@ def read_stream_csv(path):
     if len(header) < 2:
         raise StreamFormatError(f"{path}: need at least one feature column and a label")
     k = len(header) - 1
-    n = len(lines) - 1
-    X = np.full((n, k), np.nan)
-    mask = np.zeros((n, k), dtype=bool)
-    y = np.empty(n)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != k + 1:
-            raise StreamFormatError(
-                f"{path}: row {i + 2} has {len(parts)} fields, expected {k + 1}"
-            )
-        for j, raw in enumerate(parts[:-1]):
-            if raw == "":
-                mask[i, j] = True
-                continue
-            try:
-                X[i, j] = float(raw)
-            except ValueError:
-                raise StreamFormatError(
-                    f"{path}: row {i + 2}, column {header[j]}: not a number: {raw!r}"
-                ) from None
-        if parts[-1] == "":
-            raise StreamFormatError(f"{path}: row {i + 2}: label is missing")
-        try:
-            y[i] = float(parts[-1])
-        except ValueError:
-            raise StreamFormatError(
-                f"{path}: row {i + 2}: label is not a number: {parts[-1]!r}"
-            ) from None
+    rows = lines[1:]
+    n = len(rows)
+    data = _load_complete(rows, k)
+    if data is not None:
+        X, y = np.ascontiguousarray(data[:, :-1]), data[:, -1].copy()
+        mask = np.zeros((n, k), dtype=bool)
+    else:
+        X, y, mask = _parse_cells(path, header, rows)
     # float() also parses nan and inf, which the writer never emits
     bad = ~(np.isfinite(X) | mask)
     if bad.any():
@@ -136,6 +135,59 @@ def read_stream_csv(path):
         intervened=[()] * n,
         concept_ids=[""] * n,
     )
+
+
+def _load_complete(rows: list[str], k: int) -> np.ndarray | None:
+    """The ``(n, k + 1)`` numbers of ``rows`` in one ``np.loadtxt`` call, or
+    None for a file with an empty field or any cell the call cannot parse.
+
+    A row of float cells gives the bits ``float()`` gives.  ``comments=None``
+    keeps a ``#`` an error rather than the start of a dropped comment.
+    """
+
+    body = "\n" + "\n".join(rows) + "\n"
+    if not rows or ",," in body or "\n," in body or ",\n" in body:
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(rows), k + 1) else None
+
+
+def _parse_cells(path: Path, header: list[str], rows: list[str]):
+    """X, y and the missing mask of ``rows``, one cell at a time; an error
+    names the cell's row and column."""
+
+    k, n = len(header) - 1, len(rows)
+    X = np.full((n, k), np.nan)
+    mask = np.zeros((n, k), dtype=bool)
+    y = np.empty(n)
+    for i, line in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != k + 1:
+            raise StreamFormatError(
+                f"{path}: row {i + 2} has {len(parts)} fields, expected {k + 1}"
+            )
+        for j, raw in enumerate(parts[:-1]):
+            if raw == "":
+                mask[i, j] = True
+                continue
+            try:
+                X[i, j] = float(raw)
+            except ValueError:
+                raise StreamFormatError(
+                    f"{path}: row {i + 2}, column {header[j]}: not a number: {raw!r}"
+                ) from None
+        if parts[-1] == "":
+            raise StreamFormatError(f"{path}: row {i + 2}: label is missing")
+        try:
+            y[i] = float(parts[-1])
+        except ValueError:
+            raise StreamFormatError(
+                f"{path}: row {i + 2}: label is not a number: {parts[-1]!r}"
+            ) from None
+    return X, y, mask
 
 
 def _sidecar_task(path: Path) -> str | None:
