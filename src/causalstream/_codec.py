@@ -36,7 +36,7 @@ class Serializable:
 def encode(obj) -> dict:
     """The JSON document of dataclass ``obj``."""
 
-    return {name: enc(getattr(obj, name)) for name, enc in _encoders(type(obj))}
+    return {name: enc(getattr(obj, name)) for name, (_, _, enc) in _schema(type(obj)).items()}
 
 
 _PLAIN = (str, int, float, type(None))
@@ -69,7 +69,7 @@ def decode(cls, doc, path: str = ""):
     for key in doc:
         if key not in schema:
             raise ValueError(f"unknown key {key!r} in {where}")
-    for key, (_, required) in schema.items():
+    for key, (_, required, _) in schema.items():
         if required and key not in doc:
             raise ValueError(f"missing key {key!r} in {where}")
     given = {k: schema[k][0](v, f"{path}.{k}" if path else k) for k, v in doc.items()}
@@ -83,22 +83,18 @@ def decode(cls, doc, path: str = ""):
 
 @cache
 def _schema(cls) -> dict:
-    """Init field name -> (decoder, required), in declaration order."""
+    """Init field name -> (decoder, required, encoder), in declaration order."""
 
     hints = typing.get_type_hints(cls)
     return {
-        f.name: (_decoder(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        f.name: (
+            _decoder(hints[f.name]),
+            f.default is MISSING and f.default_factory is MISSING,
+            _encoder(hints[f.name]),
+        )
         for f in fields(cls)
         if f.init
     }
-
-
-@cache
-def _encoders(cls) -> tuple:
-    """(name, encoder) of each init field, in declaration order."""
-
-    hints = typing.get_type_hints(cls)
-    return tuple((name, _encoder(hints[name])) for name in _schema(cls))
 
 
 def _same(v):
@@ -107,8 +103,8 @@ def _same(v):
 
 @cache
 def _encoder(hint):
-    """A function ``value -> JSON form`` for values of type ``hint``; it
-    gives what ``encode_value`` gives, without dispatching per element."""
+    """A function ``value -> JSON form`` for values of type ``hint``: what
+    ``encode_value`` gives, without dispatching per element."""
 
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint in _SCALARS:
@@ -116,11 +112,8 @@ def _encoder(hint):
     if origin is types.UnionType:  # X | None
         (inner,) = [_encoder(a) for a in args if a is not type(None)]
         return lambda v: None if v is None else inner(v)
-    if origin is tuple:
-        items = [_encoder(a) for a in args if a is not Ellipsis]
-        if all(item is _same for item in items):
-            return lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v)
-        return encode_value
+    if origin is tuple and all(_encoder(a) is _same for a in args if a is not Ellipsis):
+        return lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v)
     if origin is dict and args[0] is int:
         value = _encoder(args[1])
         return lambda v: {str(k): value(x) for k, x in sorted(v.items())}

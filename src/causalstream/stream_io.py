@@ -40,9 +40,8 @@ def format_value(v) -> str:
     return repr(v)
 
 
-# a row of these cell types is joined from their ``repr``s, which are the
-# ``format_value`` strings except for None, nan and inf: the only ones that
-# hold an "n"
+# the ``repr``s of these types are their ``format_value`` strings, except
+# for None, nan and inf: the only ones that hold an "n"
 _EXACT = frozenset({float, int, type(None)})
 
 
@@ -97,14 +96,38 @@ def read_stream_csv(path):
     if len(header) < 2:
         raise StreamFormatError(f"{path}: need at least one feature column and a label")
     k = len(header) - 1
-    rows = lines[1:]
-    n = len(rows)
-    data = _load_complete(rows, k)
+    n = len(lines) - 1
+    X = np.full((n, k), np.nan)
+    mask = np.zeros((n, k), dtype=bool)
+    y = np.empty(n)
+    data = _load_complete(lines[1:], k)
     if data is not None:
-        X, y = np.ascontiguousarray(data[:, :-1]), data[:, -1].copy()
-        mask = np.zeros((n, k), dtype=bool)
-    else:
-        X, y, mask = _parse_cells(path, header, rows)
+        X[:], y[:] = data[:, :-1], data[:, -1]
+    # the cell-by-cell parse, which names the row and column of a bad cell
+    for i, line in enumerate(lines[1:] if data is None else ()):
+        parts = line.split(",")
+        if len(parts) != k + 1:
+            raise StreamFormatError(
+                f"{path}: row {i + 2} has {len(parts)} fields, expected {k + 1}"
+            )
+        for j, raw in enumerate(parts[:-1]):
+            if raw == "":
+                mask[i, j] = True
+                continue
+            try:
+                X[i, j] = float(raw)
+            except ValueError:
+                raise StreamFormatError(
+                    f"{path}: row {i + 2}, column {header[j]}: not a number: {raw!r}"
+                ) from None
+        if parts[-1] == "":
+            raise StreamFormatError(f"{path}: row {i + 2}: label is missing")
+        try:
+            y[i] = float(parts[-1])
+        except ValueError:
+            raise StreamFormatError(
+                f"{path}: row {i + 2}: label is not a number: {parts[-1]!r}"
+            ) from None
     # float() also parses nan and inf, which the writer never emits
     bad = ~(np.isfinite(X) | mask)
     if bad.any():
@@ -138,11 +161,10 @@ def read_stream_csv(path):
 
 
 def _load_complete(rows: list[str], k: int) -> np.ndarray | None:
-    """The ``(n, k + 1)`` numbers of ``rows`` in one ``np.loadtxt`` call, or
-    None for a file with an empty field or any cell the call cannot parse.
-
-    A row of float cells gives the bits ``float()`` gives.  ``comments=None``
-    keeps a ``#`` an error rather than the start of a dropped comment.
+    """The ``(n, k + 1)`` numbers of ``rows`` from one ``np.loadtxt`` call,
+    which parses a cell to the bits ``float()`` gives; None for a file with
+    an empty field or any cell the call rejects.  ``comments=None`` keeps a
+    ``#`` an error rather than the start of a dropped comment.
     """
 
     body = "\n" + "\n".join(rows) + "\n"
@@ -153,41 +175,6 @@ def _load_complete(rows: list[str], k: int) -> np.ndarray | None:
     except ValueError:
         return None
     return data if data.shape == (len(rows), k + 1) else None
-
-
-def _parse_cells(path: Path, header: list[str], rows: list[str]):
-    """X, y and the missing mask of ``rows``, one cell at a time; an error
-    names the cell's row and column."""
-
-    k, n = len(header) - 1, len(rows)
-    X = np.full((n, k), np.nan)
-    mask = np.zeros((n, k), dtype=bool)
-    y = np.empty(n)
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != k + 1:
-            raise StreamFormatError(
-                f"{path}: row {i + 2} has {len(parts)} fields, expected {k + 1}"
-            )
-        for j, raw in enumerate(parts[:-1]):
-            if raw == "":
-                mask[i, j] = True
-                continue
-            try:
-                X[i, j] = float(raw)
-            except ValueError:
-                raise StreamFormatError(
-                    f"{path}: row {i + 2}, column {header[j]}: not a number: {raw!r}"
-                ) from None
-        if parts[-1] == "":
-            raise StreamFormatError(f"{path}: row {i + 2}: label is missing")
-        try:
-            y[i] = float(parts[-1])
-        except ValueError:
-            raise StreamFormatError(
-                f"{path}: row {i + 2}: label is not a number: {parts[-1]!r}"
-            ) from None
-    return X, y, mask
 
 
 def _sidecar_task(path: Path) -> str | None:
