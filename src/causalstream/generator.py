@@ -3,14 +3,17 @@ interventions and missingness, and value propagation through the graph.
 
 The concept is fixed between two event boundaries, and the temporal state
 never reads a node's value, so the engine builds the stream in segments:
-the draws of a segment are made row by row, then every node is computed for
-all of its rows with one batched ``predict`` (see ``StreamGenerator``).
+the draws of a segment are made in batches, in the order of a row-at-a-time
+walk, then every node is computed for all of its rows with one batched
+``predict`` (see ``StreamGenerator``).
 
 Reproducibility contract: one master seed spawns five independent substreams
 (concept init, node values, interventions, missing masks, drift schedule).
 Toggling interventions, missingness, or the schedule therefore never perturbs
 the value draws of the untouched parts of a paired run with the same seed.
-Where segments end changes neither the draws nor the bytes of a stream.
+Each substream is read in row order, in the same sequence as a walk that
+draws one row at a time, so where segments end changes neither the draws
+nor the bytes of a stream.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ from .drift import (
     validate_schedule_against,
 )
 from .graph import CausalGraph, build_dag
-from .temporal import TemporalParams, ar_noise_step, root_value_step
+from .temporal import TemporalParams, ar_noise_path, root_value_path
+
+# not called here; ``bench/tracing.py`` patches these one-row steps on this
+# module
+from .temporal import ar_noise_step, root_value_step  # noqa: F401
 
 __all__ = [
     "GeneratorConfig",
@@ -134,7 +141,15 @@ class StreamRngs:
 
 
 def spawn_streams(seed: int) -> StreamRngs:
-    """Fixed substream layout; keep the spawn order stable forever."""
+    """Fixed substream layout; keep the spawn order stable forever.
+
+    ``StreamGenerator`` reads ``values``, ``interventions`` and ``missing``
+    one row after the next.  Per row, ``values`` gives each continuous node
+    its draws in topological order: a root its natural value, then its
+    noise innovation; an inner node its AR innovation.  ``interventions``
+    and ``missing`` each give the row one uniform gate, then, if the gate
+    opens, that row's nodes and forced values or masked features.
+    """
 
     ss = np.random.SeedSequence(int(seed))
     kids = ss.spawn(5)
@@ -149,9 +164,13 @@ class StreamGenerator:
     inside a gradual or incremental window is a segment of its own.  A
     segment is built in two phases:
 
-    1. a row loop makes the segment's draws, row by row, in the order of a
-       row-at-a-time walk: on ``values`` the root and AR noise steps in
-       topological order, then ``draw_interventions`` and ``draw_missing``;
+    1. the segment's draws, in the order of a row-at-a-time walk (see
+       ``spawn_streams``): on ``values`` one call per run of normal or
+       uniform draws, then each node's temporal recursion over its column,
+       carried from ``state`` with the float operations of
+       ``root_value_step`` and ``ar_noise_step``; per row
+       ``draw_interventions`` and ``draw_missing``, or one call for all
+       gates where none can open;
     2. one batched ``predict`` per inner node, in topological order; forced
        values overwrite their rows before the children read them.
 
@@ -295,42 +314,58 @@ class StreamGenerator:
         return self._emit(concept, concept_id, t0, V, forced, missing)
 
     def _draw_rows(self, concept: Concept, n: int):
-        """Phase 1: every draw of ``n`` rows, row by row.
+        """Phase 1: every draw of ``n`` rows, in the order of a row-at-a-time
+        walk, batched.
 
         Returns the per-node draws on ``values`` (a root's natural value, a
         continuous inner node's AR noise), and per row the forced values and
         the masked features.
         """
 
-        graph = concept.graph
-        eligible = graph.feature_nodes
-        if self.policy.include_target:
-            eligible = tuple(sorted(eligible + (graph.target,)))
-        specs = {node: self._value_spec(concept, node) for node in eligible}
-        # roots step their EWMA and noise, continuous inner nodes their AR
-        # noise, in topological order; the natural root draw always happens,
-        # so paired runs with and without interventions stay aligned
-        walk = [
-            (node, concept.root_dists.get(node), concept.noise_scale(node), [])
-            for node in graph.topo_order
-            if not concept.is_categorical(node)
-        ]
-        ewma, ar, temporal = self.state.ewma, self.state.ar, concept.temporal
+        graph, temporal = concept.graph, concept.temporal
+        # a row's draws on ``values``: per continuous node in topological
+        # order, a root's natural value, then the node's AR innovation
+        walk, loc, scale, uniform = [], [], [], []
+        for node in graph.topo_order:
+            if concept.is_categorical(node):
+                continue
+            dist = concept.root_dists.get(node)
+            if dist is not None:
+                normal = dist.kind == "normal"
+                loc.append(dist.p1)
+                scale.append(dist.std() if normal else dist.p2 - dist.p1)
+                uniform.append(not normal)
+            loc.append(0.0)
+            scale.append(temporal.sigma * concept.noise_scale(node))
+            uniform.append(False)
+            walk.append((node, dist is not None))
+        draws = _draw_in_rows(self.rngs.values, n, loc, scale, uniform).T.tolist()
+        ewma, ar = self.state.ewma, self.state.ar
+        drawn, j = {}, 0
+        for node, root in walk:
+            path = ar_noise_path(draws[j + root], temporal, ar[node])
+            ar[node] = path[-1]
+            if root:
+                path = root_value_path(draws[j], path, temporal, ewma[node])
+                ewma[node] = path[-1]
+            drawn[node] = path
+            j += 1 + root
+        # per row, one gate on each substream, then the row's payload if it
+        # opens; where no gate can open, the gates are one call
         policy, emitted, rngs = self.policy, self.emitted_features, self.rngs
-        vr = rngs.values
-        forced, missing = [], []
-        for _ in range(n):
-            for node, dist, scale, path in walk:
-                if dist is None:
-                    e = ar[node] = ar_noise_step(ar[node], temporal, vr, sigma_scale=scale)
-                    path.append(e)
-                else:
-                    x, ar[node] = root_value_step(ewma[node], ar[node], dist, temporal, vr)
-                    ewma[node] = x
-                    path.append(x)
-            forced.append(draw_interventions(policy, eligible, specs, rngs.interventions))
-            missing.append(draw_missing(policy, emitted, rngs.missing))
-        drawn = {node: path for node, _, _, path in walk}
+        eligible = graph.feature_nodes
+        if policy.include_target:
+            eligible = tuple(sorted(eligible + (graph.target,)))
+        forced, missing = [{}] * n, [()] * n
+        if policy.p_intervene and eligible:
+            specs = {node: self._value_spec(concept, node) for node in eligible}
+            forced = [draw_interventions(policy, eligible, specs, rngs.interventions) for _ in range(n)]
+        else:
+            rngs.interventions.random(n)
+        if policy.p_missing and emitted:
+            missing = [draw_missing(policy, emitted, rngs.missing) for _ in range(n)]
+        else:
+            rngs.missing.random(n)
         return drawn, forced, missing
 
     @staticmethod
@@ -354,7 +389,7 @@ class StreamGenerator:
             else:
                 out = concept.mappers[node].predict(V.take(graph.parents[node], axis=1))
                 if node in drawn:
-                    out = out + np.asarray(drawn[node])
+                    out = out + drawn[node]
                 elif node == graph.target:
                     out = np.asarray(concept.class_permutation)[out]
                 V[:, node] = out
@@ -368,26 +403,23 @@ class StreamGenerator:
         floats for continuous ones, ``None`` for masked features."""
 
         topo = concept.graph.topo_order
-        columns = [
-            (V[:, node].astype(int) if concept.is_categorical(node) else V[:, node]).tolist()
+        columns = {
+            node: (V[:, node].astype(int) if concept.is_categorical(node) else V[:, node]).tolist()
             for node in topo
-        ]
-        pos = {node: i for i, node in enumerate(topo)}
-        emit = [(node, pos[node]) for node in self.emitted_features]
-        label = pos[concept.graph.target]
-        out = []
-        for i, vals in enumerate(zip(*columns)):
-            masked = missing[i]
+        }
+        emitted, n = self.emitted_features, len(V)
+        features = list(zip(*(columns[node] for node in emitted))) or [()] * n
+        for i, masked in enumerate(missing):
             if masked:
-                features = tuple(None if node in masked else vals[j] for node, j in emit)
-            else:
-                features = tuple([vals[j] for _, j in emit])
-            values = dict(zip(topo, vals))
-            intervened = tuple(sorted(forced[i]))
-            out.append(
-                Instance(t0 + i, features, vals[label], values, intervened, masked, concept_id)
-            )
-        return out
+                features[i] = tuple(
+                    None if node in masked else v for node, v in zip(emitted, features[i])
+                )
+        values = [dict(zip(topo, row)) for row in zip(*(columns[node] for node in topo))]
+        labels = columns[concept.graph.target]
+        return [
+            Instance(t0 + i, features[i], labels[i], values[i], tuple(forced[i]), missing[i], concept_id)
+            for i in range(n)
+        ]
 
     def step(self) -> Instance:
         """The next row, building a new segment when the current one is spent."""
@@ -407,6 +439,32 @@ class StreamGenerator:
 
     def __next__(self) -> Instance:
         return self.step()
+
+
+def _draw_in_rows(rng, n: int, loc: list, scale: list, uniform: list) -> np.ndarray:
+    """``n`` rows of draws on ``rng``: draw ``j`` of a row is
+    ``loc[j] + scale[j] * u``, where ``u`` is a standard uniform draw if
+    ``uniform[j]`` and a standard normal one otherwise.
+
+    The draws are made in row-major order, one call per run of draws of one
+    kind.  They give the bits of as many one-draw ``rng.uniform(low, high)``
+    and ``rng.normal(mean, std)`` calls, which compute ``loc + scale * u``
+    from the same ``u``.
+    """
+
+    m = len(loc)
+    # where a run of one kind starts inside a row, and at a row's start
+    starts = [j for j in range(1, m) if uniform[j] != uniform[j - 1]]
+    if uniform[0] != uniform[-1]:
+        starts.insert(0, 0)
+    cuts = [r * m + j for r in range(n) for j in starts if r or j]
+    out = np.empty(n * m)
+    for a, b in zip([0, *cuts], [*cuts, n * m]):
+        (rng.random if uniform[a % m] else rng.standard_normal)(out=out[a:b])
+    out = out.reshape(n, m)
+    out *= scale
+    out += loc
+    return out
 
 
 def build_stream(config: GeneratorConfig) -> StreamGenerator:

@@ -29,6 +29,8 @@ __all__ = [
     "root_value_step",
     "simulate_ar_noise",
     "simulate_root_values",
+    "ar_noise_path",
+    "root_value_path",
 ]
 
 
@@ -110,6 +112,25 @@ def root_value_step(
     n_new = ar_noise_step(n_prev, params, rng, sigma_scale=dist.std())
     x_new = (1.0 - params.alpha) * x_prev + params.alpha * theta + n_new
     return x_new, n_new
+
+
+def ar_noise_path(eps: list[float], params: TemporalParams, n0: float) -> list[float]:
+    """The states of ``ar_noise_step`` over the innovations ``eps``, from
+    state ``n0``, bit for bit."""
+
+    rho = params.rho
+    return list(accumulate(eps, lambda n, e: rho * n + e, initial=n0))[1:]
+
+
+def root_value_path(
+    theta: list[float], noise: list[float], params: TemporalParams, x0: float
+) -> list[float]:
+    """The values of ``root_value_step`` over the draws ``theta`` and the
+    noise states ``noise``, from value ``x0``, bit for bit."""
+
+    c, alpha = 1.0 - params.alpha, params.alpha
+    path = accumulate(zip(theta, noise), lambda x, tn: c * x + alpha * tn[0] + tn[1], initial=x0)
+    return list(path)[1:]
 
 
 def simulate_ar_noise(

@@ -279,3 +279,27 @@ def test_policy_rates_must_match_the_config_rates():
     cfg = GeneratorConfig(dataset_size=200, seed=1, p_i=0.5, p_m=0.5, policy=policy)
     rows = build_stream(cfg).take(200)
     assert any(r.intervened for r in rows) and any(r.missing for r in rows)
+
+
+def test_batched_draws_repeat_the_one_row_calls():
+    """A segment's batched draws give the values of the one-draw calls of a
+    row-at-a-time walk, ``uniform(low, high)`` or ``normal(mean, std)``, and
+    leave the generator in the same state."""
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        uniform = (rng.random(m) < 0.4).tolist()
+        loc = rng.normal(size=m).tolist()
+        width = (0.5 + rng.random(m)).tolist()
+        second = [a + w if u else w for a, w, u in zip(loc, width, uniform)]  # high, or std
+        scale = [b - a if u else b for a, b, u in zip(loc, second, uniform)]
+        seed = int(rng.integers(1 << 30))
+        batch, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generator_module._draw_in_rows(batch, n, loc, scale, uniform)
+        want = [
+            [rows.uniform(a, b) if u else rows.normal(a, b) for a, b, u in zip(loc, second, uniform)]
+            for _ in range(n)
+        ]
+        assert got.tolist() == want
+        assert batch.random() == rows.random()
+

@@ -6,7 +6,9 @@ missing rates, and one abrupt or gradual event.  The ``ci`` profile in
 ``conftest.py`` makes the draws deterministic and bounds their number.
 
 A run either raises ``ValueError`` before its first row or yields its rows;
-the properties compare these outcomes.  With ``alpha = sigma = 0`` every
+the properties compare these outcomes.  Toggling a rate flips it between 0
+and 0.3; the interventions, the missing masks and the values each draw from
+their own substream.  With ``alpha = sigma = 0`` every
 node is constant, so a concept with a categorical node has a degenerate
 parent box and is rejected at init.
 """
@@ -108,3 +110,33 @@ def test_the_schedule_leaves_every_row_before_its_first_event(cfg):
     first = cfg.schedule.events[0].t_start
     without = replace(cfg, schedule=DriftSchedule(()))
     assert _first_rows(cfg, first) == _first_rows(without, first)
+
+
+def _toggled(cfg, rate: str):
+    return replace(cfg, **{rate: 0.3 if getattr(cfg, rate) == 0.0 else 0.0})
+
+
+@given(configs())
+def test_toggling_missingness_moves_no_value_label_or_intervention(cfg):
+    rows = _first_rows(cfg, cfg.dataset_size)
+    other = _first_rows(_toggled(cfg, "p_m"), cfg.dataset_size)
+    if isinstance(rows, str) or isinstance(other, str):
+        assert rows == other
+        return
+    assert [(r.values, r.label, r.intervened) for r in rows] == [
+        (r.values, r.label, r.intervened) for r in other
+    ]
+
+
+@given(configs())
+def test_toggling_interventions_moves_no_mask_or_natural_root_draw(cfg):
+    rows = _first_rows(cfg, cfg.dataset_size)
+    other = _first_rows(_toggled(cfg, "p_i"), cfg.dataset_size)
+    if isinstance(rows, str) or isinstance(other, str):
+        assert rows == other
+        return
+    assert [r.missing for r in rows] == [r.missing for r in other]
+    for a, b in zip(rows, other):
+        for root in cfg.graph.roots:
+            if root not in a.intervened + b.intervened:
+                assert a.values[root] == b.values[root], (a.t, root)

@@ -6,8 +6,10 @@ from causalstream.mappers import RootDistribution
 from causalstream.temporal import (
     TemporalParams,
     TemporalState,
+    ar_noise_path,
     ar_noise_step,
     ewma_step,
+    root_value_path,
     root_value_step,
     simulate_ar_noise,
     simulate_root_values,
@@ -75,6 +77,33 @@ def test_ar_noise_step_consumes_one_draw_even_at_sigma_zero():
     ar_noise_step(0.3, params, a)
     b.normal(0.0, 0.0)
     assert a.random() == b.random()
+
+
+def test_paths_repeat_the_one_row_steps_bit_for_bit():
+    """The stream engine runs the recursion over a segment's draws; every
+    state must carry the bits of the one-row steps."""
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        params = TemporalParams(alpha=rng.random(), rho=rng.random(), sigma=rng.random())
+        dist = RootDistribution("uniform", -2.0, 3.5)
+        if trial % 2:
+            dist = RootDistribution("normal", float(rng.normal()), 0.2 + float(rng.random()))
+        n, seed = int(rng.integers(1, 40)), int(rng.integers(1 << 30))
+        x0, n0 = float(rng.normal()), float(rng.normal())
+        step, xs, ns = np.random.default_rng(seed), [], []
+        x, noise = x0, n0
+        for _ in range(n):
+            x, noise = root_value_step(x, noise, dist, params, step)
+            xs.append(x)
+            ns.append(noise)
+        draws = np.random.default_rng(seed)
+        theta, eps = [], []
+        for _ in range(n):
+            theta.append(float(dist.sample(draws)))
+            eps.append(float(draws.normal(0.0, params.sigma * dist.std())))
+        path = ar_noise_path(eps, params, n0)
+        assert path == ns
+        assert root_value_path(theta, path, params, x0) == xs
 
 
 def test_simulate_ar_noise_matches_step_recursion():
