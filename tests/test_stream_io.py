@@ -10,9 +10,10 @@ import pytest
 import causalstream.stream_io as stream_io
 from causalstream.stream_io import StreamFormatError, format_value, read_stream_csv, write_stream_csv
 
-# -0.0, a subnormal, a float whose repr has an exponent, 0.1, a Python int,
-# numpy scalars and a masked cell
-CELLS = (-0.0, 5e-324, 1e16, 0.1, 7, np.float64(0.3), np.int64(-4), None)
+# -0.0, a subnormal, a float whose repr has an exponent, 0.1, a Python int
+# and a masked cell; then numpy scalars
+EXACT = (-0.0, 5e-324, 1e16, 0.1, 7, None)
+NUMPY = (np.float64(0.3), np.int64(-4))
 LABELS = (0, True, np.int64(2), 1.5, np.float64(-0.0))
 
 
@@ -23,19 +24,23 @@ def _reference_bytes(rows, names) -> bytes:
 
 
 def _rows():
+    """Rows of exact cells, with and without a masked one, and rows with
+    numpy scalars, under every label type."""
     rng = np.random.default_rng(0)
     rows = []
-    for i, label in enumerate(LABELS * 3):
-        cells = list(CELLS)
+    for i, label in enumerate(LABELS * 4):
+        cells = [*EXACT, float(rng.normal()), 3]
         if i % 2:
-            cells[-1] = float(rng.normal())  # a row without a masked cell
+            cells[5] = float(rng.normal())
+        if i % 4 == 3:
+            cells[-2:] = NUMPY
         rows.append((tuple(np.roll(np.array(cells, dtype=object), i)), label))
     return rows
 
 
 def test_write_gives_the_format_value_bytes(tmp_path):
     rows = _rows()
-    names = tuple(f"x{j + 1}" for j in range(len(CELLS)))
+    names = tuple(f"x{j + 1}" for j in range(len(rows[0][0])))
     path = tmp_path / "s.csv"
     instances = [SimpleNamespace(features=f, label=y) for f, y in rows]
     assert write_stream_csv(path, instances, names) == len(rows)
@@ -90,11 +95,12 @@ def test_a_written_stream_reads_back_bit_for_bit(tmp_path, monkeypatch, masked):
     "body, message",
     [
         ("0.5,#1,1", "row 3, column x2: not a number: '#1'"),
+        ("0.5,0.25,1#0", "row 3: label is not a number: '1#0'"),
         ("0.5,1.0", "row 3 has 2 fields, expected 3"),
         ("1.0,inf,0", "row 3, column x2: not a finite number: inf"),
         ("1.0,2.0,nan", "row 3: label is not a finite number: nan"),
     ],
-    ids=["comment-sign", "short-row", "inf-feature", "nan-label"],
+    ids=["comment-sign", "trailing-comment", "short-row", "inf-feature", "nan-label"],
 )
 def test_a_file_without_empty_fields_keeps_the_cell_errors(tmp_path, body, message):
     stream = tmp_path / "s.csv"
