@@ -140,14 +140,11 @@ def simulate_ar_noise(
     sigma_scale: float = 1.0,
     n0: float = 0.0,
 ) -> np.ndarray:
-    """Vectorized AR(1) noise path, same recursion as ``ar_noise_step``.
-
-    Draws all innovations in one batch, so it consumes the generator in a
-    different order than per-step calls would; use one route consistently.
-    """
+    """Vectorized AR(1) noise path, ``ar_noise_path`` of one batch of
+    innovations."""
 
     eps = rng.normal(0.0, params.sigma * sigma_scale, size=n_steps)
-    return _one_pole(eps, params.rho, n0)
+    return np.array(ar_noise_path(eps.tolist(), params, n0), dtype=float)
 
 
 def simulate_root_values(
