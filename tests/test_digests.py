@@ -18,6 +18,12 @@ BLAS.  Every ``concept`` and ``snapshots`` entry and every ``csv`` entry but
 the coverage config's moved; no ``sidecar`` entry moved, and the RNG layout
 is unchanged.
 
+Batched segment draws (ROADMAP item 2, in part) left every entry in place:
+a segment draws each run of normal or uniform values in one call, in the
+row-by-row order, and the temporal recursion keeps the float operations of
+the one-row steps.  The CSV write by ``repr`` and the ``np.loadtxt`` read
+moved no entry either.
+
 The ``sidecar`` column was added later, before the JSON codec replaced the
 hand-written ``config_to_document``: it pins the config document that
 ``generate`` writes into the metadata sidecar (``json.dumps`` with
