@@ -359,7 +359,9 @@ class StreamGenerator:
         forced, missing = [{}] * n, [()] * n
         if policy.p_intervene and eligible:
             specs = {node: self._value_spec(concept, node) for node in eligible}
-            forced = [draw_interventions(policy, eligible, specs, rngs.interventions) for _ in range(n)]
+            forced = [
+                draw_interventions(policy, eligible, specs, rngs.interventions) for _ in range(n)
+            ]
         else:
             rngs.interventions.random(n)
         if policy.p_missing and emitted:
@@ -417,8 +419,8 @@ class StreamGenerator:
         values = [dict(zip(topo, row)) for row in zip(*(columns[node] for node in topo))]
         labels = columns[concept.graph.target]
         return [
-            Instance(t0 + i, features[i], labels[i], values[i], tuple(forced[i]), missing[i], concept_id)
-            for i in range(n)
+            Instance(t0 + i, f, y, v, tuple(forced[i]), missing[i], concept_id)
+            for i, (f, y, v) in enumerate(zip(features, labels, values))
         ]
 
     def step(self) -> Instance:

@@ -297,7 +297,7 @@ def test_batched_draws_repeat_the_one_row_calls():
         batch, rows = np.random.default_rng(seed), np.random.default_rng(seed)
         got = generator_module._draw_in_rows(batch, n, loc, scale, uniform)
         want = [
-            [rows.uniform(a, b) if u else rows.normal(a, b) for a, b, u in zip(loc, second, uniform)]
+            [(rows.uniform if u else rows.normal)(a, b) for a, b, u in zip(loc, second, uniform)]
             for _ in range(n)
         ]
         assert got.tolist() == want

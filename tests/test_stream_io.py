@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import causalstream.stream_io as stream_io
-from causalstream.stream_io import StreamFormatError, format_value, read_stream_csv, write_stream_csv
+from causalstream.stream_io import (
+    StreamFormatError,
+    format_value,
+    read_stream_csv,
+    write_stream_csv,
+)
 
 # -0.0, a subnormal, a float whose repr has an exponent, 0.1, a Python int
 # and a masked cell; then numpy scalars
@@ -70,7 +75,8 @@ def test_a_written_stream_reads_back_bit_for_bit(tmp_path, monkeypatch, masked):
     if masked:
         rows[7] = ((None, *rows[7][0][1:]), rows[7][1])
     path = tmp_path / "s.csv"
-    write_stream_csv(path, [SimpleNamespace(features=f, label=v) for f, v in rows], ("a", "b", "c", "d"))
+    instances = [SimpleNamespace(features=f, label=v) for f, v in rows]
+    write_stream_csv(path, instances, ("a", "b", "c", "d"))
     calls, load = [], stream_io._load_complete
 
     def spy(*args):
@@ -82,7 +88,8 @@ def test_a_written_stream_reads_back_bit_for_bit(tmp_path, monkeypatch, masked):
     assert (calls[0] is None) == masked
     if masked:
         X[7, 0] = np.nan
-    assert np.array_equal(frame.X.view(np.int64)[~frame.missing_mask], X.view(np.int64)[~np.isnan(X)])
+    bits = X.view(np.int64)[~np.isnan(X)]
+    assert np.array_equal(frame.X.view(np.int64)[~frame.missing_mask], bits)
     assert frame.missing_mask.sum() == masked and frame.y.tolist() == y.tolist()
     if not masked:
         monkeypatch.setattr(stream_io, "_load_complete", lambda *a: None)
