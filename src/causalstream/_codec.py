@@ -36,7 +36,7 @@ class Serializable:
 def encode(obj) -> dict:
     """The JSON document of dataclass ``obj``."""
 
-    return {name: enc(getattr(obj, name)) for name, (_, _, enc) in _schema(type(obj)).items()}
+    return {name: encode_value(getattr(obj, name)) for name in _schema(type(obj))}
 
 
 _PLAIN = (str, int, float, type(None))
@@ -69,7 +69,7 @@ def decode(cls, doc, path: str = ""):
     for key in doc:
         if key not in schema:
             raise ValueError(f"unknown key {key!r} in {where}")
-    for key, (_, required, _) in schema.items():
+    for key, (_, required) in schema.items():
         if required and key not in doc:
             raise ValueError(f"missing key {key!r} in {where}")
     given = {k: schema[k][0](v, f"{path}.{k}" if path else k) for k, v in doc.items()}
@@ -83,43 +83,14 @@ def decode(cls, doc, path: str = ""):
 
 @cache
 def _schema(cls) -> dict:
-    """Init field name -> (decoder, required, encoder), in declaration order."""
+    """Init field name -> (decoder, required), in declaration order."""
 
     hints = typing.get_type_hints(cls)
     return {
-        f.name: (
-            _decoder(hints[f.name]),
-            f.default is MISSING and f.default_factory is MISSING,
-            _encoder(hints[f.name]),
-        )
+        f.name: (_decoder(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls)
         if f.init
     }
-
-
-def _same(v):
-    return v
-
-
-@cache
-def _encoder(hint):
-    """A function ``value -> JSON form`` for values of type ``hint``: what
-    ``encode_value`` gives, without dispatching per element."""
-
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint in _SCALARS:
-        return _same
-    if origin is types.UnionType:  # X | None
-        (inner,) = [_encoder(a) for a in args if a is not type(None)]
-        return lambda v: None if v is None else inner(v)
-    if origin is tuple and all(_encoder(a) is _same for a in args if a is not Ellipsis):
-        return lambda v: v.tolist() if isinstance(v, np.ndarray) else list(v)
-    if origin is dict and args[0] is int:
-        value = _encoder(args[1])
-        return lambda v: {str(k): value(x) for k, x in sorted(v.items())}
-    if is_dataclass(hint):
-        return lambda v: v.to_dict()
-    return encode_value
 
 
 _SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
