@@ -44,7 +44,7 @@ from .drift import (
     validate_schedule_against,
 )
 from .graph import CausalGraph, build_dag
-from .temporal import TemporalParams, ar_noise_path, root_value_path
+from .temporal import TemporalParams, _one_pole, root_value_path
 
 # not called here; ``bench/tracing.py`` patches these one-row steps on this
 # module
@@ -169,8 +169,7 @@ class StreamGenerator:
        uniform draws, then each node's temporal recursion over its column,
        carried from ``state`` with the float operations of
        ``root_value_step`` and ``ar_noise_step``; per row
-       ``draw_interventions`` and ``draw_missing``, or one call for all
-       gates where none can open;
+       ``draw_interventions`` and ``draw_missing``;
     2. one batched ``predict`` per inner node, in topological order; forced
        values overwrite their rows before the children read them.
 
@@ -343,7 +342,7 @@ class StreamGenerator:
         ewma, ar = self.state.ewma, self.state.ar
         drawn, j = {}, 0
         for node, root in walk:
-            path = ar_noise_path(draws[j + root], temporal, ar[node])
+            path = _one_pole(draws[j + root], temporal.rho, ar[node])
             ar[node] = path[-1]
             if root:
                 path = root_value_path(draws[j], path, temporal, ewma[node])
@@ -351,23 +350,16 @@ class StreamGenerator:
             drawn[node] = path
             j += 1 + root
         # per row, one gate on each substream, then the row's payload if it
-        # opens; where no gate can open, the gates are one call
+        # opens
         policy, emitted, rngs = self.policy, self.emitted_features, self.rngs
         eligible = graph.feature_nodes
         if policy.include_target:
             eligible = tuple(sorted(eligible + (graph.target,)))
-        forced, missing = [{}] * n, [()] * n
-        if policy.p_intervene and eligible:
-            specs = {node: self._value_spec(concept, node) for node in eligible}
-            forced = [
-                draw_interventions(policy, eligible, specs, rngs.interventions) for _ in range(n)
-            ]
-        else:
-            rngs.interventions.random(n)
-        if policy.p_missing and emitted:
-            missing = [draw_missing(policy, emitted, rngs.missing) for _ in range(n)]
-        else:
-            rngs.missing.random(n)
+        specs = {node: self._value_spec(concept, node) for node in eligible}
+        forced = [
+            draw_interventions(policy, eligible, specs, rngs.interventions) for _ in range(n)
+        ]
+        missing = [draw_missing(policy, emitted, rngs.missing) for _ in range(n)]
         return drawn, forced, missing
 
     @staticmethod
@@ -419,7 +411,7 @@ class StreamGenerator:
         values = [dict(zip(topo, row)) for row in zip(*(columns[node] for node in topo))]
         labels = columns[concept.graph.target]
         return [
-            Instance(t0 + i, f, y, v, tuple(forced[i]), missing[i], concept_id)
+            Instance(t0 + i, f, y, v, tuple(sorted(forced[i])), missing[i], concept_id)
             for i, (f, y, v) in enumerate(zip(features, labels, values))
         ]
 

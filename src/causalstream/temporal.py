@@ -29,8 +29,6 @@ __all__ = [
     "root_value_step",
     "simulate_ar_noise",
     "simulate_root_values",
-    "ar_noise_path",
-    "root_value_path",
 ]
 
 
@@ -114,14 +112,6 @@ def root_value_step(
     return x_new, n_new
 
 
-def ar_noise_path(eps: list[float], params: TemporalParams, n0: float) -> list[float]:
-    """The states of ``ar_noise_step`` over the innovations ``eps``, from
-    state ``n0``, bit for bit."""
-
-    rho = params.rho
-    return list(accumulate(eps, lambda n, e: rho * n + e, initial=n0))[1:]
-
-
 def root_value_path(
     theta: list[float], noise: list[float], params: TemporalParams, x0: float
 ) -> list[float]:
@@ -140,11 +130,14 @@ def simulate_ar_noise(
     sigma_scale: float = 1.0,
     n0: float = 0.0,
 ) -> np.ndarray:
-    """Vectorized AR(1) noise path, ``ar_noise_path`` of one batch of
-    innovations."""
+    """Vectorized AR(1) noise path, same recursion as ``ar_noise_step``.
+
+    Draws all innovations in one batch, so it consumes the generator in a
+    different order than per-step calls would; use one route consistently.
+    """
 
     eps = rng.normal(0.0, params.sigma * sigma_scale, size=n_steps)
-    return np.array(ar_noise_path(eps.tolist(), params, n0), dtype=float)
+    return np.array(_one_pole(eps.tolist(), params.rho, n0))
 
 
 def simulate_root_values(
@@ -165,17 +158,16 @@ def simulate_root_values(
     noise = simulate_ar_noise(n_steps, params, rng, sigma_scale=dist.std())
     drive = params.alpha * theta + noise
     start = dist.mean() if x0 is None else x0
-    return _one_pole(drive, 1.0 - params.alpha, start)
+    return np.array(_one_pole(drive.tolist(), 1.0 - params.alpha, start))
 
 
-def _one_pole(x: np.ndarray, c: float, y0: float) -> np.ndarray:
+def _one_pole(xs: list[float], c: float, y0: float) -> list[float]:
     """``y_t = x_t + c * y_{t-1}`` from ``y_{-1} = y0``.
 
     Repeats the float operations of ``lfilter([1], [1, -c], x, zi=[c * y0])``
-    in their order, so the path is bit-identical to that filter's.
+    in their order, so the path is bit-identical to that filter's.  With
+    ``c = rho`` over the innovations, it is the path of ``ar_noise_step``
+    bit for bit.
     """
 
-    xs = x.tolist()
-    if xs:
-        xs[0] += c * y0
-    return np.fromiter(accumulate(xs, lambda y, v: v + c * y), dtype=float, count=len(xs))
+    return list(accumulate(xs, lambda y, v: v + c * y, initial=y0))[1:]

@@ -6,7 +6,7 @@ from causalstream.mappers import RootDistribution
 from causalstream.temporal import (
     TemporalParams,
     TemporalState,
-    ar_noise_path,
+    _one_pole,
     ar_noise_step,
     ewma_step,
     root_value_path,
@@ -101,7 +101,7 @@ def test_paths_repeat_the_one_row_steps_bit_for_bit():
         for _ in range(n):
             theta.append(float(dist.sample(draws)))
             eps.append(float(draws.normal(0.0, params.sigma * dist.std())))
-        path = ar_noise_path(eps, params, n0)
+        path = _one_pole(eps, params.rho, n0)
         assert path == ns
         assert root_value_path(theta, path, params, x0) == xs
 
