@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replaced(obj, **changes):
+    """``obj`` with every change that is not ``None``; a value that ``obj``'s
+    checks reject is a ``ConfigError``."""
+    try:
+        return replace(obj, **{k: v for k, v in changes.items() if v is not None})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _resolve_run(args) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
@@ -93,16 +103,7 @@ def _resolve_run(args) -> RunConfig:
         return RunConfig(generator=cfg)
     else:
         raise ConfigError("a --config file or --preset name is required")
-    if args.seed is not None:
-        from dataclasses import replace
-
-        run = RunConfig(
-            generator=replace(run.generator, seed=int(args.seed)),
-            evaluation=run.evaluation,
-            analysis=run.analysis,
-            out=run.out,
-        )
-    return run
+    return replace(run, generator=_replaced(run.generator, seed=args.seed))
 
 
 def _cmd_generate(args) -> int:
@@ -163,17 +164,8 @@ def _analysis_columns(frame) -> list[tuple[str, np.ndarray]]:
 
 
 def _cmd_analyze(args) -> int:
-    opts = AnalysisOptions()
-    if args.config:
-        opts = load_config(args.config).analysis
-    lags = args.lags if args.lags is not None else opts.lags
-    batch = args.batch_size if args.batch_size is not None else opts.batch_size
-    try:
-        opts = AnalysisOptions(
-            batch_size=batch, lags=lags, include_label=opts.include_label
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    opts = load_config(args.config).analysis if args.config else AnalysisOptions()
+    opts = _replaced(opts, lags=args.lags, batch_size=args.batch_size)
     frame = read_stream_csv(args.input)
     out = Path(args.out or f"analysis_{args.mode}.csv")
 
@@ -250,22 +242,12 @@ def _cmd_evaluate(args) -> int:
         frame = collect(gen, run.generator.dataset_size)
         schedule = run.generator.schedule
 
-    ev = run.evaluation if run is not None else EvalOptions()
-    window = args.window if args.window is not None else ev.window
-    delay = args.delay if args.delay is not None else ev.delay
-    fraction = (
-        args.label_fraction if args.label_fraction is not None else ev.label_fraction
+    ev = _replaced(
+        run.evaluation if run is not None else EvalOptions(),
+        window=args.window,
+        delay=args.delay,
+        label_fraction=args.label_fraction,
     )
-    try:
-        ev = EvalOptions(
-            learner=ev.learner,
-            window=window,
-            initial_train=ev.initial_train,
-            delay=delay,
-            label_fraction=fraction,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
     n_classes = None
     if frame.task == "classification":

@@ -302,30 +302,41 @@ def _init_mapper(node: int, graph: CausalGraph, params: ConceptParams, P: np.nda
     return fit_continuous_mapper(kind, P, fn, rng, eps_scale=params.eps_scale)
 
 
-def _ancestor_walk(graph, temporal, n, rng, root_dist, mapper, upto=None) -> np.ndarray:
-    """Simulate ``n`` rows of every node in topological order.
+def _ancestor_walk(
+    graph, n, root, mapper, noise, permutation=None, forced=None, upto=None
+) -> np.ndarray:
+    """Every node's value on ``n`` rows, one batched ``predict`` per inner
+    node in topological order; column ``j`` holds node ``j``.
 
-    ``root_dist(node)`` gives a root's distribution and ``mapper(node, P)``
-    an inner node's mapper for the parent sample ``P``; both may draw from
-    ``rng``, before the node's own values and AR noise are drawn.  The walk
-    stops after node ``upto``; later columns are left empty.
+    ``root(node)`` gives a root's column and ``mapper(node, P)`` an inner
+    node's mapper for its parent columns ``P``; ``noise(node, m)`` gives the
+    additive noise of a continuous node after its mapper.  The callbacks run
+    in topological order, so callers that draw from one generator keep their
+    draw order.  ``permutation`` relabels the target's classes, and
+    ``forced`` maps a node to the (rows, values) that overwrite its column
+    before its children read it.  The walk stops after node ``upto``; later
+    columns are left empty.
     """
 
-    out = np.empty((n, graph.n_nodes))
+    V = np.empty((n, graph.n_nodes))
     for node in graph.topo_order:
         if graph.is_root(node):
-            out[:, node] = simulate_root_values(n, root_dist(node), temporal, rng)
+            V[:, node] = root(node)
         else:
-            P = out[:, graph.parents[node]]
+            P = V[:, graph.parents[node]]
             m = mapper(node, P)
-            if m.kind in CATEGORICAL_KINDS:
-                out[:, node] = m.predict(P).astype(float)
-            else:
-                noise = simulate_ar_noise(n, temporal, rng, sigma_scale=m.out_scale)
-                out[:, node] = m.predict(P) + noise
+            out = m.predict(P)
+            if m.kind in CONTINUOUS_KINDS:
+                out = out + noise(node, m)
+            elif node == graph.target and permutation is not None:
+                out = np.asarray(permutation)[out]
+            V[:, node] = out
+        if forced and node in forced:
+            rows, vals = forced[node]
+            V[rows, node] = vals
         if node == upto:
             break
-    return out
+    return V
 
 
 def _init_once(
@@ -334,15 +345,17 @@ def _init_once(
     root_dists: dict[int, RootDistribution] = {}
     mappers: dict[int, object] = {}
 
+    n = params.fit_samples
+
     def draw_root(node):
         root_dists[node] = _draw_root_dist(params, params.nodes.get(node, {}), rng)
-        return root_dists[node]
+        return simulate_root_values(n, root_dists[node], temporal, rng)
 
     def init_mapper(node, P):
         mappers[node] = _init_mapper(node, graph, params, P, rng)
         return mappers[node]
 
-    _ancestor_walk(graph, temporal, params.fit_samples, rng, draw_root, init_mapper)
+    _ancestor_walk(graph, n, draw_root, init_mapper, _ar_noise(n, temporal, rng))
     permutation = (
         tuple(range(params.n_classes)) if params.task == "classification" else None
     )
@@ -389,17 +402,24 @@ def simulate_concept_samples(
 ) -> np.ndarray:
     """Fresh ancestor simulation with the concept's current parameters.
 
-    Walks the same warmup process used at fit time.  If ``upto`` is given,
-    columns after that node's topological position are left empty (drift
-    refits only need the ancestors of one node).
+    Walks the same warmup process used at fit time, and relabels the target
+    by the concept's class permutation, as the stream does.  If ``upto`` is
+    given, columns after that node's topological position are left empty
+    (drift refits only need the ancestors of one node).
     """
 
+    temporal = concept.temporal
     return _ancestor_walk(
         concept.graph,
-        concept.temporal,
         n,
-        rng,
-        concept.root_dists.__getitem__,
+        lambda node: simulate_root_values(n, concept.root_dists[node], temporal, rng),
         lambda node, P: concept.mappers[node],
-        upto,
+        _ar_noise(n, temporal, rng),
+        concept.class_permutation,
+        upto=upto,
     )
+
+
+def _ar_noise(n: int, temporal: TemporalParams, rng):
+    """The walk's noise callback: ``n`` AR(1) draws in the node's output units."""
+    return lambda node, m: simulate_ar_noise(n, temporal, rng, sigma_scale=m.out_scale)

@@ -7,19 +7,24 @@ event.  Event windows ``[t_start, t_start + duration)`` never overlap.
 Rates: ``abrupt`` events apply instantly (duration 1).  ``gradual`` events
 keep the old and new concept alive over the window and pick, per instance,
 which one generates it (linear ramp).  ``incremental`` events interpolate
-numeric parameters toward the abrupt endpoint in equal fractions per step,
-landing exactly on the endpoint; an sgd-linear target-function change instead
-takes one partial-fit step per instance on a sample from the new function.
+numeric parameters toward the endpoint in equal fractions per step, and the
+last step puts the endpoint itself.  The endpoint comes from the plan: a
+mechanism's plan makes the endpoint's draws, and its abrupt event is that
+plan run to the end at once, so both rates land on the same concept bit for
+bit.  An sgd-linear target-function change instead takes one partial-fit
+step per instance on a sample from the new function; its abrupt event is a
+full refit.
 ``recurrent`` events restore an earlier concept snapshot, never its temporal
 state.  The initial concept is ``concept0`` and the k-th event completes
 ``concept<k>``, so a recurrent event may name only a concept of an earlier
 event.
 
 Every mechanism is one entry of the ``_MECHANISMS`` table: the shift kinds it
-serves, what it may act on (a root, the label or mapper kinds), its parameter
-check, its abrupt apply and its incremental plan.  Event validation, abrupt
-application and incremental plans all read the table, so a new mechanism is
-added there and nowhere else.
+serves, what it may act on (a root, the label or mapper kinds), its
+incremental plan, an abrupt apply where the abrupt event is not the plan run
+to the end, and its parameter check.  Event validation, abrupt application
+and incremental plans all read the table, so a new mechanism is added there
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -215,10 +220,13 @@ class InterventionPolicy(Serializable):
 # ---------------------------------------------------------------------------
 # mechanisms
 #
-# An abrupt apply changes the concept in place.  A plan draws the endpoint
-# of an incremental window up front and returns a stepper
-# ``step(concept, frac, rng)`` that moves the concept to fraction ``frac`` of
-# the way there.  Draw order is fixed per mechanism.
+# A plan draws the endpoint of an incremental window up front and returns a
+# stepper ``step(concept, frac, rng)`` that moves the concept to fraction
+# ``frac`` of the way there, and onto the endpoint itself at ``frac = 1``.
+# An abrupt event runs the plan to ``frac = 1`` at once, so both rates reach
+# the same endpoint with the same draws.  Only a mechanism without a plan,
+# or whose plan steps toward its endpoint by samples (the sgd-linear
+# refit), has an abrupt apply of its own.
 
 _ROOT = "root"
 _LABEL = "label"
@@ -277,16 +285,13 @@ def _plan_sgd_refit(concept: Concept, action: ShiftAction, rng):
 
 
 def _lerp(put, start: list, end: list):
-    """Stepper that puts ``start + frac * (end - start)``, item by item."""
+    """Stepper that puts ``start + frac * (end - start)``, item by item, and
+    ``end`` itself from ``frac = 1`` on."""
 
     def step(c: Concept, frac: float, rng) -> None:
-        put(c, [s + frac * (e - s) for s, e in zip(start, end)])
+        put(c, end if frac >= 1.0 else [s + frac * (e - s) for s, e in zip(start, end)])
 
     return step
-
-
-def _reinit(concept: Concept, action: ShiftAction, rng) -> None:
-    concept.mappers[action.node].reinit(rng)
 
 
 def _plan_reinit(concept: Concept, action: ShiftAction, rng):
@@ -301,11 +306,6 @@ def _plan_reinit(concept: Concept, action: ShiftAction, rng):
 
     start = [mapper.W1.copy(), mapper.b1.copy(), mapper.w2.copy(), mapper.b2]
     return _lerp(put, start, [end.W1, end.b1, end.w2, end.b2])
-
-
-def _move_prototypes(concept: Concept, action: ShiftAction, rng) -> None:
-    P = _parent_matrix(concept, action.node, rng)
-    concept.mappers[action.node].move_centroids(rng, ParentStats.from_samples(P))
 
 
 def _plan_move_prototypes(concept: Concept, action: ShiftAction, rng):
@@ -353,11 +353,6 @@ def _rotation(mapper, params: dict, rng) -> tuple[float, np.ndarray]:
     if angle is None:
         angle = float(rng.uniform(30.0, 150.0))
     return np.deg2rad(float(angle)), _orthogonal_unit(mapper.w, rng)
-
-
-def _rotate(concept: Concept, action: ShiftAction, rng) -> None:
-    mapper = concept.mappers[action.node]
-    mapper.rotate(*_rotation(mapper, action.params, rng))
 
 
 def _plan_rotate(concept: Concept, action: ShiftAction, rng):
@@ -449,13 +444,6 @@ def _shift_root_dist(
     return RootDistribution(dist.kind, p1, p2)
 
 
-def _shift_root(concept: Concept, action: ShiftAction, rng) -> None:
-    node = action.node
-    concept.root_dists[node] = _shift_root_dist(
-        concept.root_dists[node], action.params, concept, rng
-    )
-
-
 def _plan_root(concept: Concept, action: ShiftAction, rng):
     node, start = action.node, concept.root_dists[action.node]
     end = _shift_root_dist(start, action.params, concept, rng)
@@ -471,34 +459,38 @@ class _Mechanism:
     shift_kinds: tuple[str, ...]
     # what the action's node may be: _ROOT, _LABEL or mapper kinds
     targets: tuple[str, ...]
-    apply: Callable
     plan: Callable | None = None
+    # the abrupt apply, for a mechanism whose abrupt event is not its plan
+    # run to the end
+    apply: Callable | None = None
     check: Callable | None = None
     # narrower targets for the incremental plan, when they differ
     plan_targets: tuple[str, ...] | None = None
+
+    def abrupt(self, concept: Concept, action: ShiftAction, rng) -> None:
+        if self.apply is not None:
+            self.apply(concept, action, rng)
+        else:
+            self.plan(concept, action, rng)(concept, 1.0, rng)
 
 
 _MECHANISMS = {
     "refit-new-target-fn": _Mechanism(
         ("distributional",),
         FITTABLE_KINDS,
-        _refit,
         _plan_sgd_refit,
+        _refit,
         _check_refit,
         plan_targets=("sgd-linear",),
     ),
-    "reinit-random-mlp": _Mechanism(("distributional",), ("random-mlp",), _reinit, _plan_reinit),
-    "move-prototypes": _Mechanism(
-        ("distributional",), CENTROID_KINDS, _move_prototypes, _plan_move_prototypes
-    ),
+    "reinit-random-mlp": _Mechanism(("distributional",), ("random-mlp",), _plan_reinit),
+    "move-prototypes": _Mechanism(("distributional",), CENTROID_KINDS, _plan_move_prototypes),
     "change-distance": _Mechanism(
-        ("distributional",), ("prototype",), _change_distance, check=_check_distance
+        ("distributional",), ("prototype",), apply=_change_distance, check=_check_distance
     ),
-    "rotate-hyperplane": _Mechanism(("distributional",), ("hyperplane",), _rotate, _plan_rotate),
-    "swap-classes": _Mechanism(("severe",), (_LABEL,), _swap_classes, check=_check_swap),
-    "root-params": _Mechanism(
-        ("covariate", "local"), (_ROOT,), _shift_root, _plan_root, _check_root
-    ),
+    "rotate-hyperplane": _Mechanism(("distributional",), ("hyperplane",), _plan_rotate),
+    "swap-classes": _Mechanism(("severe",), (_LABEL,), apply=_swap_classes, check=_check_swap),
+    "root-params": _Mechanism(("covariate", "local"), (_ROOT,), _plan_root, check=_check_root),
 }
 MECHANISMS = tuple(_MECHANISMS)
 
@@ -541,7 +533,7 @@ def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
 
     out = concept.copy()
     for action in spec.actions:
-        _checked(out, action).apply(out, action, rng)
+        _checked(out, action).abrupt(out, action, rng)
     return out
 
 

@@ -26,6 +26,7 @@ from .concept import (
     Concept,
     ConceptParams,
     ConceptSnapshot,
+    _ancestor_walk,
     init_concept,
     snapshot_concept,
 )
@@ -170,8 +171,10 @@ class StreamGenerator:
        carried from ``state`` with the float operations of
        ``root_value_step`` and ``ar_noise_step``; per row
        ``draw_interventions`` and ``draw_missing``;
-    2. one batched ``predict`` per inner node, in topological order; forced
-       values overwrite their rows before the children read them.
+    2. the ancestor walk of ``concept``, which also serves concept init and
+       drift re-simulation: one batched ``predict`` per inner node, in
+       topological order; forced values overwrite their rows before the
+       children read them.
 
     Temporal state never reads a node's value, so phase 1 needs no mapper,
     and every ``predict`` gives a row the same bits however many rows share
@@ -308,7 +311,21 @@ class StreamGenerator:
         t0 = self._built
         concept, concept_id, n = self._segment_concept()
         drawn, forced, missing = self._draw_rows(concept, n)
-        V = self._walk(concept, drawn, forced, n)
+        overrides: dict[int, tuple[list[int], list]] = {}
+        for i, row in enumerate(forced):
+            for node, value in row.items():
+                rows, vals = overrides.setdefault(node, ([], []))
+                rows.append(i)
+                vals.append(value)
+        V = _ancestor_walk(
+            concept.graph,
+            n,
+            drawn.__getitem__,
+            lambda node, P: concept.mappers[node],
+            lambda node, m: drawn[node],
+            concept.class_permutation,
+            overrides,
+        )
         self._built = t0 + n
         return self._emit(concept, concept_id, t0, V, forced, missing)
 
@@ -361,36 +378,6 @@ class StreamGenerator:
         ]
         missing = [draw_missing(policy, emitted, rngs.missing) for _ in range(n)]
         return drawn, forced, missing
-
-    @staticmethod
-    def _walk(concept: Concept, drawn: dict, forced: list, n: int) -> np.ndarray:
-        """Phase 2: every node's value on all ``n`` rows, one batched
-        ``predict`` per inner node in topological order.  Column ``j`` of the
-        result holds node ``j``; forced values overwrite their rows before
-        the children read them."""
-
-        graph = concept.graph
-        overrides: dict[int, tuple[list[int], list]] = {}
-        for i, row in enumerate(forced):
-            for node, value in row.items():
-                rows, vals = overrides.setdefault(node, ([], []))
-                rows.append(i)
-                vals.append(value)
-        V = np.empty((n, graph.n_nodes))
-        for node in graph.topo_order:
-            if graph.is_root(node):
-                V[:, node] = drawn[node]
-            else:
-                out = concept.mappers[node].predict(V.take(graph.parents[node], axis=1))
-                if node in drawn:
-                    out = out + drawn[node]
-                elif node == graph.target:
-                    out = np.asarray(concept.class_permutation)[out]
-                V[:, node] = out
-            if node in overrides:
-                rows, vals = overrides[node]
-                V[rows, node] = vals
-        return V
 
     def _emit(self, concept, concept_id, t0, V, forced, missing) -> list[Instance]:
         """The segment's instances: Python ints for categorical nodes and

@@ -230,19 +230,26 @@ def _rows_times(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _check_inputs(x, n_inputs: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n_inputs:
-        raise ValueError(f"expected {n_inputs} inputs, got {x.shape[-1]}")
-    return x
-
-
 class Mapper:
     """Base of every mapper.  Its document is ``kind``, then the attributes
     named in ``_fields``: a base's fields first, then the class's own."""
 
     kind: str = ""
     _fields: tuple[str, ...] = ()
+
+    def predict(self, x):
+        """Output for one input vector, as a Python number, or one per row of
+        a matrix; a row's bits do not depend on how many rows share the
+        call."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.n_inputs:
+            raise ValueError(f"expected {self.n_inputs} inputs, got {x.shape[-1]}")
+        out = self._rows(x[None, :] if x.ndim == 1 else x)
+        return out[0].item() if x.ndim == 1 else out
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """Outputs for the rows of ``X``."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -272,13 +279,8 @@ class _ContinuousBase(Mapper):
     def n_inputs(self) -> int:
         return int(self.in_mean.shape[0])
 
-    def predict(self, x: np.ndarray):
-        """Output for one input vector, or one per row of a matrix; a row's
-        bits do not depend on how many rows share the call."""
-        z = (_check_inputs(x, self.n_inputs) - self.in_mean) / self.in_scale
-        if z.ndim == 1:
-            return float(self._forward(z[None, :])[0])
-        return self._forward(z)
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        return self._forward((X - self.in_mean) / self.in_scale)
 
     def _forward(self, z: np.ndarray) -> np.ndarray:  # pragma: no cover
         """Outputs for standardized rows ``z``."""
@@ -729,14 +731,9 @@ class PrototypeMapper(_CentroidBase):
             return np.sqrt((diff * diff).sum(axis=2))
         return np.abs(diff).sum(axis=2)
 
-    def predict(self, x: np.ndarray):
-        x = _check_inputs(x, self.n_inputs)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+    def _rows(self, X: np.ndarray) -> np.ndarray:
         # argmin returns the first minimum: ties break to the lowest centroid index
-        win = np.argmin(self._dists(X), axis=1)
-        out = self.classes[win]
-        return int(out[0]) if single else out
+        return self.classes[np.argmin(self._dists(X), axis=1)]
 
 
 class _SpreadBase(_CentroidBase):
@@ -754,18 +751,13 @@ class _SpreadBase(_CentroidBase):
         if len(self.spreads) != len(self.classes) or np.any(self.spreads <= 0):
             raise ValueError("one positive spread per centroid required")
 
-    def predict(self, x: np.ndarray):
-        x = _check_inputs(x, self.n_inputs)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+    def _rows(self, X: np.ndarray) -> np.ndarray:
         diff = X[:, None, :] - self.centroids[None, :, :]
         d2 = (diff * diff).sum(axis=2)
         score = -d2 / (2.0 * self.spreads**2)
         if self.normalized:
             score = score - self.n_inputs * np.log(self.spreads)
-        win = np.argmax(score, axis=1)
-        out = self.classes[win]
-        return int(out[0]) if single else out
+        return self.classes[np.argmax(score, axis=1)]
 
 
 class GaussianPrototypeMapper(_SpreadBase):
@@ -803,12 +795,8 @@ class HyperplaneMapper(Mapper):
     def n_inputs(self) -> int:
         return int(self.w.shape[0])
 
-    def predict(self, x: np.ndarray):
-        x = _check_inputs(x, self.n_inputs)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        out = (_rows_times(X, self.w) + self.b > 0).astype(int)
-        return int(out[0]) if single else out
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        return (_rows_times(X, self.w) + self.b > 0).astype(int)
 
     def rotate(self, angle_rad: float, plane_dir: np.ndarray) -> None:
         """Rotate ``w`` by ``angle_rad`` toward the orthogonal unit ``plane_dir``.

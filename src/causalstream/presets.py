@@ -10,6 +10,8 @@ and four-event drift schedules (2,500 rows, concepts of 500).  ``dataset4``..
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .concept import ConceptParams
@@ -56,144 +58,77 @@ def _move_and_refit(y_node: int, refit_node: int, fn: str) -> tuple[ShiftAction,
     )
 
 
+_SWAP_0_1 = (ShiftAction("swap-classes", None, {"c1": 0, "c2": 1}),)
+
+
+def _example(seed: int, n_classes: int, nodes: dict, events: list) -> GeneratorConfig:
+    """A 2,500-row classification stream on ``example_graph()``: root x1 is
+    normal and x2 uniform, ``nodes`` pins the inner nodes, and ``events`` is
+    the schedule."""
+
+    return GeneratorConfig(
+        dataset_size=2500,
+        seed=seed,
+        d=5,
+        graph=example_graph(),
+        temporal=_PRESET_TEMPORAL,
+        concept=ConceptParams(
+            task="classification",
+            n_classes=n_classes,
+            centroids_per_class=_PRESET_CENTROIDS,
+            nodes={0: {"dist": "normal"}, 1: {"dist": "uniform"}, **nodes},
+        ),
+        schedule=DriftSchedule(tuple(events)),
+    )
+
+
 def _dataset1(seed: int) -> GeneratorConfig:
     nodes = {
-        0: {"dist": "normal"},
-        1: {"dist": "uniform"},
         2: {"mapper": "learned-mlp", "target_fn": "sine"},
         3: {"mapper": "random-mlp"},
         4: {"mapper": "sgd-linear", "target_fn": "checkerboard"},
         5: {"mapper": "prototype"},
     }
-    schedule = DriftSchedule(
-        (
-            ShiftSpec(
-                "covariate",
-                "abrupt",
-                500,
-                1,
-                (ShiftAction("root-params", 0, {"shift_std": _COVARIATE_SHIFT_STD}),),
-            ),
-            ShiftSpec("distributional", "abrupt", 1000, 1, _move_and_refit(5, 4, "sine")),
-            ShiftSpec(
-                "severe", "abrupt", 1500, 1, (ShiftAction("swap-classes", None, {"c1": 0, "c2": 1}),)
-            ),
-            ShiftSpec("distributional", "abrupt", 2000, 1, _move_and_refit(5, 2, "step")),
-        )
-    )
-    return GeneratorConfig(
-        dataset_size=2500,
-        seed=seed,
-        d=5,
-        graph=example_graph(),
-        temporal=_PRESET_TEMPORAL,
-        concept=ConceptParams(
-            task="classification",
-            n_classes=4,
-            centroids_per_class=_PRESET_CENTROIDS,
-            nodes=nodes,
-        ),
-        schedule=schedule,
-    )
+    shift = (ShiftAction("root-params", 0, {"shift_std": _COVARIATE_SHIFT_STD}),)
+    return _example(seed, 4, nodes, [
+        ShiftSpec("covariate", "abrupt", 500, 1, shift),
+        ShiftSpec("distributional", "abrupt", 1000, 1, _move_and_refit(5, 4, "sine")),
+        ShiftSpec("severe", "abrupt", 1500, 1, _SWAP_0_1),
+        ShiftSpec("distributional", "abrupt", 2000, 1, _move_and_refit(5, 2, "step")),
+    ])
 
 
 def _dataset2(seed: int) -> GeneratorConfig:
     nodes = {
-        0: {"dist": "normal"},
-        1: {"dist": "uniform"},
         2: {"mapper": "regression-tree", "target_fn": "linear"},
         3: {"mapper": "random-mlp"},
         4: {"mapper": "sgd-linear", "target_fn": "rbf"},
         5: {"mapper": "random-rbf"},
     }
-    schedule = DriftSchedule(
-        (
-            ShiftSpec(
-                "covariate",
-                "abrupt",
-                500,
-                1,
-                (ShiftAction("root-params", 1, {"shift_std": _COVARIATE_SHIFT_STD}),),
-            ),
-            ShiftSpec(
-                "distributional",
-                "incremental",
-                1000,
-                250,
-                _move_and_refit(5, 4, "checkerboard"),
-            ),
-            ShiftSpec(
-                "severe",
-                "gradual",
-                1500,
-                250,
-                (ShiftAction("swap-classes", None, {"c1": 0, "c2": 1}),),
-            ),
-            ShiftSpec("distributional", "abrupt", 2000, 1, _move_and_refit(5, 2, "sine")),
-        )
-    )
-    return GeneratorConfig(
-        dataset_size=2500,
-        seed=seed,
-        d=5,
-        graph=example_graph(),
-        temporal=_PRESET_TEMPORAL,
-        concept=ConceptParams(
-            task="classification",
-            n_classes=5,
-            centroids_per_class=_PRESET_CENTROIDS,
-            nodes=nodes,
-        ),
-        schedule=schedule,
-    )
+    shift = (ShiftAction("root-params", 1, {"shift_std": _COVARIATE_SHIFT_STD}),)
+    refit = _move_and_refit(5, 4, "checkerboard")
+    return _example(seed, 5, nodes, [
+        ShiftSpec("covariate", "abrupt", 500, 1, shift),
+        ShiftSpec("distributional", "incremental", 1000, 250, refit),
+        ShiftSpec("severe", "gradual", 1500, 250, _SWAP_0_1),
+        ShiftSpec("distributional", "abrupt", 2000, 1, _move_and_refit(5, 2, "sine")),
+    ])
 
 
 def _dataset3(seed: int) -> GeneratorConfig:
     nodes = {
-        0: {"dist": "normal"},
-        1: {"dist": "uniform"},
         2: {"mapper": "regression-tree", "target_fn": "step"},
         3: {"mapper": "random-mlp"},
         4: {"mapper": "sgd-linear", "target_fn": "sine"},
         5: {"mapper": "gaussian-prototype"},
     }
-    schedule = DriftSchedule(
-        (
-            ShiftSpec(
-                "distributional",
-                "abrupt",
-                500,
-                1,
-                (
-                    ShiftAction("move-prototypes", 5),
-                    ShiftAction("reinit-random-mlp", 3),
-                ),
-            ),
-            ShiftSpec("recurrent", "abrupt", 1000, 1, snapshot_id="concept0"),
-            ShiftSpec(
-                "severe",
-                "gradual",
-                1500,
-                250,
-                (ShiftAction("swap-classes", None, {"c1": 0, "c2": 1}),),
-            ),
-            ShiftSpec("distributional", "abrupt", 2000, 1, _move_and_refit(5, 2, "linear")),
-        )
-    )
-    return GeneratorConfig(
-        dataset_size=2500,
-        seed=seed,
-        d=5,
-        graph=example_graph(),
-        temporal=_PRESET_TEMPORAL,
-        concept=ConceptParams(
-            task="classification",
-            n_classes=3,
-            centroids_per_class=_PRESET_CENTROIDS,
-            nodes=nodes,
-        ),
-        schedule=schedule,
-    )
+    move = (ShiftAction("move-prototypes", 5), ShiftAction("reinit-random-mlp", 3))
+    return _example(seed, 3, nodes, [
+        ShiftSpec("distributional", "abrupt", 500, 1, move),
+        ShiftSpec("recurrent", "abrupt", 1000, 1, snapshot_id="concept0"),
+        ShiftSpec("severe", "gradual", 1500, 250, _SWAP_0_1),
+        ShiftSpec("distributional", "abrupt", 2000, 1, _move_and_refit(5, 2, "linear")),
+    ])
 
 
 # (d, n_classes, n_concepts, dataset_size, p_m, p_i) per large-benchmark row
@@ -285,23 +220,20 @@ _PRESETS = {
     "dataset1": _dataset1,
     "dataset2": _dataset2,
     "dataset3": _dataset3,
-    "dataset4": lambda seed: _template("dataset4", seed),
-    "dataset5": lambda seed: _template("dataset5", seed),
-    "dataset6": lambda seed: _template("dataset6", seed),
-    "dataset7": lambda seed: _template("dataset7", seed),
-    "dataset8": lambda seed: _template("dataset8", seed),
+    **{name: partial(_template, name) for name in _TEMPLATE_SHAPES},
     "regression1": _regression1,
 }
 PRESET_NAMES = tuple(_PRESETS)
 
-_DEFAULT_SEEDS = {name: 7 for name in PRESET_NAMES}
+# the seed of every preset when none is given
+_DEFAULT_SEED = 7
 
 
 def preset_config(name: str, seed: int | None = None) -> GeneratorConfig:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     if seed is None:
-        seed = _DEFAULT_SEEDS[name]
+        seed = _DEFAULT_SEED
     return _PRESETS[name](int(seed))
 
 

@@ -329,10 +329,13 @@ def test_analyze_io_errors(tmp_path):
     assert main(["analyze", "acf", str(bad.with_suffix(".empty")) ]) == 3
 
 
-def test_analyze_option_validation(tmp_path, small_config):
+def test_analyze_option_validation(tmp_path, small_config, capsys):
     stream = _generate(tmp_path, small_config)
+    capsys.readouterr()
     assert main(["analyze", "mmd", str(stream), "--batch-size", "0"]) == 2
+    assert capsys.readouterr().err == "config error: batch_size must be positive\n"
     assert main(["analyze", "acf", str(stream), "--lags", "0"]) == 2
+    assert capsys.readouterr().err == "config error: lags must be positive\n"
 
 
 def test_evaluate_preset_full_pipeline(tmp_path):
@@ -436,11 +439,14 @@ def test_read_stream_rejects_non_finite_cells(tmp_path, body, message):
     assert frame.task == "classification"
 
 
-def test_evaluate_option_and_source_validation(tmp_path, small_config):
+def test_evaluate_option_and_source_validation(tmp_path, small_config, capsys):
     assert main(["evaluate"]) == 2
     stream = _generate(tmp_path, small_config)
+    capsys.readouterr()
     assert main(["evaluate", str(stream), "--window", "0"]) == 2
+    assert capsys.readouterr().err == "config error: window must be positive\n"
     assert main(["evaluate", str(stream), "--label-fraction", "1.5"]) == 2
+    assert capsys.readouterr().err == "config error: label_fraction must lie in [0, 1]\n"
 
 
 def test_config_file_validation(tmp_path):

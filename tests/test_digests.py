@@ -24,6 +24,18 @@ row-by-row order, and the temporal recursion keeps the float operations of
 the one-row steps.  The CSV write by ``repr`` and the ``np.loadtxt`` read
 moved no entry either.
 
+It moved a third time when each drift mechanism got one endpoint: an
+incremental plan's last step puts the endpoint itself, where
+``s + 1.0 * (e - s)`` had left some coordinates up to 8.9e-16 off, and an
+abrupt event runs the same plan to its end.  Only runs with an incremental
+window moved: dataset2's ``snapshots`` (its ``concept2`` and ``concept3`` carry
+the endpoint centroids), and the coverage config's ``csv`` and
+``snapshots`` (28 of rows 359-399, from the last step of its second
+incremental window to the restore at t=400, follow the exact endpoint).  Both
+runs' final concepts are rebuilt by later events, so no ``concept`` entry
+moved; nor did any abrupt-only case, any ``sidecar`` entry or the RNG
+layout.
+
 The ``sidecar`` column was added later, before the JSON codec replaced the
 hand-written ``config_to_document``: it pins the config document that
 ``generate`` writes into the metadata sidecar (``json.dumps`` with
@@ -68,7 +80,7 @@ DIGESTS = {
     "dataset2": {
         "csv": "c3a4b9bd09db156e9a2e1453aaa4aa6af6c775bf833fad0adf56dc830bf8b097",
         "concept": "d166502765214a515a5d9404ae8175057f73ad71c68056a21280fd5464585561",
-        "snapshots": "2ebf498337a979bf30a92f0549147bc6f6a9bdea769440e8a570f219b68c5a9a",
+        "snapshots": "dccf3b8d80c27947fa556c22a504a785db84bbebc65aab324d65e75aabff8cea",
         "sidecar": "c2d86cea358ace9ceaf45e7d765409117ccb9a409b04f86660852d5d46744af1",
     },
     "dataset3": {
@@ -102,9 +114,9 @@ DIGESTS = {
         "sidecar": "5f3655ac7dfa4cba66353853afc24b0358fd0ff7650b0ed6bc8334b9cf076c70",
     },
     "coverage": {
-        "csv": "9a00c9dd097f68143dccb77b88919f671644b4cb6bc949cca1038b38af3d3628",
+        "csv": "5c75c2e4c1b3337b8e52489bf629518d6a658f27e02d6d57b0d242d6276cbb13",
         "concept": "5687981576da6250c1e6b2b27c22f52011950ded53722a4e866177f40d4ee4c3",
-        "snapshots": "7a6d46930c698fe506c0dccb1da32f49a8981052ea5fdf760ab9b8038ee1858a",
+        "snapshots": "8fcf48fde452d978a083c11a48661d2c0bf4f98b0d79a70e46d5f6cb1d5e6bb0",
         "sidecar": "b8376ede3a5a48944d5bbe950d26d33238ee0c18a6fb939fb8180f2d22307761",
     },
 }

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from causalstream.concept import (
     deterministic_label,
     init_concept,
     restore_concept,
+    simulate_concept_samples,
     snapshot_concept,
 )
 from causalstream.drift import (
@@ -23,7 +26,8 @@ from causalstream.drift import (
     incremental_step,
     validate_schedule_against,
 )
-from causalstream.generator import build_stream
+from causalstream.generator import GeneratorConfig, build_stream, collect
+from causalstream.graph import CausalGraph
 from causalstream.mappers import RootDistribution, serialize_params
 from causalstream.presets import example_graph, preset_config
 from causalstream.temporal import TemporalState
@@ -270,23 +274,39 @@ def test_incremental_mean_walk_hits_exact_quarters():
     assert seen == [0.25, 0.5, 0.75, 1.0]
 
 
-def test_incremental_endpoint_matches_abrupt():
-    """A finished incremental window equals the one-shot event draw for draw."""
-    c = _concept(8)
-    spec_inc = ShiftSpec(
-        "distributional", "incremental", 100, duration=5,
-        actions=(ShiftAction("move-prototypes", node=5),),
+# (shift kind, node, params) of one action per mechanism whose plan steps by
+# fractions, on the concept of the test below
+_STEPPED_ACTIONS = {
+    "root-params": ("covariate", 0, {"shift_std": 0.7, "scale_factor": 1.3}),
+    "move-prototypes": ("distributional", 5, {}),
+    "reinit-random-mlp": ("distributional", 3, {}),
+    "rotate-hyperplane": ("distributional", 4, {}),
+}
+
+
+@pytest.mark.parametrize("mechanism", list(_STEPPED_ACTIONS))
+def test_incremental_endpoint_matches_abrupt(mechanism):
+    """A finished incremental window equals the one-shot event bit for bit."""
+    kind, node, params = _STEPPED_ACTIONS[mechanism]
+    cfg = preset_config("dataset1", 8)
+    # node 4 becomes a binary hyperplane, so every stepped mechanism has a node
+    pins = {**cfg.concept.nodes, 4: {"mapper": "hyperplane", "n_classes": 2}}
+    c = init_concept(
+        example_graph(),
+        dataclasses.replace(cfg.concept, nodes=pins),
+        np.random.default_rng(8),
+        temporal=cfg.temporal,
     )
-    spec_abr = ShiftSpec(
-        "distributional", "abrupt", 100,
-        actions=(ShiftAction("move-prototypes", node=5),),
-    )
+    action = ShiftAction(mechanism, node=node, params=params)
+    spec_inc = ShiftSpec(kind, "incremental", 100, duration=5, actions=(action,))
+    spec_abr = ShiftSpec(kind, "abrupt", 100, actions=(action,))
     work = c.copy()
     plan = begin_incremental(work, spec_inc, np.random.default_rng(77))
     for i in range(5):
         incremental_step(work, plan, i, np.random.default_rng(0))
     target = apply_abrupt(c, spec_abr, np.random.default_rng(77))
-    assert np.allclose(work.mappers[5].centroids, target.mappers[5].centroids, atol=1e-12)
+    assert work.to_dict() == target.to_dict()
+    assert work.to_dict() != c.to_dict()
 
 
 def test_partial_step_count_never_reaches_the_stream():
@@ -434,3 +454,27 @@ def test_policy_rejects_a_bad_forced_value_spec(spec, message):
     not at the first row that draws from them."""
     with pytest.raises(ValueError, match=message):
         InterventionPolicy(p_intervene=0.5, values={0: spec})
+
+
+def test_resimulation_relabels_the_target_as_the_stream_does():
+    """Drift refits train on a re-simulation of the current concept.  With a
+    feature downstream of the target, that walk must apply the class
+    permutation too, or it trains the children on the unswapped classes."""
+    graph = CausalGraph(4, {0: (), 1: (), 2: (0, 1), 3: (2,)}, target=2)
+    swap = ShiftSpec("severe", "abrupt", 100, actions=(ShiftAction("swap-classes"),))
+    n = 20_000
+    cfg = GeneratorConfig(
+        dataset_size=n, seed=5, d=3, graph=graph, schedule=DriftSchedule((swap,))
+    )
+    gen = build_stream(cfg)
+    stream = collect(gen, n)
+    concept = gen.concept
+    assert concept.class_permutation == (1, 0)
+    S = simulate_concept_samples(concept, n, np.random.default_rng(0))
+    raw = concept.mappers[2].predict(S[:, [0, 1]])
+    assert np.array_equal(S[:, 2], np.asarray(concept.class_permutation)[raw])
+    # long-run shares of class 1: 0.34 in the stream after the swap, and
+    # 0.67 in a walk that skips the permutation
+    sim_share = float(np.mean(S[:, 2] == 1))
+    stream_share = float(np.mean(stream.y[100:] == 1))
+    assert abs(sim_share - stream_share) < 0.1, (sim_share, stream_share)

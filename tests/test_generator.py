@@ -142,7 +142,7 @@ def test_incremental_window_reports_new_concept_id():
     assert {r.concept_id for r in rows[:200]} == {"concept0"}
     assert {r.concept_id for r in rows[200:]} == {"concept1"}
     # the walk ends exactly on the frozen endpoint
-    assert gen.concept.root_dists[0].p1 == pytest.approx(4.0)
+    assert gen.concept.root_dists[0].p1 == 4.0
 
 
 def test_snapshots_cover_every_event():

@@ -22,9 +22,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import causalstream.generator as generator_module
-from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec
+from causalstream.concept import ConceptParams
+from causalstream.drift import (
+    DriftSchedule,
+    ShiftAction,
+    ShiftSpec,
+    apply_abrupt,
+    begin_incremental,
+)
 from causalstream.generator import GeneratorConfig, build_stream
 from causalstream.graph import build_dag
+from causalstream.mappers import CENTROID_KINDS
 from causalstream.stream_io import write_stream_csv
 from causalstream.temporal import TemporalParams
 
@@ -140,3 +148,54 @@ def test_toggling_interventions_moves_no_mask_or_natural_root_draw(cfg):
         for root in cfg.graph.roots:
             if root not in a.intervened + b.intervened:
                 assert a.values[root] == b.values[root], (a.t, root)
+
+
+# the mechanism with a stepped plan that each mapper kind admits; the
+# sgd-linear refit steps by samples and has a full refit as its abrupt form
+_STEPPED = {
+    "random-mlp": "reinit-random-mlp",
+    "hyperplane": "rotate-hyperplane",
+    **dict.fromkeys(CENTROID_KINDS, "move-prototypes"),
+}
+
+
+@given(
+    configs(),
+    st.sampled_from(sorted(_STEPPED)),
+    st.integers(2, 40),
+    st.integers(0, 2**16),
+    st.sampled_from([{"redraw": True}, {"shift_std": -0.7, "scale_factor": 0.6}]),
+)
+def test_an_incremental_window_lands_on_the_abrupt_endpoint(
+    cfg, kind, duration, seed, root_params
+):
+    """Every stepped mechanism on every node it fits: the plan run over
+    ``duration`` steps and the abrupt event, from the same schedule draws,
+    give equal concept documents.  Every inner feature node is pinned to
+    ``kind``."""
+    graph = cfg.graph
+    pin = {"mapper": kind, "n_classes": 2}
+    inner = [n for n in graph.feature_nodes if not graph.is_root(n)]
+    pins = ConceptParams(task=cfg.task, nodes=dict.fromkeys(inner, pin))
+    gen = _build(replace(cfg, concept=pins))
+    if isinstance(gen, str):
+        return
+    concept = gen.concept
+    actions = [
+        ("covariate", ShiftAction("root-params", root, root_params)) for root in graph.roots
+    ]
+    actions += [
+        ("distributional", ShiftAction(_STEPPED[m.kind], node))
+        for node, m in concept.mappers.items()
+        if m.kind in _STEPPED
+    ]
+    for shift_kind, action in actions:
+        spec = ShiftSpec(shift_kind, "incremental", 0, duration, (action,))
+        work = concept.copy()
+        plan = begin_incremental(work, spec, np.random.default_rng(seed))
+        steps = np.random.default_rng(seed + 1)
+        for i in range(duration):
+            plan.step(work, i, steps)
+        once = replace(spec, rate="abrupt", duration=1)
+        abrupt = apply_abrupt(concept, once, np.random.default_rng(seed))
+        assert work.to_dict() == abrupt.to_dict(), action
