@@ -1,11 +1,13 @@
 """Streaming engine: drift-schedule execution, temporal state, per-instance
 interventions and missingness, and value propagation through the graph.
 
-The concept is fixed between two event boundaries, and the temporal state
-never reads a node's value, so the engine builds the stream in segments:
-the draws of a segment are made in batches, in the order of a row-at-a-time
-walk, then every node is computed for all of its rows with one batched
-``predict`` (see ``StreamGenerator``).
+The concept is fixed between two event boundaries and moves row by row
+only inside a gradual or incremental window, and the temporal state never
+reads a node's value, so the engine builds the stream in segments: the
+draws of a segment are made in batches, in the order of a row-at-a-time
+walk, each row with its own concept version's parameters, then every node
+is computed for all of its rows with one batched ``predict`` per distinct
+mapper (see ``StreamGenerator``).
 
 Reproducibility contract: one master seed spawns five independent substreams
 (concept init, node values, interventions, missing masks, drift schedule).
@@ -45,6 +47,7 @@ from .drift import (
     validate_schedule_against,
 )
 from .graph import CausalGraph, build_dag
+from .mappers import copy_mapper
 from .temporal import TemporalParams, _one_pole, root_value_path
 
 # not called here; ``bench/tracing.py`` patches these one-row steps on this
@@ -160,30 +163,32 @@ def spawn_streams(seed: int) -> StreamRngs:
 class StreamGenerator:
     """State machine that builds the stream in segments and hands out rows.
 
-    A segment runs from the first unbuilt row to the next event boundary, at
-    most ``_SEGMENT_ROWS`` rows, and one concept produces all of it; a row
-    inside a gradual or incremental window is a segment of its own.  A
-    segment is built in two phases:
+    A segment runs from the first unbuilt row to the next event, the end of
+    the open window or ``length``, at most ``_SEGMENT_ROWS`` rows.  Outside
+    a window one concept produces all of it; inside a gradual or incremental
+    window each row has a concept version of its own (see
+    ``_segment_concept``).  A segment is built in two phases:
 
     1. the segment's draws, in the order of a row-at-a-time walk (see
        ``spawn_streams``): on ``values`` one call per run of normal or
-       uniform draws, then each node's temporal recursion over its column,
-       carried from ``state`` with the float operations of
-       ``root_value_step`` and ``ar_noise_step``; per row
-       ``draw_interventions`` and ``draw_missing``;
-    2. the ancestor walk of ``concept``, which also serves concept init and
-       drift re-simulation: one batched ``predict`` per inner node, in
-       topological order; forced values overwrite their rows before the
-       children read them.
+       uniform draws, scaled by each row's version, then each node's
+       temporal recursion over its column, carried from ``state`` with the
+       float operations of ``root_value_step`` and ``ar_noise_step``; per
+       row ``draw_interventions`` and ``draw_missing``;
+    2. the ancestor walk, which also serves concept init and drift
+       re-simulation: per inner node in topological order, one batched
+       ``predict`` per distinct mapper among the rows' versions, each
+       version's class permutation on the target; forced values overwrite
+       their rows before the children read them.
 
     Temporal state never reads a node's value, so phase 1 needs no mapper,
     and every ``predict`` gives a row the same bits however many rows share
     the call.  A stream's bytes therefore do not depend on where segments
     end.  ``step``, ``take`` and iteration read rows from the current
-    segment; ``state`` and the substreams may run up to one segment ahead of
-    the rows handed out.  ``length``, when given, is one more segment
-    boundary: a consumer that takes ``length`` rows leaves nothing built
-    past them.
+    segment; ``concept``, ``state`` and the substreams may run up to one
+    segment ahead of the rows handed out.  ``length``, when given, is one
+    more segment boundary: a consumer that takes ``length`` rows leaves
+    nothing built past them.
     """
 
     def __init__(
@@ -263,28 +268,43 @@ class StreamGenerator:
                 plan = begin_incremental(self.concept, spec, self.rngs.schedule)
                 self._window = (spec, event_id, plan)
 
-    def _segment_concept(self) -> tuple[Concept, str, int]:
-        """The concept of the next segment, its id and the segment's length.
+    def _segment_concept(self) -> tuple[list[Concept], list[str], list[int]]:
+        """The concept versions of the next segment, the concept id of each,
+        and the version of each of the segment's rows.
 
-        Inside a window this makes the row's schedule draw, and the segment
-        is that one row.
+        The segment ends at ``_SEGMENT_ROWS`` rows, at the next event, at
+        the end of the open window and at ``length``, whichever comes first.
+        Outside a window one concept makes every row.  Inside a gradual
+        window each row's ``gradual_selector`` draw picks the start concept
+        or the endpoint.  Inside an incremental window each row's
+        ``incremental_step`` moves ``concept``, and the row gets a version
+        of its own, which shares every mapper that no action moves.  The
+        schedule draws are made one row after the next.
         """
 
         t = self._built
+        ends = [t + _SEGMENT_ROWS]
+        if self._window is not None:
+            ends.append(self._window[0].t_end)
+        if self._next_event < len(self.schedule.events):
+            ends.append(self.schedule.events[self._next_event].t_start)
+        if self._length is not None and t < self._length:
+            ends.append(self._length)
+        rows = range(t, min(ends))
         if self._window is None:
-            n = _SEGMENT_ROWS
-            if self._next_event < len(self.schedule.events):
-                n = min(n, self.schedule.events[self._next_event].t_start - t)
-            if self._length is not None and t < self._length:
-                n = min(n, self._length - t)
-            return self.concept, self._concept_id, n
+            return [self.concept], [self._concept_id], [0] * len(rows)
         spec, event_id, shift = self._window
         if spec.rate == "gradual":
-            if gradual_selector(t, spec, self.rngs.schedule):
-                return shift, event_id, 1
-            return self.concept, self._concept_id, 1
-        incremental_step(self.concept, shift, t - spec.t_start, self.rngs.schedule)
-        return self.concept, event_id, 1
+            which = [int(gradual_selector(r, spec, self.rngs.schedule)) for r in rows]
+            return [self.concept, shift], [self._concept_id, event_id], which
+        c = self.concept
+        moved = [a.node for a in spec.actions if a.node in c.mappers]
+        versions = []
+        for r in rows:
+            incremental_step(c, shift, r - spec.t_start, self.rngs.schedule)
+            mappers = {**c.mappers, **{node: copy_mapper(c.mappers[node]) for node in moved}}
+            versions.append(replace(c, root_dists=dict(c.root_dists), mappers=mappers))
+        return versions, [event_id] * len(rows), list(range(len(rows)))
 
     # -- intervention helpers ------------------------------------------------
 
@@ -309,52 +329,48 @@ class StreamGenerator:
 
         self._advance_events()
         t0 = self._built
-        concept, concept_id, n = self._segment_concept()
-        drawn, forced, missing = self._draw_rows(concept, n)
+        versions, ids, which = self._segment_concept()
+        drawn, forced, missing = self._draw_rows(versions, which)
         overrides: dict[int, tuple[list[int], list]] = {}
         for i, row in enumerate(forced):
             for node, value in row.items():
                 rows, vals = overrides.setdefault(node, ([], []))
                 rows.append(i)
                 vals.append(value)
+        concept = versions[0]
+        mapper, permutation = (lambda node, P: concept.mappers[node]), concept.class_permutation
+        if len(versions) > 1:
+            mapper, permutation = (lambda node, P: _RowMappers(versions, which, node)), None
         V = _ancestor_walk(
             concept.graph,
-            n,
+            len(which),
             drawn.__getitem__,
-            lambda node, P: concept.mappers[node],
+            mapper,
             lambda node, m: drawn[node],
-            concept.class_permutation,
+            permutation,
             overrides,
         )
-        self._built = t0 + n
-        return self._emit(concept, concept_id, t0, V, forced, missing)
+        self._built = t0 + len(which)
+        return self._emit(concept, [ids[k] for k in which], t0, V, forced, missing)
 
-    def _draw_rows(self, concept: Concept, n: int):
-        """Phase 1: every draw of ``n`` rows, in the order of a row-at-a-time
-        walk, batched.
+    def _draw_rows(self, versions: list[Concept], which: list[int]):
+        """Phase 1: every draw of the segment's rows, in the order of a
+        row-at-a-time walk, batched; row ``i`` draws with the parameters of
+        ``versions[which[i]]``.
 
         Returns the per-node draws on ``values`` (a root's natural value, a
         continuous inner node's AR noise), and per row the forced values and
         the masked features.
         """
 
+        concept, n = versions[0], len(which)
         graph, temporal = concept.graph, concept.temporal
-        # a row's draws on ``values``: per continuous node in topological
-        # order, a root's natural value, then the node's AR innovation
-        walk, loc, scale, uniform = [], [], [], []
-        for node in graph.topo_order:
-            if concept.is_categorical(node):
-                continue
-            dist = concept.root_dists.get(node)
-            if dist is not None:
-                normal = dist.kind == "normal"
-                loc.append(dist.p1)
-                scale.append(dist.std() if normal else dist.p2 - dist.p1)
-                uniform.append(not normal)
-            loc.append(0.0)
-            scale.append(temporal.sigma * concept.noise_scale(node))
-            uniform.append(False)
-            walk.append((node, dist is not None))
+        # no drift changes which draws a row makes, only their loc and scale
+        params = [_draw_params(v) for v in versions]
+        walk, loc, scale, uniform = params[0]
+        if len(params) > 1:
+            loc = np.asarray([p[1] for p in params])[which]
+            scale = np.asarray([p[2] for p in params])[which]
         draws = _draw_in_rows(self.rngs.values, n, loc, scale, uniform).T.tolist()
         ewma, ar = self.state.ewma, self.state.ar
         drawn, j = {}, 0
@@ -372,16 +388,15 @@ class StreamGenerator:
         eligible = graph.feature_nodes
         if policy.include_target:
             eligible = tuple(sorted(eligible + (graph.target,)))
-        specs = {node: self._value_spec(concept, node) for node in eligible}
-        forced = [
-            draw_interventions(policy, eligible, specs, rngs.interventions) for _ in range(n)
-        ]
-        missing = [draw_missing(policy, emitted, rngs.missing) for _ in range(n)]
+        specs = [{node: self._value_spec(v, node) for node in eligible} for v in versions]
+        forced = [draw_interventions(policy, eligible, specs[k], rngs.interventions) for k in which]
+        missing = [draw_missing(policy, emitted, rngs.missing) for _ in which]
         return drawn, forced, missing
 
-    def _emit(self, concept, concept_id, t0, V, forced, missing) -> list[Instance]:
-        """The segment's instances: Python ints for categorical nodes and
-        floats for continuous ones, ``None`` for masked features."""
+    def _emit(self, concept, ids, t0, V, forced, missing) -> list[Instance]:
+        """The segment's instances, row ``i`` with concept id ``ids[i]``:
+        Python ints for categorical nodes and floats for continuous ones,
+        ``None`` for masked features."""
 
         topo = concept.graph.topo_order
         columns = {
@@ -398,7 +413,7 @@ class StreamGenerator:
         values = [dict(zip(topo, row)) for row in zip(*(columns[node] for node in topo))]
         labels = columns[concept.graph.target]
         return [
-            Instance(t0 + i, f, y, v, tuple(sorted(forced[i])), missing[i], concept_id)
+            Instance(t0 + i, f, y, v, tuple(sorted(forced[i])), missing[i], ids[i])
             for i, (f, y, v) in enumerate(zip(features, labels, values))
         ]
 
@@ -422,10 +437,58 @@ class StreamGenerator:
         return self.step()
 
 
-def _draw_in_rows(rng, n: int, loc: list, scale: list, uniform: list) -> np.ndarray:
-    """``n`` rows of draws on ``rng``: draw ``j`` of a row is
+def _draw_params(concept: Concept) -> tuple[list, list, list, list]:
+    """A row's draws on ``values`` under ``concept``: per continuous node in
+    topological order, a root's natural value, then the node's AR
+    innovation.  Returns the walk of (node, is root) and each draw's loc,
+    scale and whether it is uniform."""
+
+    walk, loc, scale, uniform = [], [], [], []
+    for node in concept.graph.topo_order:
+        if concept.is_categorical(node):
+            continue
+        dist = concept.root_dists.get(node)
+        if dist is not None:
+            normal = dist.kind == "normal"
+            loc.append(dist.p1)
+            scale.append(dist.std() if normal else dist.p2 - dist.p1)
+            uniform.append(not normal)
+        loc.append(0.0)
+        scale.append(concept.temporal.sigma * concept.noise_scale(node))
+        uniform.append(False)
+        walk.append((node, dist is not None))
+    return walk, loc, scale, uniform
+
+
+class _RowMappers:
+    """One node's mappers in a segment whose rows come from several concept
+    versions, read by the ancestor walk as one mapper: ``predict`` runs each
+    distinct mapper once, on its rows, and relabels the target's classes by
+    each version's permutation.  ``predict`` is row-independent, so a row
+    gets the bits that a segment of its version alone would give it."""
+
+    def __init__(self, versions: list[Concept], which: list[int], node: int):
+        self.kind = versions[0].mappers[node].kind
+        target = node == versions[0].graph.target
+        self.groups: dict[tuple, tuple] = {}
+        for i, k in enumerate(which):
+            m, perm = versions[k].mappers[node], versions[k].class_permutation
+            perm = perm if target else None
+            self.groups.setdefault((id(m), perm), (m, perm, []))[2].append(i)
+
+    def predict(self, P: np.ndarray) -> np.ndarray:
+        out = np.empty(len(P))
+        for m, perm, rows in self.groups.values():
+            y = m.predict(P[rows])
+            out[rows] = y if perm is None else np.asarray(perm)[y]
+        return out
+
+
+def _draw_in_rows(rng, n: int, loc, scale, uniform: list) -> np.ndarray:
+    """``n`` rows of draws on ``rng``: draw ``j`` of row ``i`` is
     ``loc[j] + scale[j] * u``, where ``u`` is a standard uniform draw if
-    ``uniform[j]`` and a standard normal one otherwise.
+    ``uniform[j]`` and a standard normal one otherwise.  ``loc`` and
+    ``scale`` may also be ``(n, m)`` arrays, one row of parameters per row.
 
     The draws are made in row-major order, one call per run of draws of one
     kind.  They give the bits of as many one-draw ``rng.uniform(low, high)``
@@ -433,7 +496,7 @@ def _draw_in_rows(rng, n: int, loc: list, scale: list, uniform: list) -> np.ndar
     from the same ``u``.
     """
 
-    m = len(loc)
+    m = len(uniform)
     # where a run of one kind starts inside a row, and at a row's start
     starts = [j for j in range(1, m) if uniform[j] != uniform[j - 1]]
     if uniform[0] != uniform[-1]:
@@ -538,16 +601,11 @@ def collect(source, n: int | None = None, task: str | None = None) -> StreamFram
     k = len(instances[0].features) if instances else 0
     if names is None:
         names = tuple(f"x{i + 1}" for i in range(k))
-    X = np.full((len(instances), k), np.nan)
-    mask = np.zeros((len(instances), k), dtype=bool)
-    y = np.empty(len(instances))
-    for i, inst in enumerate(instances):
-        for j, v in enumerate(inst.features):
-            if v is None:
-                mask[i, j] = True
-            else:
-                X[i, j] = v
-        y[i] = inst.label
+    cells = np.array([inst.features for inst in instances], dtype=object)
+    cells = cells.reshape(len(instances), k)
+    mask = cells == None  # noqa: E711 -- elementwise: a masked feature is None
+    X = cells.astype(float)  # None becomes NaN
+    y = np.array([inst.label for inst in instances], dtype=float)
     if task is None:
         task = "classification" if np.allclose(y, np.round(y)) else "regression"
     if task == "classification":

@@ -209,23 +209,68 @@ def test_ewma_only_mode_breaks_whiteness():
         assert rejected >= 3
 
 
-def _csv_bytes(cfg, path) -> bytes:
+def _run(cfg, path) -> dict:
+    """A whole run: its CSV bytes, each row's fields that the CSV does not
+    hold, and every snapshot document."""
     gen = build_stream(cfg)
-    write_stream_csv(path, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names)
-    return path.read_bytes()
+    rows = gen.take(cfg.dataset_size)
+    write_stream_csv(path, rows, gen.feature_names)
+    return {
+        "csv": path.read_bytes(),
+        "rows": [(r.concept_id, r.values, r.intervened, r.missing) for r in rows],
+        "snapshots": {k: (s.concept, s.state) for k, s in gen.snapshots.items()},
+    }
 
 
 @pytest.mark.parametrize("case", ["dataset1", "dataset2", "coverage"])
 def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
-    """Segments of 1, 7 or 4096 rows write the same CSV as the default."""
+    """Segments of 1, 7 or 4096 rows give the same run as the default.
+    dataset2 and the coverage config hold gradual and incremental windows,
+    which the cap splits."""
     if case == "coverage":
         cfg = parse_config(copy.deepcopy(COVERAGE_DOC)).generator
     else:
         cfg = preset_config(case, 0)
-    expected = _csv_bytes(cfg, tmp_path / "default.csv")
+    expected = _run(cfg, tmp_path / "default.csv")
     for rows in (1, 7, 4096):
         monkeypatch.setattr(generator_module, "_SEGMENT_ROWS", rows)
-        assert _csv_bytes(cfg, tmp_path / f"{rows}.csv") == expected, rows
+        got = _run(cfg, tmp_path / f"{rows}.csv")
+        for what in expected:
+            assert got[what] == expected[what], (rows, what)
+
+
+# per mechanism with a lerped plan: the shift kind and a coverage-config node
+# it moves
+_LERPED = {
+    "root-params": ("covariate", 0),
+    "move-prototypes": ("distributional", 2),
+    "reinit-random-mlp": ("distributional", 3),
+    "rotate-hyperplane": ("distributional", 5),
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(_LERPED))
+def test_an_incremental_window_ends_on_its_abrupt_twin(mechanism, monkeypatch):
+    """From the same seed and ``t_start``, the stream's concept after an
+    incremental window equals the one that the abrupt event of the same
+    action completes, at the default segment cap and at a cap of 1 row."""
+    kind, node = _LERPED[mechanism]
+    params = {"shift_std": 1.0, "scale_factor": 1.5} if mechanism == "root-params" else {}
+    action = ShiftAction(mechanism, node, params)
+    base = parse_config(copy.deepcopy(COVERAGE_DOC)).generator
+
+    def completed(rate, duration):
+        event = ShiftSpec(kind, rate, 100, duration, (action,))
+        cfg = dataclasses.replace(base, dataset_size=200, schedule=DriftSchedule((event,)))
+        gen = build_stream(cfg)
+        gen.take(cfg.dataset_size)
+        return gen.snapshots["concept1"].concept
+
+    abrupt = completed("abrupt", 1)
+    assert completed("incremental", 50) == abrupt
+    monkeypatch.setattr(generator_module, "_SEGMENT_ROWS", 1)
+    assert completed("incremental", 50) == abrupt
+    assert completed("abrupt", 1) == abrupt
 
 
 def test_no_row_is_built_past_the_stream_length():

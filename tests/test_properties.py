@@ -1,8 +1,10 @@
 """Property-based invariants over small random configs and schedules.
 
 Each example draws a graph (pinned in the config, so the event can name one
-of its roots), a task, temporal parameters at their edges, intervention and
-missing rates, and one abrupt or gradual event.  The ``ci`` profile in
+of its nodes), a task, temporal parameters at their edges, intervention and
+missing rates, and one abrupt, gradual or incremental event.  An incremental
+event moves a root's distribution, or one inner node's mapper, which the
+config pins to a kind that the mechanism moves.  The ``ci`` profile in
 ``conftest.py`` makes the draws deterministic and bounds their number.
 
 A run either raises ``ValueError`` before its first row or yields its rows;
@@ -32,9 +34,18 @@ from causalstream.drift import (
 )
 from causalstream.generator import GeneratorConfig, build_stream
 from causalstream.graph import build_dag
-from causalstream.mappers import CENTROID_KINDS
+from causalstream.mappers import CATEGORICAL_KINDS, CENTROID_KINDS, CONTINUOUS_KINDS
 from causalstream.stream_io import write_stream_csv
 from causalstream.temporal import TemporalParams
+
+
+# per incremental mechanism on an inner node, the mapper kinds it moves
+_INNER_PLANS = {
+    "move-prototypes": CENTROID_KINDS,
+    "reinit-random-mlp": ("random-mlp",),
+    "rotate-hyperplane": ("hyperplane",),
+    "refit-new-target-fn": ("sgd-linear",),
+}
 
 
 @st.composite
@@ -50,9 +61,24 @@ def configs(draw):
     task = draw(st.sampled_from(["classification", "regression"]))
     rows = draw(st.integers(40, 120))
     t_start = draw(st.integers(1, rows - 1))
-    rate = draw(st.sampled_from(["abrupt", "gradual"]))
+    rate = draw(st.sampled_from(["abrupt", "gradual", "incremental"]))
     duration = 1 if rate == "abrupt" else draw(st.integers(2, max(2, rows - t_start)))
-    if task == "classification" and draw(st.booleans()):
+    concept = None
+    if rate == "incremental" and draw(st.booleans()):
+        # one mechanism on one inner node, pinned to a kind it moves; the
+        # target's kind must also fit the task
+        node = draw(st.sampled_from([n for n in range(graph.n_nodes) if not graph.is_root(n)]))
+        fits = CATEGORICAL_KINDS if task == "classification" else CONTINUOUS_KINDS
+        menu = [
+            (mechanism, kind)
+            for mechanism, kinds in _INNER_PLANS.items()
+            for kind in kinds
+            if node != graph.target or kind in fits
+        ]
+        mechanism, kind = draw(st.sampled_from(menu))
+        concept = ConceptParams(task=task, nodes={node: {"mapper": kind, "n_classes": 2}})
+        kind, action = "distributional", ShiftAction(mechanism, node)
+    elif rate != "incremental" and task == "classification" and draw(st.booleans()):
         kind, action = "severe", ShiftAction("swap-classes")
     else:
         root = draw(st.sampled_from(graph.roots))
@@ -72,6 +98,7 @@ def configs(draw):
             sigma=draw(st.sampled_from([0.0, 0.3])),
         ),
         schedule=DriftSchedule((event,)),
+        concept=concept,
         graph=graph,
     )
 
@@ -172,12 +199,13 @@ def test_an_incremental_window_lands_on_the_abrupt_endpoint(
     """Every stepped mechanism on every node it fits: the plan run over
     ``duration`` steps and the abrupt event, from the same schedule draws,
     give equal concept documents.  Every inner feature node is pinned to
-    ``kind``."""
+    ``kind``; the drawn schedule, which may name a node by another kind, is
+    dropped."""
     graph = cfg.graph
     pin = {"mapper": kind, "n_classes": 2}
     inner = [n for n in graph.feature_nodes if not graph.is_root(n)]
     pins = ConceptParams(task=cfg.task, nodes=dict.fromkeys(inner, pin))
-    gen = _build(replace(cfg, concept=pins))
+    gen = _build(replace(cfg, concept=pins, schedule=DriftSchedule(())))
     if isinstance(gen, str):
         return
     concept = gen.concept
