@@ -7,14 +7,17 @@ forced by the task) and is fitted on a warmup simulation of its parents:
 marginals match generation-time marginals even at small alpha, where root
 values concentrate far below the raw distribution spread.
 
-Snapshots are full deep serializations (graph, distributions, mapper
-parameters, class permutation, temporal state) with exact float round-trip;
-restoring one never restores the temporal state, which keeps dynamics
-continuous across recurrent drift.
+A snapshot keeps a private copy of the concept and the document of the
+temporal state, and encodes the concept (graph, distributions, mapper
+parameters, class permutation) on its first read, since most snapshots are
+never read; the document round-trips every float exactly.  Restoring one
+never restores the temporal state, which keeps dynamics continuous across
+recurrent drift.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -40,6 +43,7 @@ from .mappers import (
     init_random_mlp,
 )
 from .temporal import TemporalParams, TemporalState, simulate_ar_noise, simulate_root_values
+from .temporal import _ar_path, _root_path
 
 __all__ = [
     "NODE_PIN_KEYS",
@@ -159,16 +163,24 @@ class Concept(Serializable):
         return self.to_dict() == other.to_dict()
 
 
-@dataclass(frozen=True)
 class ConceptSnapshot:
-    """Deep serialized copy of a concept plus the temporal state at capture.
+    """A concept's document plus the temporal state's document at capture.
 
-    Restoring applies the concept only; the captured state is recorded for
-    run files and inspection but deliberately not fed back into a stream.
+    ``concept`` is given as a document, or as a concept that nothing else
+    holds, which is encoded on the first read of ``concept``.  Restoring
+    applies the concept only; the captured state is recorded for run files
+    and inspection but deliberately not fed back into a stream.
     """
 
-    concept: dict
-    state: dict
+    def __init__(self, concept: dict | Concept, state: dict):
+        self._concept = concept
+        self.state = state
+
+    @property
+    def concept(self) -> dict:
+        if isinstance(self._concept, Concept):
+            self._concept = self._concept.to_dict()
+        return self._concept
 
     def to_json(self) -> str:
         return json.dumps({"concept": self.concept, "state": self.state}, sort_keys=True)
@@ -180,9 +192,12 @@ class ConceptSnapshot:
 
 
 def snapshot_concept(concept: Concept, state: TemporalState) -> ConceptSnapshot:
-    # every to_dict builds fresh containers of JSON values, so the snapshot
-    # shares nothing mutable with the live concept
-    return ConceptSnapshot(concept=concept.to_dict(), state=state.to_dict())
+    # the snapshot shares nothing mutable with the live concept: ``copy``
+    # gives it its own mappers and root distributions, and the pins in
+    # ``params.nodes`` are copied here; only the graph, which is frozen and
+    # which nothing edits, is shared.  ``to_dict`` builds fresh containers.
+    own = replace(concept.copy(), params=copy.deepcopy(concept.params))
+    return ConceptSnapshot(own, state.to_dict())
 
 
 def restore_concept(snap: ConceptSnapshot) -> Concept:
@@ -303,7 +318,7 @@ def _init_mapper(node: int, graph: CausalGraph, params: ConceptParams, P: np.nda
 
 
 def _ancestor_walk(
-    graph, n, root, mapper, noise, permutation=None, forced=None, upto=None
+    graph, n, root, mapper, noise, permutation=None, forced=None, nodes=None
 ) -> np.ndarray:
     """Every node's value on ``n`` rows, one batched ``predict`` per inner
     node in topological order; column ``j`` holds node ``j``.
@@ -314,12 +329,17 @@ def _ancestor_walk(
     in topological order, so callers that draw from one generator keep their
     draw order.  ``permutation`` relabels the target's classes, and
     ``forced`` maps a node to the (rows, values) that overwrite its column
-    before its children read it.  The walk stops after node ``upto``; later
-    columns are left empty.
+    before its children read it.  With ``nodes`` given, the walk computes
+    only those nodes and their ancestors, and calls the callbacks for them
+    alone; the other columns are left empty.
     """
 
+    order = graph.topo_order
+    if nodes is not None:
+        wanted = set(nodes).union(*map(graph.ancestors, nodes))
+        order = [node for node in order if node in wanted]
     V = np.empty((n, graph.n_nodes))
-    for node in graph.topo_order:
+    for node in order:
         if graph.is_root(node):
             V[:, node] = root(node)
         else:
@@ -334,8 +354,6 @@ def _ancestor_walk(
         if forced and node in forced:
             rows, vals = forced[node]
             V[rows, node] = vals
-        if node == upto:
-            break
     return V
 
 
@@ -398,25 +416,41 @@ def simulate_concept_samples(
     concept: Concept,
     n: int,
     rng: np.random.Generator,
-    upto: int | None = None,
+    nodes: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """Fresh ancestor simulation with the concept's current parameters.
 
     Walks the same warmup process used at fit time, and relabels the target
-    by the concept's class permutation, as the stream does.  If ``upto`` is
-    given, columns after that node's topological position are left empty
-    (drift refits only need the ancestors of one node).
+    by the concept's class permutation, as the stream does.  With ``nodes``
+    given, only those nodes and their ancestors are computed (a drift refit
+    reads one node's parents), but every draw of every node up to the last
+    of ``nodes`` in topological order is made, in walk order: a root's
+    thetas and then its innovations, a continuous inner node's innovations.
+    So ``rng`` ends as a full walk that stops there leaves it, and each
+    computed column has that walk's bits.
     """
 
-    temporal = concept.temporal
+    graph, temporal = concept.graph, concept.temporal
+    walked = graph.topo_order
+    if nodes is not None:
+        walked = walked[: 1 + max(map(walked.index, nodes))]
+    theta, eps = {}, {}
+    for node in walked:
+        if graph.is_root(node):
+            theta[node] = concept.root_dists[node].sample(rng, size=n)
+        elif concept.is_categorical(node):
+            continue
+        eps[node] = rng.normal(0.0, temporal.sigma * concept.noise_scale(node), size=n)
     return _ancestor_walk(
-        concept.graph,
+        graph,
         n,
-        lambda node: simulate_root_values(n, concept.root_dists[node], temporal, rng),
+        lambda node: _root_path(
+            theta[node], _ar_path(eps[node], temporal), temporal, concept.root_dists[node].mean()
+        ),
         lambda node, P: concept.mappers[node],
-        _ar_noise(n, temporal, rng),
+        lambda node, m: _ar_path(eps[node], temporal),
         concept.class_permutation,
-        upto=upto,
+        nodes=nodes,
     )
 
 

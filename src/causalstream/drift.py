@@ -236,9 +236,7 @@ def _parent_matrix(concept: Concept, node: int, rng) -> np.ndarray:
     """Fresh ancestor sample of ``node``'s parents under the current concept."""
 
     parents = concept.graph.parents[node]
-    pos = {n: i for i, n in enumerate(concept.graph.topo_order)}
-    upto = max(parents, key=lambda p: pos[p])
-    sim = simulate_concept_samples(concept, concept.params.fit_samples, rng, upto=upto)
+    sim = simulate_concept_samples(concept, concept.params.fit_samples, rng, nodes=parents)
     return sim[:, parents]
 
 

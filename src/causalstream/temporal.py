@@ -137,7 +137,7 @@ def simulate_ar_noise(
     """
 
     eps = rng.normal(0.0, params.sigma * sigma_scale, size=n_steps)
-    return np.array(_one_pole(eps.tolist(), params.rho, n0))
+    return _ar_path(eps, params, n0)
 
 
 def simulate_root_values(
@@ -156,9 +156,21 @@ def simulate_root_values(
 
     theta = np.asarray(dist.sample(rng, size=n_steps), dtype=float)
     noise = simulate_ar_noise(n_steps, params, rng, sigma_scale=dist.std())
+    return _root_path(theta, noise, params, dist.mean() if x0 is None else x0)
+
+
+def _ar_path(eps: np.ndarray, params: TemporalParams, n0: float = 0.0) -> np.ndarray:
+    """The AR(1) noise path of ``simulate_ar_noise`` over innovations ``eps``."""
+
+    return np.array(_one_pole(eps.tolist(), params.rho, n0))
+
+
+def _root_path(theta: np.ndarray, noise: np.ndarray, params: TemporalParams, x0: float):
+    """The root path of ``simulate_root_values`` over draws ``theta`` and
+    noise path ``noise``, from value ``x0``."""
+
     drive = params.alpha * theta + noise
-    start = dist.mean() if x0 is None else x0
-    return np.array(_one_pole(drive.tolist(), 1.0 - params.alpha, start))
+    return np.array(_one_pole(drive.tolist(), 1.0 - params.alpha, x0))
 
 
 def _one_pole(xs: list[float], c: float, y0: float) -> list[float]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import preset_prefix
 from causalstream.concept import (
     Concept,
     ConceptParams,
@@ -13,10 +14,16 @@ from causalstream.concept import (
     simulate_concept_samples,
     snapshot_concept,
 )
+from causalstream.drift import ShiftAction, ShiftSpec, apply_abrupt
 from causalstream.generator import GeneratorConfig, build_stream, collect
-from causalstream.mappers import CATEGORICAL_KINDS, serialize_params
-from causalstream.presets import example_graph
-from causalstream.temporal import TemporalParams, TemporalState
+from causalstream.mappers import CATEGORICAL_KINDS, CONTINUOUS_KINDS, Mapper, serialize_params
+from causalstream.presets import example_graph, preset_config
+from causalstream.temporal import (
+    TemporalParams,
+    TemporalState,
+    simulate_ar_noise,
+    simulate_root_values,
+)
 
 
 def _concept(seed=0, **kw):
@@ -177,22 +184,26 @@ def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
     pins = {0: {"dist": "normal", "dist_params": [0.5, 2.0]}}
     c = _concept(10, nodes=pins)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)
-    snap = snapshot_concept(c, state)
-    before = snap.to_json()
     # equal to a JSON round trip of the concept, so the bytes are the same
-    assert snap.concept == json.loads(json.dumps(c.to_dict()))
-    assert snap.state == json.loads(json.dumps(state.to_dict()))
-    # change every array, list and dict the live concept holds, in place
-    for mapper in c.mappers.values():
-        for value in vars(mapper).values():
-            if isinstance(value, np.ndarray) and value.size:
-                value.flat[0] = -value.flat[0] - 1
-    c.params.nodes[0]["dist_params"][0] = 99.0
-    c.params.nodes[0]["dist"] = "uniform"
-    state.ewma[next(iter(state.ewma))] += 1.0
-    state.ar[next(iter(state.ar))] += 1.0
-    assert c.to_dict() != snap.concept
-    assert snap.to_json() == before
+    concept_doc = json.loads(json.dumps(c.to_dict()))
+    state_doc = json.loads(json.dumps(state.to_dict()))
+    snap = snapshot_concept(c, state)
+    # change every array, list and dict the live concept holds, in place,
+    # before the snapshot is first read, then again after
+    for edit in range(2):
+        for mapper in c.mappers.values():
+            for value in vars(mapper).values():
+                if isinstance(value, np.ndarray) and value.size:
+                    value.flat[0] = -value.flat[0] - 1
+        c.params.nodes[0]["dist_params"][0] = 99.0 + edit
+        c.params.nodes[0]["dist"] = "uniform"
+        c.root_dists[1] = c.root_dists[0]
+        c.class_permutation = tuple(reversed(c.class_permutation))
+        state.ewma[next(iter(state.ewma))] += 1.0
+        state.ar[next(iter(state.ar))] += 1.0
+        assert c.to_dict() != concept_doc
+        assert snap.concept == concept_doc
+        assert snap.state == state_doc
 
 
 def test_snapshot_json_round_trip():
@@ -210,6 +221,102 @@ def test_simulate_concept_samples_shape_and_determinism():
     assert a.shape == (64, c.graph.n_nodes)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a[:, list(c.graph.feature_nodes)]))
+
+
+def _reference_walk(concept, n, rng, last):
+    """Every node of ``concept``, in topological order up to ``last``, drawn
+    and computed in turn: the warmup walk before the pruned one."""
+    graph, temporal = concept.graph, concept.temporal
+    V = np.full((n, graph.n_nodes), np.nan)
+    for node in graph.topo_order:
+        if graph.is_root(node):
+            V[:, node] = simulate_root_values(n, concept.root_dists[node], temporal, rng)
+        else:
+            m = concept.mappers[node]
+            out = m.predict(V[:, graph.parents[node]])
+            if m.kind in CONTINUOUS_KINDS:
+                out = out + simulate_ar_noise(n, temporal, rng, sigma_scale=m.out_scale)
+            elif node == graph.target and concept.class_permutation is not None:
+                out = np.asarray(concept.class_permutation)[out]
+            V[:, node] = out
+        if node == last:
+            return V
+
+
+@pytest.fixture(scope="module")
+def dataset6():
+    """A d=100 dataset6 stream generator, the widest graph of the presets."""
+    return build_stream(preset_prefix("dataset6", 600))
+
+
+def test_a_pruned_walk_fills_its_columns_and_leaves_rng_as_the_full_walk(dataset6):
+    """For each node set ``S``: the columns of ``S`` and its ancestors are
+    bit-equal to the full walk's, and ``rng`` is left where a full walk that
+    stops after the last node of ``S`` leaves it."""
+    regression = init_concept(
+        example_graph(), ConceptParams(task="regression"), np.random.default_rng(4)
+    )
+    swapped = _concept(3)
+    swapped.class_permutation = (2, 0, 1)
+    for c in (_concept(1), swapped, regression, dataset6.concept):
+        graph, n = c.graph, 64
+        order = graph.topo_order
+        picks = np.random.default_rng(graph.n_nodes).choice(graph.n_nodes, 3, replace=False)
+        sets = [
+            (graph.target,),
+            graph.parents[graph.target],
+            (order[0],),
+            (order[-1],),
+            tuple(int(v) for v in picks),
+            order,
+        ]
+        full = simulate_concept_samples(c, n, np.random.default_rng(5))
+        assert np.array_equal(full, _reference_walk(c, n, np.random.default_rng(5), order[-1]))
+        for S in sets:
+            rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+            V = simulate_concept_samples(c, n, rng, nodes=S)
+            _reference_walk(c, n, ref_rng, max(S, key=order.index))
+            filled = sorted(set(S).union(*map(graph.ancestors, S)))
+            assert np.array_equal(V[:, filled], full[:, filled]), S
+            assert rng.random() == ref_rng.random(), S
+
+
+def test_a_move_prototypes_event_predicts_only_the_targets_ancestors(dataset6, monkeypatch):
+    concept = dataset6.concept
+    graph = concept.graph
+    called = []
+    predict = Mapper.predict
+
+    def counted(self, P):
+        called.append(self)
+        return predict(self, P)
+
+    monkeypatch.setattr(Mapper, "predict", counted)
+    move = ShiftAction("move-prototypes", graph.target)
+    spec = ShiftSpec("distributional", "abrupt", 0, actions=(move,))
+    out = apply_abrupt(concept, spec, np.random.default_rng(0))
+    node_of = {id(m): node for node, m in out.mappers.items()}
+    ancestors = [v for v in graph.ancestors(graph.target) if not graph.is_root(v)]
+    assert sorted(node_of[id(m)] for m in called) == ancestors
+    # the walk up to the target's last parent passes more inner nodes than that
+    order = graph.topo_order
+    last = max(order.index(p) for p in graph.parents[graph.target])
+    assert len(ancestors) < sum(not graph.is_root(v) for v in order[: last + 1])
+
+
+def test_the_engine_encodes_only_the_snapshots_that_are_read(monkeypatch):
+    encoded = []
+    to_dict = Concept.to_dict
+    monkeypatch.setattr(Concept, "to_dict", lambda self: encoded.append(self) or to_dict(self))
+    gen = build_stream(preset_prefix("dataset6", 600))
+    gen.take(600)
+    assert len(gen.snapshots) == 2 and encoded == []
+    doc = gen.snapshots["concept1"].concept
+    assert gen.snapshots["concept1"].concept is doc and len(encoded) == 1
+    # dataset3's recurrent event reads one snapshot, to restore it
+    gen = build_stream(preset_config("dataset3", 0))
+    gen.take(2500)
+    assert len(gen.snapshots) == 5 and len(encoded) == 2
 
 
 def test_params_validation():

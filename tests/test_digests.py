@@ -42,6 +42,12 @@ hand-written ``config_to_document``: it pins the config document that
 ``indent=2, sort_keys=True``, as ``write_sidecar`` does), so a change to
 how configs serialize cannot move the regeneration document unnoticed.
 
+The ``wide-refit`` case was pinned before drift re-simulation began to
+compute only the ancestors of the nodes it reads.  Until then only
+``dataset6[:600]`` re-simulated a wide graph, and it has no refit; this case
+refits a continuous node late in topological order and moves the target's
+prototypes, so a pruned walk that dropped or reordered a draw would move it.
+
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current table,
 so an update is a paste that can be reviewed line by line.
 """
@@ -50,13 +56,47 @@ import copy
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import COVERAGE_DOC, preset_prefix
+from causalstream.concept import ConceptParams
 from causalstream.config import config_to_document, parse_config
-from causalstream.generator import build_stream
+from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec
+from causalstream.generator import GeneratorConfig, build_stream
+from causalstream.graph import build_dag
 from causalstream.presets import preset_config
 from causalstream.stream_io import write_stream_csv
+from causalstream.temporal import TemporalParams
+
+
+def _wide_refit() -> GeneratorConfig:
+    """d=30, 600 rows, two abrupt events that re-simulate a wide graph.
+
+    Node 17 is a learned-mlp feature, 26th of 31 nodes in topological
+    order, and the last parent of the target 22.  The event at t=200 refits
+    it; the event at t=400 moves the target's prototypes, then refits node
+    17 again.  Each re-simulation walks 25 or 26 nodes and reads 8 or 11 of
+    them.
+    """
+    refit = ShiftAction("refit-new-target-fn", 17)
+    move = ShiftAction("move-prototypes", 22)
+    return GeneratorConfig(
+        dataset_size=600,
+        seed=0,
+        d=30,
+        graph=build_dag(30, 6, 1, 3, np.random.default_rng(3)),
+        p_i=0.1,
+        p_m=0.1,
+        temporal=TemporalParams(alpha=0.05, rho=0.5, sigma=0.4),
+        concept=ConceptParams(
+            n_classes=3, nodes={17: {"mapper": "learned-mlp"}, 22: {"mapper": "prototype"}}
+        ),
+        schedule=DriftSchedule((
+            ShiftSpec("distributional", "abrupt", 200, 1, (refit,)),
+            ShiftSpec("distributional", "abrupt", 400, 1, (move, refit)),
+        )),
+    )
 
 
 CASES = {
@@ -68,6 +108,7 @@ CASES = {
     "dataset5[:1100]": lambda: preset_prefix("dataset5", 1100),
     "dataset6[:600]": lambda: preset_prefix("dataset6", 600),
     "coverage": lambda: parse_config(copy.deepcopy(COVERAGE_DOC)).generator,
+    "wide-refit": _wide_refit,
 }
 
 DIGESTS = {
@@ -118,6 +159,12 @@ DIGESTS = {
         "concept": "5687981576da6250c1e6b2b27c22f52011950ded53722a4e866177f40d4ee4c3",
         "snapshots": "8fcf48fde452d978a083c11a48661d2c0bf4f98b0d79a70e46d5f6cb1d5e6bb0",
         "sidecar": "b8376ede3a5a48944d5bbe950d26d33238ee0c18a6fb939fb8180f2d22307761",
+    },
+    "wide-refit": {
+        "csv": "694af94eef875d67e9795d712ccd48fdd46ca3407f608fb4b1e5d0b6867cbc2c",
+        "concept": "0136a209da2ddb81998a5f9f5a759af3543a8fa0e6f709c5bc6e8a6f40625a97",
+        "snapshots": "5a5d36a2e5c6c503c1ca41331772234faf019cba57fd2ce2aec84dcb9681719a",
+        "sidecar": "2be7ca1467939fddcdc2de2044df39efb7e58df7b390088839aa12dbb4d33777",
     },
 }
 

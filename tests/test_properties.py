@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import causalstream.generator as generator_module
-from causalstream.concept import ConceptParams
+from causalstream.concept import ConceptParams, simulate_concept_samples
 from causalstream.drift import (
     DriftSchedule,
     ShiftAction,
@@ -227,3 +227,74 @@ def test_an_incremental_window_lands_on_the_abrupt_endpoint(
         once = replace(spec, rate="abrupt", duration=1)
         abrupt = apply_abrupt(concept, once, np.random.default_rng(seed))
         assert work.to_dict() == abrupt.to_dict(), action
+
+
+def _drift_free(cfg, **changes):
+    """The run's generator with no schedule, or the message that rejected it."""
+    return _build(replace(cfg, schedule=DriftSchedule(()), **changes))
+
+
+@given(
+    configs(),
+    st.integers(0, 2**16),
+    st.sampled_from([{"redraw": True}, {"shift_std": -0.7, "scale_factor": 0.6}]),
+)
+def test_a_covariate_shift_leaves_every_mapper_equal(cfg, seed, params):
+    """An abrupt root shift moves that root's distribution and nothing else:
+    every mapper and the class permutation keep their documents."""
+    gen = _drift_free(cfg)
+    if isinstance(gen, str):
+        return
+    concept = gen.concept
+    before = concept.to_dict()
+    for root in cfg.graph.roots:
+        spec = ShiftSpec("covariate", "abrupt", 0, 1, (ShiftAction("root-params", root, params),))
+        after = apply_abrupt(concept, spec, np.random.default_rng(seed)).to_dict()
+        assert after["mappers"] == before["mappers"]
+        assert after["class_permutation"] == before["class_permutation"]
+        dists = before["root_dists"]
+        assert {k for k in dists if after["root_dists"][k] != dists[k]} <= {str(root)}
+    assert concept.to_dict() == before
+
+
+@given(configs(), st.integers(2, 4), st.integers(0, 2**16))
+def test_swap_classes_is_an_exact_transposition(cfg, n_classes, seed):
+    """The class permutation swaps two labels.  In a sample, those two
+    labels trade places in the target's column, and every node that does
+    not read the target keeps its bits."""
+    gen = _drift_free(cfg, task="classification", concept=ConceptParams(n_classes=n_classes))
+    if isinstance(gen, str):
+        return
+    concept = gen.concept
+    spec = ShiftSpec("severe", "abrupt", 0, 1, (ShiftAction("swap-classes"),))
+    swapped = apply_abrupt(concept, spec, np.random.default_rng(seed))
+    before, after = concept.class_permutation, swapped.class_permutation
+    moved = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    assert len(moved) == 2
+    i, j = moved
+    assert (after[i], after[j]) == (before[j], before[i])
+    assert swapped.to_dict()["mappers"] == concept.to_dict()["mappers"]
+    V = simulate_concept_samples(concept, 64, np.random.default_rng(seed))
+    W = simulate_concept_samples(swapped, 64, np.random.default_rng(seed))
+    target = cfg.graph.target
+    others = [v for v in range(cfg.graph.n_nodes) if target not in (v, *cfg.graph.ancestors(v))]
+    assert np.array_equal(V[:, others], W[:, others])
+    trade = {before[i]: before[j], before[j]: before[i]}
+    assert W[:, target].tolist() == [trade.get(y, y) for y in V[:, target].tolist()]
+
+
+@given(configs())
+def test_a_recurrent_restore_is_exact(cfg):
+    """A restore of ``concept0`` after the drawn event brings back the
+    initial concept's document, which the snapshot holds unmoved."""
+    event = cfg.schedule.events[0]
+    restore = ShiftSpec("recurrent", "abrupt", event.t_end, snapshot_id="concept0")
+    rows = max(cfg.dataset_size, event.t_end + 1)
+    gen = _build(replace(cfg, dataset_size=rows, schedule=DriftSchedule((event, restore))))
+    if isinstance(gen, str):
+        return
+    initial = gen.concept.to_dict()
+    gen.take(rows)
+    assert gen.snapshots["concept0"].concept == initial
+    assert gen.concept.to_dict() == initial
+    assert gen.snapshots["concept2"].concept == initial
