@@ -53,7 +53,6 @@ from .evaluate import (
     NaiveBayesLearner,
     PrequentialCurve,
     drift_response_metrics,
-    mae_prequential,
     make_learner,
     prequential_run,
 )
@@ -89,7 +88,6 @@ from .temporal import (
     TemporalParams,
     TemporalState,
     ar_noise_step,
-    ewma_step,
     root_value_step,
     simulate_ar_noise,
     simulate_root_values,

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,6 +92,27 @@ def _replaced(obj, **changes):
         raise ConfigError(str(e)) from None
 
 
+@contextmanager
+def _staged(out: Path):
+    """A new directory beside ``out`` to write a command's files in; they
+    are renamed beside ``out`` when the block completes, and a failed block
+    or rename leaves no output file."""
+    stage = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    stage.mkdir()
+    moved = []
+    try:
+        yield stage
+        for f in sorted(stage.iterdir()):
+            os.replace(f, out.parent / f.name)
+            moved.append(out.parent / f.name)
+    except BaseException:
+        for path in moved:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _resolve_run(args) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
@@ -111,20 +134,11 @@ def _cmd_generate(args) -> int:
     cfg = run.generator
     out = Path(args.out or run.out or "stream.csv")
     gen = build_stream(cfg)
-    # write beside the targets and rename at the end, so a run that fails
-    # part way leaves neither a partial CSV nor a stale sidecar
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    tmp_side = sidecar_path(tmp)
-    try:
+    with _staged(out) as stage:
         rows = write_stream_csv(
-            tmp, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names
+            stage / out.name, (gen.step() for _ in range(cfg.dataset_size)), gen.feature_names
         )
-        write_sidecar(tmp, _sidecar_meta(cfg, gen, rows))
-        os.replace(tmp_side, sidecar_path(out))
-        os.replace(tmp, out)
-    finally:
-        tmp.unlink(missing_ok=True)
-        tmp_side.unlink(missing_ok=True)
+        write_sidecar(stage / out.name, _sidecar_meta(cfg, gen, rows))
     print(f"wrote {rows} rows to {out} (metadata: {sidecar_path(out)})")
     return 0
 
@@ -194,7 +208,7 @@ def _cmd_analyze(args) -> int:
                     "1" if r.reject_at[lvl] else "0" for lvl in SIGNIFICANCE_LEVELS
                 ]
                 lines.append(",".join(fields))
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _staged(out) as stage, open(stage / out.name, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.mode} report to {out}")
         return 0
@@ -209,18 +223,19 @@ def _cmd_analyze(args) -> int:
         seed=args.seed,
     )
     B = matrix.n_batches
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# squared MMD matrix; bandwidth={format_value(matrix.bandwidth)}\n")
-        fh.write("," + ",".join(str(j) for j in range(B)) + "\n")
-        for i in range(B):
-            row = ",".join(format_value(float(v)) for v in matrix.values[i])
-            fh.write(f"{i},{row}\n")
     grid = out.with_suffix(".grid.csv")
-    with open(grid, "w", encoding="utf-8", newline="") as fh:
-        fh.write("batch_i,batch_j,mmd2\n")
-        for i in range(B):
-            for j in range(B):
-                fh.write(f"{i},{j},{format_value(float(matrix.values[i, j]))}\n")
+    with _staged(out) as stage:
+        with open(stage / out.name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# squared MMD matrix; bandwidth={format_value(matrix.bandwidth)}\n")
+            fh.write("," + ",".join(str(j) for j in range(B)) + "\n")
+            for i in range(B):
+                row = ",".join(format_value(float(v)) for v in matrix.values[i])
+                fh.write(f"{i},{row}\n")
+        with open(stage / grid.name, "w", encoding="utf-8", newline="") as fh:
+            fh.write("batch_i,batch_j,mmd2\n")
+            for i in range(B):
+                for j in range(B):
+                    fh.write(f"{i},{j},{format_value(float(matrix.values[i, j]))}\n")
     print(f"wrote MMD matrix to {out} and grid to {grid}")
     return 0
 
@@ -274,27 +289,27 @@ def _cmd_evaluate(args) -> int:
     if schedule is not None and len(schedule):
         events = drift_response_metrics(curve, schedule)
     out = Path(args.out or (run.out if run else None) or "curve.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# prequential {curve.metric}; W={curve.W}; learner={learner_name}; "
-            f"warmup t<{curve.initial_train} excluded from the curve\n"
-        )
-        fh.write(f"t,{curve.metric}\n")
-        for t, v in zip(curve.t, curve.series):
-            fh.write(f"{t},{format_value(float(v))}\n")
+    ev_out = out.with_suffix(".events.csv")
     msg = f"wrote {curve.metric} curve to {out}"
-
-    if events is not None:
-        ev_out = out.with_suffix(".events.csv")
-        with open(ev_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("event,kind,t_start,drop,recovery,min_t\n")
-            for e in events:
-                fh.write(
-                    f"{e['event']},{e['kind']},{e['t_start']},"
-                    f"{format_value(e['drop'])},{format_value(e['recovery'])},"
-                    f"{e['min_t']}\n"
-                )
-        msg += f" and event summary to {ev_out}"
+    with _staged(out) as stage:
+        with open(stage / out.name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(
+                f"# prequential {curve.metric}; W={curve.W}; learner={learner_name}; "
+                f"warmup t<{curve.initial_train} excluded from the curve\n"
+            )
+            fh.write(f"t,{curve.metric}\n")
+            for t, v in zip(curve.t, curve.series):
+                fh.write(f"{t},{format_value(float(v))}\n")
+        if events is not None:
+            with open(stage / ev_out.name, "w", encoding="utf-8", newline="") as fh:
+                fh.write("event,kind,t_start,drop,recovery,min_t\n")
+                for e in events:
+                    fh.write(
+                        f"{e['event']},{e['kind']},{e['t_start']},"
+                        f"{format_value(e['drop'])},{format_value(e['recovery'])},"
+                        f"{e['min_t']}\n"
+                    )
+            msg += f" and event summary to {ev_out}"
     print(msg)
     return 0
 

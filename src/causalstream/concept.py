@@ -67,10 +67,9 @@ class ConceptParams(Serializable):
     """Ranges and pins controlling concept initialization.
 
     ``nodes`` maps node id to a pin dict with keys from ``NODE_PIN_KEYS``;
-    ``n_classes`` applies to pinned categorical feature nodes only.
+    ``n_classes``, the target's class count, applies to classification only.
     """
 
-    task: str = "classification"
     n_classes: int = 2
     p_categorical: float = 0.25
     feature_classes_range: tuple[int, int] = (2, 5)
@@ -84,10 +83,8 @@ class ConceptParams(Serializable):
     nodes: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.task not in ("classification", "regression"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.task == "classification" and self.n_classes < 2:
-            raise ValueError("classification needs at least two classes")
+        if self.n_classes < 2:
+            raise ValueError("n_classes must be at least 2")
         if not 0.0 <= self.p_categorical <= 1.0:
             raise ValueError("p_categorical must lie in [0, 1]")
         if self.fit_samples < 2:
@@ -113,7 +110,7 @@ class Concept(Serializable):
 
     @property
     def task(self) -> str:
-        return self.params.task
+        return "regression" if self.class_permutation is None else "classification"
 
     @property
     def n_classes(self) -> int | None:
@@ -166,24 +163,27 @@ class Concept(Serializable):
 class ConceptSnapshot:
     """A concept's document plus the temporal state's document at capture.
 
-    ``concept`` is given as a document, or as a concept that nothing else
-    holds, which is encoded on the first read of ``concept``.  Restoring
-    applies the concept only; the captured state is recorded for run files
-    and inspection but deliberately not fed back into a stream.
+    The concept is given as a document, or as a concept that nothing else
+    holds, encoded on its first read; each read of ``concept`` hands out a
+    copy.  Restoring applies the concept only; the captured state is recorded
+    for run files and inspection but deliberately not fed back into a stream.
     """
 
     def __init__(self, concept: dict | Concept, state: dict):
         self._concept = concept
         self.state = state
 
-    @property
-    def concept(self) -> dict:
+    def _document(self) -> dict:
         if isinstance(self._concept, Concept):
             self._concept = self._concept.to_dict()
         return self._concept
 
+    @property
+    def concept(self) -> dict:
+        return copy.deepcopy(self._document())
+
     def to_json(self) -> str:
-        return json.dumps({"concept": self.concept, "state": self.state}, sort_keys=True)
+        return json.dumps({"concept": self._document(), "state": self.state}, sort_keys=True)
 
     @classmethod
     def from_json(cls, s: str) -> "ConceptSnapshot":
@@ -201,7 +201,7 @@ def snapshot_concept(concept: Concept, state: TemporalState) -> ConceptSnapshot:
 
 
 def restore_concept(snap: ConceptSnapshot) -> Concept:
-    return Concept.from_dict(snap.concept)
+    return Concept.from_dict(snap._document())
 
 
 def deterministic_label(concept: Concept, node_values: Mapping[int, float]) -> int:
@@ -254,13 +254,13 @@ def _categorical_menu(n_classes: int) -> tuple[str, ...]:
 
 
 def _resolve_inner_kind(
-    node: int, target: int, params: ConceptParams, pin: dict, rng
+    node: int, target: int, task: str, params: ConceptParams, pin: dict, rng
 ) -> tuple[str, int | None]:
     """Returns (mapper kind, n_classes or None) for an inner node."""
 
     pinned = pin.get("mapper")
     if node == target:
-        if params.task == "classification":
+        if task == "classification":
             if pinned is not None and pinned not in CATEGORICAL_KINDS:
                 raise ValueError(
                     f"target {node} pinned to {pinned!r}; classification "
@@ -286,11 +286,11 @@ def _resolve_inner_kind(
     return kind, ncls
 
 
-def _init_mapper(node: int, graph: CausalGraph, params: ConceptParams, P: np.ndarray, rng):
+def _init_mapper(node: int, graph: CausalGraph, task: str, params: ConceptParams, P, rng):
     """Draw the kind of inner ``node``, then fit its mapper on parent sample ``P``."""
 
     pin = params.nodes.get(node, {})
-    kind, ncls = _resolve_inner_kind(node, graph.target, params, pin, rng)
+    kind, ncls = _resolve_inner_kind(node, graph.target, task, params, pin, rng)
     if kind in CATEGORICAL_KINDS:
         stats = ParentStats.from_samples(P)
         distance = pin.get("distance")
@@ -358,7 +358,7 @@ def _ancestor_walk(
 
 
 def _init_once(
-    graph: CausalGraph, params: ConceptParams, temporal: TemporalParams, rng
+    graph: CausalGraph, params: ConceptParams, temporal: TemporalParams, task: str, rng
 ) -> Concept:
     root_dists: dict[int, RootDistribution] = {}
     mappers: dict[int, object] = {}
@@ -370,13 +370,11 @@ def _init_once(
         return simulate_root_values(n, root_dists[node], temporal, rng)
 
     def init_mapper(node, P):
-        mappers[node] = _init_mapper(node, graph, params, P, rng)
+        mappers[node] = _init_mapper(node, graph, task, params, P, rng)
         return mappers[node]
 
     _ancestor_walk(graph, n, draw_root, init_mapper, _ar_noise(n, temporal, rng))
-    permutation = (
-        tuple(range(params.n_classes)) if params.task == "classification" else None
-    )
+    permutation = tuple(range(params.n_classes)) if task == "classification" else None
     return Concept(
         graph=graph,
         params=params,
@@ -392,17 +390,20 @@ def init_concept(
     params: ConceptParams,
     rng: np.random.Generator,
     temporal: TemporalParams | None = None,
+    task: str = "classification",
 ) -> Concept:
-    """Initialize a concept; one retry with a fresh substream on fit failure."""
+    """Initialize a concept for ``task``; one retry on a fresh substream if a fit fails."""
 
+    if task not in ("classification", "regression"):
+        raise ValueError(f"unknown task {task!r}")
     temporal = temporal if temporal is not None else TemporalParams()
     seeds = rng.integers(0, 2**63, size=2, dtype=np.uint64)
     try:
-        return _init_once(graph, params, temporal, np.random.default_rng(int(seeds[0])))
+        return _init_once(graph, params, temporal, task, np.random.default_rng(int(seeds[0])))
     except ValueError:
         pass
     try:
-        return _init_once(graph, params, temporal, np.random.default_rng(int(seeds[1])))
+        return _init_once(graph, params, temporal, task, np.random.default_rng(int(seeds[1])))
     except ValueError as e:
         if "degenerate parent box" in str(e) and temporal.alpha == 0 and temporal.sigma == 0:
             raise ValueError(

@@ -77,8 +77,6 @@ class RunConfig:
 
 # the top level holds the generator's fields and these run sections
 _RUN_KEYS = ("evaluation", "analysis", "out")
-# keys of a section that the top level owns: its task and its p_i and p_m
-_OWNED = {"concept": ("task",), "policy": ("p_intervene", "p_missing")}
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -94,12 +92,6 @@ def parse_config(doc: dict) -> RunConfig:
         if key not in doc:
             raise ConfigError(f"{key} is mandatory")
     gdoc = {k: v for k, v in doc.items() if k not in _RUN_KEYS}
-    for section, owned in _OWNED.items():
-        given = [k for k in owned if isinstance(gdoc.get(section), dict) and k in gdoc[section]]
-        if given:
-            raise ConfigError(f"unknown key {given[0]!r} in {section}")
-    if isinstance(gdoc.get("concept"), dict):
-        gdoc["concept"] = {**gdoc["concept"], "task": doc.get("task", "classification")}
     try:
         generator = decode(GeneratorConfig, gdoc)
         evaluation = decode(EvalOptions, doc.get("evaluation", {}), "evaluation")
@@ -129,10 +121,6 @@ def config_to_document(cfg: GeneratorConfig) -> dict:
     """
 
     doc = encode(cfg)
-    for section, owned in _OWNED.items():
-        for key in owned:
-            if doc[section] is not None:
-                del doc[section][key]
     # a config without concept params writes no concept key, which keeps
     # the bytes of the sidecars written for such configs
     if doc["concept"] is None:

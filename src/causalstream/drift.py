@@ -179,24 +179,19 @@ class DriftSchedule(Serializable):
 
 @dataclass(frozen=True)
 class InterventionPolicy(Serializable):
-    """Per-instance chances of forced node values and masked emissions.
+    """How many nodes a forced or masked row picks (the run's ``p_i`` and
+    ``p_m`` give the chances of each row), and the forced values.
 
     ``values`` maps a node id to the spec its forced values are drawn from,
     ``{"dist": "normal", "params": [mean, std]}`` or
     ``{"dist": "uniform", "params": [low, high]}``.
     """
 
-    p_intervene: float = 0.0
-    p_missing: float = 0.0
     count_range: tuple[int, int] = (1, 3)
     include_target: bool = False
     values: dict[int, dict] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_intervene <= 1.0:
-            raise ValueError("p_intervene must lie in [0, 1]")
-        if not 0.0 <= self.p_missing <= 1.0:
-            raise ValueError("p_missing must lie in [0, 1]")
         lo, hi = self.count_range
         if not 1 <= lo <= hi <= 3:
             raise ValueError("count range must lie within [1, 3]")
@@ -597,12 +592,13 @@ def incremental_step(concept: Concept, plan: IncrementalPlan, step_index: int, r
 
 
 def draw_interventions(
+    p_i: float,
     policy: InterventionPolicy,
     eligible: tuple[int, ...],
     value_specs: dict[int, tuple],
     rng,
 ) -> dict[int, float | int]:
-    """Draw the intervened nodes and their forced values for one instance.
+    """Draw one instance's intervened nodes and forced values, with chance ``p_i``.
 
     The probability gate always consumes exactly one draw so toggling the
     policy never shifts other substreams.  Forced values ignore parents by
@@ -610,7 +606,7 @@ def draw_interventions(
     """
 
     gate = rng.random()
-    if gate >= policy.p_intervene or not eligible:
+    if gate >= p_i or not eligible:
         return {}
     lo, hi = policy.count_range
     k = min(int(rng.integers(lo, hi + 1)), len(eligible))
@@ -631,12 +627,12 @@ def draw_interventions(
 
 
 def draw_missing(
-    policy: InterventionPolicy, feature_nodes: tuple[int, ...], rng
+    p_m: float, policy: InterventionPolicy, feature_nodes: tuple[int, ...], rng
 ) -> tuple[int, ...]:
-    """Draw the emitted-feature nodes masked for one instance."""
+    """Draw one instance's masked emitted-feature nodes, with chance ``p_m``."""
 
     gate = rng.random()
-    if gate >= policy.p_missing or not feature_nodes:
+    if gate >= p_m or not feature_nodes:
         return ()
     lo, hi = policy.count_range
     k = min(int(rng.integers(lo, hi + 1)), len(feature_nodes))

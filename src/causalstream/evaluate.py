@@ -23,7 +23,6 @@ __all__ = [
     "PrequentialCurve",
     "DelayedLabels",
     "prequential_run",
-    "mae_prequential",
     "drift_response_metrics",
 ]
 
@@ -378,26 +377,6 @@ def prequential_run(
     return PrequentialCurve(
         W=W, initial_train=initial_train, metric=metric, t=ts, raw=raw, series=series
     )
-
-
-def mae_prequential(
-    stream,
-    regressor,
-    W: int = 100,
-    initial_train: int = 100,
-    overlay: DelayedLabels | None = None,
-) -> PrequentialCurve:
-    """Windowed mean absolute error, predict-then-train."""
-
-    _, y = _frame_arrays(stream)
-    if np.issubdtype(np.asarray(y).dtype, np.integer):
-        raise ValueError("mae_prequential expects a regression stream")
-    curve = prequential_run(
-        stream, regressor, W=W, initial_train=initial_train, overlay=overlay
-    )
-    if curve.metric != "mae":
-        raise ValueError("mae_prequential expects a regression learner")
-    return curve
 
 
 def drift_response_metrics(curve: PrequentialCurve, schedule) -> list[dict]:

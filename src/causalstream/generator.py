@@ -104,8 +104,6 @@ class GeneratorConfig:
             1 <= self.feature_subsample <= self.d
         ):
             raise ValueError("feature_subsample must lie in [1, d]")
-        if self.concept is not None and self.concept.task != self.task:
-            raise ValueError("concept params disagree with task")
         if self.graph is not None and self.graph.n_nodes != self.d + 1:
             raise ValueError("pinned graph must have d + 1 nodes")
         late = [e.t_start for e in self.schedule if e.t_start >= self.dataset_size]
@@ -199,9 +197,12 @@ class StreamGenerator:
         policy: InterventionPolicy | None = None,
         emitted_features: tuple[int, ...] | None = None,
         length: int | None = None,
+        p_i: float = 0.0,
+        p_m: float = 0.0,
     ):
         self.schedule = schedule if schedule is not None else DriftSchedule()
         self.policy = policy if policy is not None else InterventionPolicy()
+        self.p_i, self.p_m = p_i, p_m
         validate_schedule_against(self.schedule, concept)
         self.concept = concept
         self.rngs = rngs
@@ -389,8 +390,11 @@ class StreamGenerator:
         if policy.include_target:
             eligible = tuple(sorted(eligible + (graph.target,)))
         specs = [{node: self._value_spec(v, node) for node in eligible} for v in versions]
-        forced = [draw_interventions(policy, eligible, specs[k], rngs.interventions) for k in which]
-        missing = [draw_missing(policy, emitted, rngs.missing) for _ in which]
+        forced = [
+            draw_interventions(self.p_i, policy, eligible, specs[k], rngs.interventions)
+            for k in which
+        ]
+        missing = [draw_missing(self.p_m, policy, emitted, rngs.missing) for _ in which]
         return drawn, forced, missing
 
     def _emit(self, concept, ids, t0, V, forced, missing) -> list[Instance]:
@@ -516,23 +520,14 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
 
     from .config import ConfigError
 
-    base = config.policy or InterventionPolicy()
-    # the config's top-level p_i and p_m own the two rates
-    for owner, name in (("p_i", "p_intervene"), ("p_m", "p_missing")):
-        rate, own = getattr(base, name), getattr(config, owner)
-        if rate and rate != own:
-            raise ConfigError(f"policy.{name} is {rate!r} but {owner} is {own!r}; set {owner}")
+    policy = config.policy or InterventionPolicy()
     rngs = spawn_streams(config.seed)
-    graph = config.graph
-    if graph is None:
-        graph = build_dag(
-            config.d, config.n_roots, config.min_parents, config.max_parents, rngs.init
-        )
-    params = config.concept
-    if params is None:
-        params = ConceptParams(task=config.task)
-    concept = init_concept(graph, params, rngs.init, temporal=config.temporal)
-    for node in base.values:
+    graph = config.graph or build_dag(
+        config.d, config.n_roots, config.min_parents, config.max_parents, rngs.init
+    )
+    params = config.concept or ConceptParams()
+    concept = init_concept(graph, params, rngs.init, temporal=config.temporal, task=config.task)
+    for node in policy.values:
         if node not in range(graph.n_nodes) or concept.is_categorical(node):
             raise ConfigError(
                 f"policy.values.{node}: node {node} is not a continuous node of the graph"
@@ -542,7 +537,6 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
         feats = graph.feature_nodes
         idx = rngs.init.choice(len(feats), size=config.feature_subsample, replace=False)
         emitted = tuple(sorted(feats[int(i)] for i in idx))
-    policy = replace(base, p_intervene=config.p_i, p_missing=config.p_m)
     return StreamGenerator(
         concept,
         rngs,
@@ -550,6 +544,8 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
         policy=policy,
         emitted_features=emitted,
         length=config.dataset_size,
+        p_i=config.p_i,
+        p_m=config.p_m,
     )
 
 

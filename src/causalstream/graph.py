@@ -9,6 +9,7 @@ sit downstream of the target, so the target is not required to be a sink.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,25 +99,16 @@ def topological_order(graph: CausalGraph | dict[int, tuple[int, ...]]) -> tuple[
     for node, ps in parents.items():
         for p in ps:
             children[p].append(node)
-    # a sorted list scanned front-to-back keeps the ascending-id tie-break
+    # a min-heap (a sorted list is one) hands out the smallest ready id first
     ready = sorted(n for n, deg in pending.items() if deg == 0)
     order: list[int] = []
     while ready:
-        node = ready.pop(0)
+        node = heapq.heappop(ready)
         order.append(node)
-        freed = sorted(c for c in children[node] if pending[c] == 1)
         for c in children[node]:
             pending[c] -= 1
-        # merge newly freed nodes while preserving ascending order
-        for c in freed:
-            lo, hi = 0, len(ready)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if ready[mid] < c:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            ready.insert(lo, c)
+            if pending[c] == 0:
+                heapq.heappush(ready, c)
     if len(order) != len(parents):
         raise ValueError("graph contains a cycle")
     return tuple(order)

@@ -73,7 +73,6 @@ def _example(seed: int, n_classes: int, nodes: dict, events: list) -> GeneratorC
         graph=example_graph(),
         temporal=_PRESET_TEMPORAL,
         concept=ConceptParams(
-            task="classification",
             n_classes=n_classes,
             centroids_per_class=_PRESET_CENTROIDS,
             nodes={0: {"dist": "normal"}, 1: {"dist": "uniform"}, **nodes},
@@ -175,7 +174,6 @@ def _template(name: str, seed: int) -> GeneratorConfig:
         p_m=p_m,
         temporal=_PRESET_TEMPORAL,
         concept=ConceptParams(
-            task="classification",
             n_classes=n_classes,
             centroids_per_class=_PRESET_CENTROIDS,
             nodes=nodes,
@@ -211,7 +209,7 @@ def _regression1(seed: int) -> GeneratorConfig:
         task="regression",
         graph=example_graph(),
         temporal=_REGRESSION_TEMPORAL,
-        concept=ConceptParams(task="regression", nodes=nodes),
+        concept=ConceptParams(nodes=nodes),
         schedule=DriftSchedule(events),
     )
 

@@ -24,7 +24,6 @@ from .mappers import RootDistribution
 __all__ = [
     "TemporalParams",
     "TemporalState",
-    "ewma_step",
     "ar_noise_step",
     "root_value_step",
     "simulate_ar_noise",
@@ -72,12 +71,6 @@ class TemporalState(Serializable):
 
     def copy(self) -> "TemporalState":
         return TemporalState(ewma=dict(self.ewma), ar=dict(self.ar))
-
-
-def ewma_step(z_prev: float, x: float, alpha: float) -> float:
-    """One exponential-smoothing update: (1 - alpha) * z_prev + alpha * x."""
-
-    return (1.0 - alpha) * z_prev + alpha * x
 
 
 def ar_noise_step(

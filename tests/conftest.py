@@ -8,8 +8,10 @@ from causalstream.drift import DriftSchedule
 from causalstream.presets import preset_config
 
 # property tests draw the same examples on every run, so tier-1 stays
-# deterministic and its time bounded
+# deterministic and its time bounded; ``--hypothesis-profile=deep`` draws
+# ten times as many fresh examples per property, for runs outside tier-1
 settings.register_profile("ci", derandomize=True, max_examples=20, deadline=None)
+settings.register_profile("deep", derandomize=False, max_examples=200, deadline=None)
 settings.load_profile("ci")
 
 # the acceptance tests register one line per criterion here; the terminal

@@ -307,6 +307,21 @@ def test_analyze_mmd_report(tmp_path, small_config):
     assert all(float(r.split(",")[2]) == 0.0 for r in diag)
 
 
+def test_a_failed_mmd_report_leaves_no_output(tmp_path, small_config, capsys):
+    """The grid cannot be written over a directory, so the matrix is not
+    left either."""
+    stream = _generate(tmp_path, small_config)
+    (tmp_path / "m.grid.csv").mkdir()
+    out = tmp_path / "m.csv"
+    assert main(["analyze", "mmd", str(stream), "--batch-size", "100", "--out", str(out)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "m.grid.csv", "s.csv", "s.meta.json", "small.json"
+    ]
+    assert list((tmp_path / "m.grid.csv").iterdir()) == []
+
+
 def test_analyze_rejects_incomplete_stream(tmp_path, small_config, capsys):
     doc = json.loads(small_config.read_text())
     doc["p_m"] = 0.5
@@ -362,6 +377,22 @@ def test_evaluate_with_too_short_a_horizon_writes_nothing(tmp_path, capsys):
     assert rc == 2
     assert "insufficient post-event horizon for the event at t=2000" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_evaluate_leaves_no_output(tmp_path, capsys):
+    """The event summary cannot be written over a directory, so the curve is
+    not left either."""
+    stream = tmp_path / "s.csv"
+    assert main(["generate", "--preset", "dataset1", "--seed", "0", "--out", str(stream)]) == 0
+    (tmp_path / "curve.events.csv").mkdir()
+    out = tmp_path / "curve.csv"
+    rc = main(["evaluate", str(stream), "--preset", "dataset1", "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not out.exists()
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == ["curve.events.csv", "s.csv", "s.meta.json"]
+    assert list((tmp_path / "curve.events.csv").iterdir()) == []
 
 
 def test_evaluate_csv_input_no_schedule(tmp_path, small_config):

@@ -49,9 +49,7 @@ def test_target_mapper_kind_follows_task():
     assert c.task == "classification"
     assert c.mappers[g.target].kind in CATEGORICAL_KINDS
     assert c.n_classes == 3
-    r = init_concept(
-        g, ConceptParams(task="regression"), np.random.default_rng(2)
-    )
+    r = init_concept(g, ConceptParams(), np.random.default_rng(2), task="regression")
     assert r.task == "regression"
     assert r.mappers[g.target].kind in ("learned-mlp", "regression-tree", "sgd-linear")
 
@@ -123,9 +121,7 @@ def test_deterministic_label_applies_permutation():
 
 
 def test_deterministic_label_rejects_regression():
-    r = init_concept(
-        example_graph(), ConceptParams(task="regression"), np.random.default_rng(1)
-    )
+    r = init_concept(example_graph(), ConceptParams(), np.random.default_rng(1), task="regression")
     with pytest.raises(ValueError):
         deterministic_label(r, {p: 0.0 for p in r.graph.parents[r.graph.target]})
 
@@ -204,6 +200,17 @@ def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
         assert c.to_dict() != concept_doc
         assert snap.concept == concept_doc
         assert snap.state == state_doc
+    # a read hands out a copy: editing it moves no later read or restore
+    for edit in range(2):
+        doc = snap.concept
+        doc["root_dists"].clear()
+        doc["params"]["nodes"][next(iter(doc["params"]["nodes"]))]["dist_params"][0] = 7.0
+        doc["mappers"][next(iter(doc["mappers"]))].clear()
+        doc["class_permutation"].reverse()
+        assert doc != concept_doc
+        assert snap.concept == concept_doc
+        assert restore_concept(snap).to_dict() == concept_doc
+        assert json.loads(snap.to_json())["concept"] == concept_doc
 
 
 def test_snapshot_json_round_trip():
@@ -254,7 +261,7 @@ def test_a_pruned_walk_fills_its_columns_and_leaves_rng_as_the_full_walk(dataset
     bit-equal to the full walk's, and ``rng`` is left where a full walk that
     stops after the last node of ``S`` leaves it."""
     regression = init_concept(
-        example_graph(), ConceptParams(task="regression"), np.random.default_rng(4)
+        example_graph(), ConceptParams(), np.random.default_rng(4), task="regression"
     )
     swapped = _concept(3)
     swapped.class_permutation = (2, 0, 1)
@@ -312,7 +319,7 @@ def test_the_engine_encodes_only_the_snapshots_that_are_read(monkeypatch):
     gen.take(600)
     assert len(gen.snapshots) == 2 and encoded == []
     doc = gen.snapshots["concept1"].concept
-    assert gen.snapshots["concept1"].concept is doc and len(encoded) == 1
+    assert gen.snapshots["concept1"].concept == doc and len(encoded) == 1
     # dataset3's recurrent event reads one snapshot, to restore it
     gen = build_stream(preset_config("dataset3", 0))
     gen.take(2500)
@@ -320,8 +327,8 @@ def test_the_engine_encodes_only_the_snapshots_that_are_read(monkeypatch):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ConceptParams(task="ranking")
+    with pytest.raises(ValueError, match="unknown task 'ranking'"):
+        init_concept(example_graph(), ConceptParams(), np.random.default_rng(0), task="ranking")
     with pytest.raises(ValueError):
         ConceptParams(n_classes=1)
     with pytest.raises(ValueError):

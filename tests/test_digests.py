@@ -48,6 +48,14 @@ compute only the ancestors of the nodes it reads.  Until then only
 refits a continuous node late in topological order and moves the target's
 prototypes, so a pruned walk that dropped or reordered a draw would move it.
 
+It moved a fourth time when the run's config became the one owner of the
+task: ``ConceptParams`` lost its copy of it, so a concept document's
+``params`` no longer holds a ``"task"`` key (a concept's task is read from
+its class permutation).  Every ``concept`` and ``snapshots`` entry moved,
+and only by that key: re-inserting ``"task"`` as the first key of each
+document's ``params`` gives the previous table back.  No ``csv`` or
+``sidecar`` entry moved, and the RNG layout is unchanged.
+
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current table,
 so an update is a paste that can be reviewed line by line.
 """
@@ -114,56 +122,56 @@ CASES = {
 DIGESTS = {
     "dataset1": {
         "csv": "6027a32f79d74436e18cbede906f053da6086b5725f9b7ebd903cadc4662cf85",
-        "concept": "38a62b81b61299015774a7d041bf003962231c4eaf3e4742f1861b001281ef0e",
-        "snapshots": "48a94a2dc2edb994376654a61a72f568d2fc23d4b818923deb1a5f48a0e4e653",
+        "concept": "a8e8ff2231578d5933801a83f744f52851567f6646bc9dec3ff1c92aedfed94b",
+        "snapshots": "1f641d9c26be014bc1904f18afa41a1dd40ee9c162d4dfc3c6cebf7966a558ef",
         "sidecar": "e319b7d3d468fbabc33997f3921d7b93b71c3af2e6cf4a633196312b7dbb7ed9",
     },
     "dataset2": {
         "csv": "c3a4b9bd09db156e9a2e1453aaa4aa6af6c775bf833fad0adf56dc830bf8b097",
-        "concept": "d166502765214a515a5d9404ae8175057f73ad71c68056a21280fd5464585561",
-        "snapshots": "dccf3b8d80c27947fa556c22a504a785db84bbebc65aab324d65e75aabff8cea",
+        "concept": "d57d85719eea7887e229b4829a79e85e68a21a11babf199a81e1b21ca40bbc46",
+        "snapshots": "3c708a91a30a41a93ffc125bc5ddebeb638855cb26c25de263647fce543c3b44",
         "sidecar": "c2d86cea358ace9ceaf45e7d765409117ccb9a409b04f86660852d5d46744af1",
     },
     "dataset3": {
         "csv": "108c35f03bebb6c4abca4467f1d856980de5b8feb9e2ed02ba9a0b829ce3fef7",
-        "concept": "3975f10e277bb60eb2eab5d33ecfa0212dd974cb543d98e36ef2356d1654480a",
-        "snapshots": "fc0beaf0b3fd254af822ada87f20195b816673cd0945fe3cc76f24d6466ffe11",
+        "concept": "bd8889f11aad1f6647c13a6ce2f7e687b741955814504716b643f84e89391b92",
+        "snapshots": "b4b84a7d439967cb0b99054f9ff8e6bef741ac6020bb15107300e42e1e32e6b9",
         "sidecar": "b698d7f3aff1b8e2d898e1e6966e0a30ee4fff64da5d3d398165702ef8782667",
     },
     "regression1": {
         "csv": "4e8c6d61ab91d4f179091408e431549122b2a94a0e89d2114e501a191e63e1ae",
-        "concept": "1f1ac4992bcb4dab32c3324d3e6b3dc3a84fc52596edb79576c3c3402bc2f49c",
-        "snapshots": "19cb12bfef1c40ed541bc1dc97fe7a5c0e6bde601dc385119e110eb36aa0f45b",
+        "concept": "6a30b1d90e53b2344c22abeab568e59c84315879bc52234f56364035bc33d6a6",
+        "snapshots": "9bbc900212334a707cc27df7585b77b17ec02d78f20f0d799133ee3c130ac5c2",
         "sidecar": "18472918eb7c10991863a6448a1ae90a4e8122a3ba2a3316a8c0ef2cab1d7d38",
     },
     "dataset4[:1100]": {
         "csv": "8a9271a97a1f9fbbc9d1a2e38e1f1f25d9258b032a90dcc3134685c8b13e43dd",
-        "concept": "2bc21084b2c1ff9d142d7795b898ae95f671ec15a070f18faf0cd03d87102afd",
-        "snapshots": "00139bb63992d12e884819e6f707f9b1b7ddc65a22d6e242f3dbf0c2a3667109",
+        "concept": "cc9cde85d79b6253ac3e23baf53751fd82e40a8de073b1566458521f25349a63",
+        "snapshots": "9394a044892549cc3e35ff41ca63f8b6936e131565916481818b988c5a2072bb",
         "sidecar": "eee4d68fb505e7a525a790634383961e512bf608e690a3fcc360e53a2aadb24e",
     },
     "dataset5[:1100]": {
         "csv": "9aceafe4690dc52b83b2a00526eaf354ee002b11d4c6683023760e2d0321e8f5",
-        "concept": "b86674361fc718e687d56652dcc7b9608d3039a7d83488984c603916e7b69de9",
-        "snapshots": "cc00c6b6e9004420ecf7a5358ace7366a81835b329206bca3bab7beb3008880f",
+        "concept": "ee94c25006a433f8c3ecd168b86b8c25a6955bdc3929680628034f8dda05a703",
+        "snapshots": "295887e1dae8f21ff7bbc98832df2c12552179715dec51b179a281ae3dcba089",
         "sidecar": "65250994759aa16db987e641276f3a06946b167670c270a33c8116113a29f8b0",
     },
     "dataset6[:600]": {
         "csv": "ae1854dfe8454bba5681254020f620e7c71a55ba822610cb4b5bea308328817d",
-        "concept": "4c35efb4641fa99eed9a0759ba7ffdc05709f8c1fb1e0c99571e9f2f10cbc646",
-        "snapshots": "fdde8a4c6b40689fc556226499ed08fa07173d322172ecd045fa46946426c3fa",
+        "concept": "b8f0f0b93e37ddaec8dc94a8918f0588385b7a39c3b644b36835bf5cf3dfd83f",
+        "snapshots": "0f842ec13861e4d2fb61a4fd0177dc8bbcd39da1a62e73ade4f9aa9b7c05708e",
         "sidecar": "5f3655ac7dfa4cba66353853afc24b0358fd0ff7650b0ed6bc8334b9cf076c70",
     },
     "coverage": {
         "csv": "5c75c2e4c1b3337b8e52489bf629518d6a658f27e02d6d57b0d242d6276cbb13",
-        "concept": "5687981576da6250c1e6b2b27c22f52011950ded53722a4e866177f40d4ee4c3",
-        "snapshots": "8fcf48fde452d978a083c11a48661d2c0bf4f98b0d79a70e46d5f6cb1d5e6bb0",
+        "concept": "dcd80fe8656ae26fb51fc8f1b2c484b0d1e997c75dc5d5003e13124c3cd2050b",
+        "snapshots": "167905db6193c7b02fb7ffd3567063ebd002dc8e9182c14cc32f980499e808b6",
         "sidecar": "b8376ede3a5a48944d5bbe950d26d33238ee0c18a6fb939fb8180f2d22307761",
     },
     "wide-refit": {
         "csv": "694af94eef875d67e9795d712ccd48fdd46ca3407f608fb4b1e5d0b6867cbc2c",
-        "concept": "0136a209da2ddb81998a5f9f5a759af3543a8fa0e6f709c5bc6e8a6f40625a97",
-        "snapshots": "5a5d36a2e5c6c503c1ca41331772234faf019cba57fd2ce2aec84dcb9681719a",
+        "concept": "035e87c12c81003886d5bc4192743b62bd30a8c5b89b0c1916b65a5854106ef3",
+        "snapshots": "382f7499f73f572e9fc0250cd0b279070aecb1a5db8fd9b6cb7a03a501b9f149",
         "sidecar": "2be7ca1467939fddcdc2de2044df39efb7e58df7b390088839aa12dbb4d33777",
     },
 }

@@ -351,14 +351,14 @@ def test_intervention_gate_consumes_one_draw():
     a = np.random.default_rng(0)
     b = np.random.default_rng(0)
     # first uniform of seed 0 is ~0.637, above both gate levels
-    out_a = draw_interventions(InterventionPolicy(p_intervene=0.0), (0,), specs, a)
-    out_b = draw_interventions(InterventionPolicy(p_intervene=0.3), (0,), specs, b)
+    out_a = draw_interventions(0.0, InterventionPolicy(), (0,), specs, a)
+    out_b = draw_interventions(0.3, InterventionPolicy(), (0,), specs, b)
     assert out_a == {} and out_b == {}
     assert a.random() == b.random()
 
 
 def test_intervention_values_follow_specs():
-    policy = InterventionPolicy(p_intervene=1.0, count_range=(1, 3))
+    policy = InterventionPolicy(count_range=(1, 3))
     eligible = (0, 1, 2, 4)
     specs = {
         0: ("normal", 0.0, 1.0),
@@ -368,7 +368,7 @@ def test_intervention_values_follow_specs():
     }
     rng = np.random.default_rng(12)
     for _ in range(200):
-        out = draw_interventions(policy, eligible, specs, rng)
+        out = draw_interventions(1.0, policy, eligible, specs, rng)
         nodes = list(out)
         assert 1 <= len(nodes) <= 3
         assert nodes == sorted(nodes)
@@ -381,18 +381,19 @@ def test_intervention_values_follow_specs():
 
 
 def test_draw_missing_counts_and_sorting():
-    policy = InterventionPolicy(p_missing=1.0, count_range=(2, 2))
+    policy = InterventionPolicy(count_range=(2, 2))
     rng = np.random.default_rng(5)
     for _ in range(100):
-        out = draw_missing(policy, (0, 1, 2, 3, 4), rng)
+        out = draw_missing(1.0, policy, (0, 1, 2, 3, 4), rng)
         assert len(out) == 2 and list(out) == sorted(out)
-    none = draw_missing(InterventionPolicy(p_missing=0.0), (0, 1), rng)
+    none = draw_missing(0.0, InterventionPolicy(), (0, 1), rng)
     assert none == ()
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        InterventionPolicy(p_intervene=1.2)
+    # the run's config owns the rates
+    with pytest.raises(ValueError, match="p_i and p_m"):
+        GeneratorConfig(dataset_size=10, seed=0, p_i=1.2)
     with pytest.raises(ValueError):
         InterventionPolicy(count_range=(0, 2))
     with pytest.raises(ValueError):
@@ -432,7 +433,7 @@ def test_serialization_round_trips():
     sched = DriftSchedule((spec,))
     assert DriftSchedule.from_dict(sched.to_dict()) == sched
     pol = InterventionPolicy(
-        p_intervene=0.2, p_missing=0.1, count_range=(1, 2),
+        count_range=(1, 2),
         values={0: {"dist": "uniform", "params": [0.0, 1.0]}},
     )
     assert InterventionPolicy.from_dict(pol.to_dict()) == pol
@@ -453,7 +454,7 @@ def test_policy_rejects_a_bad_forced_value_spec(spec, message):
     """A policy built through the API checks its specs when it is made,
     not at the first row that draws from them."""
     with pytest.raises(ValueError, match=message):
-        InterventionPolicy(p_intervene=0.5, values={0: spec})
+        InterventionPolicy(values={0: spec})
 
 
 def test_resimulation_relabels_the_target_as_the_stream_does():

@@ -9,7 +9,6 @@ from causalstream.evaluate import (
     NaiveBayesLearner,
     PrequentialCurve,
     drift_response_metrics,
-    mae_prequential,
     make_learner,
     prequential_run,
     RunningStats,
@@ -233,8 +232,6 @@ def test_prequential_guards():
         prequential_run((X, y), AuditLearner(), W=0, initial_train=5)
     with pytest.raises(ValueError):
         prequential_run((X, y), AuditLearner(), W=5, initial_train=20)
-    with pytest.raises(ValueError):
-        mae_prequential((X, y), LinearRegressorLearner(3), W=5, initial_train=5)
 
 
 def _synthetic_curve(series, W=10):

@@ -8,7 +8,7 @@ from conftest import COVERAGE_DOC, preset_prefix
 import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
 from causalstream.concept import ConceptParams
-from causalstream.config import ConfigError, GeneratorConfig, parse_config
+from causalstream.config import GeneratorConfig, parse_config
 from causalstream.drift import (
     DriftSchedule,
     InterventionPolicy,
@@ -90,8 +90,7 @@ def test_missing_frequency_and_arity():
 def test_forced_values_are_independent_of_parents():
     """Correlation between a parent and a forced child vanishes under do()."""
     cfg = _drift_free(
-        8, n=17_000, p_i=1.0,
-        policy=InterventionPolicy(p_intervene=1.0, count_range=(3, 3)),
+        8, n=17_000, p_i=1.0, policy=InterventionPolicy(count_range=(3, 3)),
     )
     x0, x2 = [], []
     for inst in generate(cfg):
@@ -107,8 +106,7 @@ def test_natural_root_draws_survive_intervention_toggle():
     """Toggling the policy never perturbs the natural root value stream."""
     base = _drift_free(9, n=400)
     forced = dataclasses.replace(
-        base, p_i=1.0,
-        policy=InterventionPolicy(p_intervene=1.0, count_range=(1, 3)),
+        base, p_i=1.0, policy=InterventionPolicy(count_range=(1, 3)),
     )
     plain = build_stream(base).take(400)
     dosed = build_stream(forced).take(400)
@@ -175,11 +173,8 @@ def test_collect_frame_contents():
 
 
 def test_config_cross_validation():
-    with pytest.raises(ValueError):
-        GeneratorConfig(
-            dataset_size=100, seed=0, d=5, task="regression",
-            concept=ConceptParams(task="classification"),
-        )
+    with pytest.raises(ValueError, match="unknown task 'ranking'"):
+        GeneratorConfig(dataset_size=100, seed=0, d=5, task="ranking", concept=ConceptParams())
     with pytest.raises(ValueError):
         GeneratorConfig(dataset_size=100, seed=0, d=4, graph=example_graph())
     with pytest.raises(ValueError):
@@ -311,19 +306,6 @@ def test_step_take_and_iteration_read_one_stream():
     assert [r.t for r in rows] == list(range(300))
     assert rows == b
     assert a.t == 300
-
-
-def test_policy_rates_must_match_the_config_rates():
-    """The config's p_i and p_m own the two rates; a policy naming other
-    nonzero rates is rejected rather than silently overridden."""
-    policy = InterventionPolicy(p_intervene=0.5, p_missing=0.5)
-    with pytest.raises(ConfigError, match=r"policy\.p_intervene is 0\.5 but p_i is 0\.0"):
-        build_stream(GeneratorConfig(dataset_size=200, seed=1, policy=policy))
-    with pytest.raises(ConfigError, match=r"policy\.p_missing is 0\.5 but p_m is 0\.2"):
-        build_stream(GeneratorConfig(dataset_size=200, seed=1, p_i=0.5, p_m=0.2, policy=policy))
-    cfg = GeneratorConfig(dataset_size=200, seed=1, p_i=0.5, p_m=0.5, policy=policy)
-    rows = build_stream(cfg).take(200)
-    assert any(r.intervened for r in rows) and any(r.missing for r in rows)
 
 
 def test_batched_draws_repeat_the_one_row_calls():

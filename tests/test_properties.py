@@ -15,6 +15,7 @@ node is constant, so a concept with a categorical node has a degenerate
 parent box and is rejected at init.
 """
 
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from hypothesis import given, strategies as st
 
 import causalstream.generator as generator_module
 from causalstream.concept import ConceptParams, simulate_concept_samples
+from causalstream.config import config_to_document, parse_config
 from causalstream.drift import (
     DriftSchedule,
     ShiftAction,
@@ -76,7 +78,7 @@ def configs(draw):
             if node != graph.target or kind in fits
         ]
         mechanism, kind = draw(st.sampled_from(menu))
-        concept = ConceptParams(task=task, nodes={node: {"mapper": kind, "n_classes": 2}})
+        concept = ConceptParams(nodes={node: {"mapper": kind, "n_classes": 2}})
         kind, action = "distributional", ShiftAction(mechanism, node)
     elif rate != "incremental" and task == "classification" and draw(st.booleans()):
         kind, action = "severe", ShiftAction("swap-classes")
@@ -129,6 +131,16 @@ def _first_rows(cfg, n: int) -> list | str:
 @given(configs())
 def test_the_same_seed_gives_the_same_bytes(cfg):
     assert _csv_bytes(cfg) == _csv_bytes(cfg)
+
+
+@given(configs())
+def test_a_config_document_regenerates_the_same_bytes(cfg):
+    """config -> sidecar document -> ``parse_config`` gives an equal config,
+    which writes the same CSV bytes: the sidecar's regeneration contract."""
+    doc = json.loads(json.dumps(config_to_document(cfg)))
+    back = parse_config(doc).generator
+    assert back == cfg
+    assert _csv_bytes(back) == _csv_bytes(cfg)
 
 
 @given(configs())
@@ -204,7 +216,7 @@ def test_an_incremental_window_lands_on_the_abrupt_endpoint(
     graph = cfg.graph
     pin = {"mapper": kind, "n_classes": 2}
     inner = [n for n in graph.feature_nodes if not graph.is_root(n)]
-    pins = ConceptParams(task=cfg.task, nodes=dict.fromkeys(inner, pin))
+    pins = ConceptParams(nodes=dict.fromkeys(inner, pin))
     gen = _build(replace(cfg, concept=pins, schedule=DriftSchedule(())))
     if isinstance(gen, str):
         return

@@ -8,7 +8,6 @@ from causalstream.temporal import (
     TemporalState,
     _one_pole,
     ar_noise_step,
-    ewma_step,
     root_value_path,
     root_value_step,
     simulate_ar_noise,
@@ -28,9 +27,16 @@ def test_params_validation():
 
 
 def test_ewma_step_hand_values():
-    assert ewma_step(10.0, 2.0, 0.5) == 6.0
-    assert ewma_step(3.0, 3.0, 0.25) == 3.0
-    assert ewma_step(1.0, 5.0, 1.0) == 5.0  # alpha 1 forgets the past
+    """With zero noise a root's step is the smoothing update
+    (1 - alpha) * x_prev + alpha * theta."""
+
+    def step(x_prev, theta, alpha):
+        (x,) = root_value_path([theta], [0.0], TemporalParams(alpha=alpha), x_prev)
+        return x
+
+    assert step(10.0, 2.0, 0.5) == 6.0
+    assert step(3.0, 3.0, 0.25) == 3.0
+    assert step(1.0, 5.0, 1.0) == 5.0  # alpha 1 forgets the past
 
 
 def test_initial_state_is_distribution_means():
