@@ -164,14 +164,15 @@ class ConceptSnapshot:
     """A concept's document plus the temporal state's document at capture.
 
     The concept is given as a document, or as a concept that nothing else
-    holds, encoded on its first read; each read of ``concept`` hands out a
-    copy.  Restoring applies the concept only; the captured state is recorded
-    for run files and inspection but deliberately not fed back into a stream.
+    holds, encoded on its first read; each read of ``concept`` or ``state``
+    hands out a copy.  Restoring applies the concept only; the captured state
+    is recorded for run files and inspection but deliberately not fed back
+    into a stream.
     """
 
     def __init__(self, concept: dict | Concept, state: dict):
         self._concept = concept
-        self.state = state
+        self._state = state
 
     def _document(self) -> dict:
         if isinstance(self._concept, Concept):
@@ -182,8 +183,12 @@ class ConceptSnapshot:
     def concept(self) -> dict:
         return copy.deepcopy(self._document())
 
+    @property
+    def state(self) -> dict:
+        return copy.deepcopy(self._state)
+
     def to_json(self) -> str:
-        return json.dumps({"concept": self._document(), "state": self.state}, sort_keys=True)
+        return json.dumps({"concept": self._document(), "state": self._state}, sort_keys=True)
 
     @classmethod
     def from_json(cls, s: str) -> "ConceptSnapshot":

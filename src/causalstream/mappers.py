@@ -20,9 +20,8 @@ equality checks.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial
 
 import numpy as np
 
@@ -395,44 +394,60 @@ class SGDLinearMapper(_ContinuousBase):
 
     def partial_fit(self, z: np.ndarray, y: float) -> None:
         self._partial_steps += 1
-        w = self.w.tolist()
-        z = np.asarray(z, dtype=float).tolist()
-        self.b = _sgd_step(w, self.b, z, float(y), self._partial_steps)
-        self.w[:] = w
+        lr = _SGD_ETA0 / self._partial_steps**_SGD_POWER_T
+        cols = np.asarray(z, dtype=float)[:, None].tolist()
+        self.w[:], self.b = _sgd_kernel(len(cols))(self.w.tolist(), self.b, cols, [float(y)], [lr])
 
     def reset_partial_schedule(self) -> None:
         self._partial_steps = 0
 
 
 def _fit_mlp_weights(z, y, rng):
-    """Adam on squared error; returns [W1, b1, w2, b2]."""
+    """Adam on squared error; returns [W1, b1, w2, b2].
+
+    W1, b1, w2 and b2 live in one flat vector, with views for the forward
+    pass, and their gradients in one flat buffer, so an Adam step is a few
+    whole-vector ufunc calls.  Each element takes the float operations of
+    its own parameter's step; the bias slot's square is a Python
+    ``float ** 2``, which is not always ``g * g``.
+    """
 
     n, k = z.shape
-    params = [*_xavier_mlp(rng, k), 0.0]
-    moments = [np.zeros_like(p) for p in params[:3]] + [0.0]
-    moments2 = [np.zeros_like(p) for p in params[:3]] + [0.0]
+    W1, b1, w2 = _xavier_mlp(rng, k)
+    params = np.concatenate([W1.ravel(), b1, w2, [0.0]])
+    grads = np.empty_like(params)
+    moments, moments2 = np.zeros_like(params), np.zeros_like(params)
+    (W1, b1, w2), (gW1, gb1, gw2) = (
+        (v[: k * _HIDDEN].reshape(k, _HIDDEN), v[k * _HIDDEN : -_HIDDEN - 1], v[-_HIDDEN - 1 : -1])
+        for v in (params, grads)
+    )
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     for _ in range(_MLP_EPOCHS):
         perm = rng.permutation(n)
         for start in range(0, n, _MLP_BATCH):
-            W1, b1, w2, b2 = params
             idx = perm[start : start + _MLP_BATCH]
             zb, yb = z[idx], y[idx]
             pre = zb @ W1 + b1
             h = np.maximum(pre, 0.0)
-            pred = h @ w2 + b2
+            pred = h @ w2 + params[-1]
             g_out = 2.0 * (pred - yb) / len(idx)
             g_h = np.outer(g_out, w2) * (pre > 0)
-            grads = [zb.T @ g_h, g_h.sum(axis=0), h.T @ g_out, float(g_out.sum())]
+            np.matmul(zb.T, g_h, out=gW1)
+            g_h.sum(axis=0, out=gb1)
+            np.matmul(h.T, g_out, out=gw2)
+            grads[-1] = g_b2 = float(g_out.sum())
+            square = grads * grads
+            square[-1] = g_b2**2
             step += 1
-            for i in range(4):
-                moments[i] = beta1 * moments[i] + (1 - beta1) * grads[i]
-                moments2[i] = beta2 * moments2[i] + (1 - beta2) * grads[i] ** 2
-                mhat = moments[i] / (1 - beta1**step)
-                vhat = moments2[i] / (1 - beta2**step)
-                params[i] -= _MLP_LR * mhat / (np.sqrt(vhat) + eps)
-    return params
+            moments *= beta1
+            moments += (1 - beta1) * grads
+            moments2 *= beta2
+            moments2 += (1 - beta2) * square
+            mhat = moments / (1 - beta1**step)
+            vhat = moments2 / (1 - beta2**step)
+            params -= _MLP_LR * mhat / (np.sqrt(vhat) + eps)
+    return [W1, b1, w2, params[-1]]
 
 
 def _split_search(z, y, rows, lens):
@@ -563,31 +578,40 @@ def _fit_tree(z, y, max_depth):
     )
 
 
-def _sgd_step(w: list, b: float, z: list, y: float, t: int) -> float:
-    """SGD step number ``t`` on one sample, in Python floats: updates the
-    list ``w`` in place and returns the new bias.
+@cache
+def _sgd_kernel(k: int):
+    """SGD over a run of samples for ``k`` inputs, in Python floats, as
+    ``sgd(w, b, cols, ys, lrs) -> (w, b)``: sample ``i`` is ``cols[j][i]``
+    for each input ``j``, with target ``ys[i]`` and step size ``lrs[i]``.
 
-    The row product is summed left to right, as ``_rows_times`` sums a row,
-    and ``b - y`` is added after it; the update is
-    ``w - lr * (err * z + alpha * w)``, elementwise.
+    The source is written out once per arity, with one local per weight, so
+    a step dispatches nothing: the row product is summed left to right, as
+    ``_rows_times`` sums a row, ``b - y`` is added after it, and each weight
+    takes ``w - lr * (err * z + alpha * w)``.
     """
 
-    lr = _SGD_ETA0 / t**_SGD_POWER_T
-    err = reduce(operator.add, map(operator.mul, z, w)) + b - y
-    w[:] = [wj - lr * (err * zj + _SGD_ALPHA * wj) for wj, zj in zip(w, z)]
-    return b - lr * err
+    ws = ", ".join(f"w{i}" for i in range(k))
+    zs = ", ".join(f"z{i}" for i in range(k))
+    dot = " + ".join(f"z{i} * w{i}" for i in range(k))
+    updates = "; ".join(f"w{i} = w{i} - lr * (err * z{i} + alpha * w{i})" for i in range(k))
+    src = f"""def sgd(w, b, cols, ys, lrs):
+    {ws}, = w
+    for {zs}, y, lr in zip(*cols, ys, lrs):
+        err = {dot} + b - y
+        {updates}
+        b = b - lr * err
+    return [{ws}], b
+"""
+    namespace = {"alpha": _SGD_ALPHA}
+    exec(src, namespace)
+    return namespace["sgd"]
 
 
 def _fit_sgd(z, y, rng):
     n, k = z.shape
-    w = [0.0] * k
-    b = 0.0
-    t = 0
-    rows, targets = z.tolist(), y.tolist()
-    for _ in range(_SGD_EPOCHS):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            b = _sgd_step(w, b, rows[i], targets[i], t)
+    order = np.concatenate([rng.permutation(n) for _ in range(_SGD_EPOCHS)])
+    lrs = [_SGD_ETA0 / t**_SGD_POWER_T for t in range(1, len(order) + 1)]
+    w, b = _sgd_kernel(k)([0.0] * k, 0.0, z[order].T.tolist(), y[order].tolist(), lrs)
     return np.array(w), b
 
 

@@ -213,6 +213,17 @@ def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
         assert json.loads(snap.to_json())["concept"] == concept_doc
 
 
+def test_editing_a_read_state_moves_no_snapshot_bytes():
+    gen = build_stream(preset_config("dataset3", 0))
+    snap = gen.snapshots["concept0"]
+    before = snap.to_json()
+    state = snap.state
+    state["ewma"][next(iter(state["ewma"]))] = 123.0
+    state["ar"].clear()
+    assert snap.state != state
+    assert snap.to_json() == before
+
+
 def test_snapshot_json_round_trip():
     c = _concept(9)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)

@@ -57,7 +57,9 @@ document's ``params`` gives the previous table back.  No ``csv`` or
 ``sidecar`` entry moved, and the RNG layout is unchanged.
 
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current table,
-so an update is a paste that can be reviewed line by line.
+so an update is a paste that can be reviewed line by line; with
+``--check`` it prints only the entries that differ from ``DIGESTS``, as
+``case kind: pinned -> now``, and exits 1 when any does.
 """
 
 import copy
@@ -199,14 +201,23 @@ def test_stream_digests_are_pinned(case, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
     from pathlib import Path
 
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: test_digests.py [--check]")
     with tempfile.TemporaryDirectory() as tmp:
-        print("DIGESTS = {")
-        for case, make in CASES.items():
-            print(f"    {json.dumps(case)}: {{")
-            for kind, digest in stream_digests(make(), Path(tmp) / "s.csv").items():
-                print(f'        "{kind}": "{digest}",')
-            print("    },")
-        print("}")
+        table = {case: stream_digests(make(), Path(tmp) / "s.csv") for case, make in CASES.items()}
+    if sys.argv[1:]:
+        moved = [(c, k) for c, row in table.items() for k in row if row[k] != DIGESTS[c][k]]
+        for case, kind in moved:
+            print(f"{case} {kind}: {DIGESTS[case][kind]} -> {table[case][kind]}")
+        sys.exit(1 if moved else 0)
+    print("DIGESTS = {")
+    for case, row in table.items():
+        print(f"    {json.dumps(case)}: {{")
+        for kind, digest in row.items():
+            print(f'        "{kind}": "{digest}",')
+        print("    },")
+    print("}")

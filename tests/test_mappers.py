@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from causalstream import mappers
 from causalstream.mappers import (
@@ -12,6 +13,7 @@ from causalstream.mappers import (
     PrototypeMapper,
     RadialBasisMapper,
     RootDistribution,
+    SGDLinearMapper,
     TargetFunction,
     draw_target_function,
     eval_target_function,
@@ -348,8 +350,7 @@ def _recursive_fit_tree(z, y, max_depth):
 
 def _float_sgd_step(w, b, z, y, t):
     """One SGD step on lists of Python floats, the row product summed left
-    to right before ``b - y``: the reference ``_sgd_step`` must match bit
-    for bit."""
+    to right before ``b - y``: the SGD kernels must match it bit for bit."""
     lr = mappers._SGD_ETA0 / t**mappers._SGD_POWER_T
     dot = z[0] * w[0]
     for j in range(1, len(z)):
@@ -373,7 +374,7 @@ def _float_fit_sgd(z, y, rng):
 
 def _numpy_sgd_step(w, b, z, y, t):
     """One SGD step with numpy updates and a BLAS row product: the same SGD
-    as ``_sgd_step``, equal up to the rounding of the product."""
+    as the kernels, equal up to the rounding of the product."""
     lr = mappers._SGD_ETA0 / t**mappers._SGD_POWER_T
     err = float(z @ w + b - y)
     w -= lr * (err * z + mappers._SGD_ALPHA * w)
@@ -389,6 +390,58 @@ def _numpy_fit_sgd(z, y, rng):
             t += 1
             b = _numpy_sgd_step(w, b, z[i], y[i], t)
     return w, b
+
+
+@given(k=st.integers(1, 8), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_every_sgd_arity_matches_the_float_steps(k, n, seed):
+    """Each arity has its own generated kernel: the fit and a run of
+    ``partial_fit`` steps both take the bits of the Python float steps."""
+    rng = np.random.default_rng(seed)
+    z, y = rng.normal(size=(n, k)), rng.normal(size=n)
+    w, b = mappers._fit_sgd(z, y, np.random.default_rng(seed))
+    w0, b0 = _float_fit_sgd(z, y, np.random.default_rng(seed))
+    assert _same_bits(w, w0)
+    assert type(b) is float and _same_bits(b, b0)
+
+    m = SGDLinearMapper(w, b, in_mean=np.zeros(k), in_scale=np.ones(k))
+    w0 = w0.tolist()
+    for t, (row, target) in enumerate(zip(z, y.tolist()), start=1):
+        m.partial_fit(row, target)
+        b0 = _float_sgd_step(w0, b0, row.tolist(), target, t)
+    assert _same_bits(m.w, np.array(w0))
+    assert type(m.b) is float and _same_bits(m.b, b0)
+    assert mappers._sgd_kernel(k) is mappers._sgd_kernel(k)
+
+
+def _four_block_adam(z, y, rng):
+    """Adam with one update per parameter block (W1, b1, w2 and the Python
+    float b2): the flat ``_fit_mlp_weights`` must match it bit for bit."""
+    n, k = z.shape
+    params = [*mappers._xavier_mlp(rng, k), 0.0]
+    moments = [np.zeros_like(p) for p in params[:3]] + [0.0]
+    moments2 = [np.zeros_like(p) for p in params[:3]] + [0.0]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _ in range(mappers._MLP_EPOCHS):
+        perm = rng.permutation(n)
+        for start in range(0, n, mappers._MLP_BATCH):
+            W1, b1, w2, b2 = params
+            idx = perm[start : start + mappers._MLP_BATCH]
+            zb, yb = z[idx], y[idx]
+            pre = zb @ W1 + b1
+            h = np.maximum(pre, 0.0)
+            pred = h @ w2 + b2
+            g_out = 2.0 * (pred - yb) / len(idx)
+            g_h = np.outer(g_out, w2) * (pre > 0)
+            grads = [zb.T @ g_h, g_h.sum(axis=0), h.T @ g_out, float(g_out.sum())]
+            step += 1
+            for i in range(4):
+                moments[i] = beta1 * moments[i] + (1 - beta1) * grads[i]
+                moments2[i] = beta2 * moments2[i] + (1 - beta2) * grads[i] ** 2
+                mhat = moments[i] / (1 - beta1**step)
+                vhat = moments2[i] / (1 - beta2**step)
+                params[i] -= mappers._MLP_LR * mhat / (np.sqrt(vhat) + eps)
+    return params
 
 
 def _fit_case(n, k, target):
@@ -463,3 +516,26 @@ def test_partial_fit_matches_numpy_updates(k):
     assert _same_bits(m.w, np.array(w))
     assert type(m.b) is float and _same_bits(m.b, b)
     assert np.allclose(m.w, w1, rtol=1e-9) and np.isclose(m.b, b1, rtol=1e-9)
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+@pytest.mark.parametrize("k", [1, 2, 3, 20])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1024])
+def test_adam_fit_matches_the_four_block_updates(n, k, target):
+    """The flat Adam vector gives every parameter the bits of its own block
+    update, with a full, a short and a one-row last mini-batch."""
+    _assert_adam_matches(n, k, target, seed=4)
+
+
+def test_adam_bias_slot_squares_as_a_python_float():
+    """Here one step's bias-slot gradient has ``g ** 2 != g * g`` and the
+    difference reaches b2, so squaring the flat slot as ``g * g`` fails."""
+    _assert_adam_matches(65, 2, "noisy", seed=14)
+
+
+def _assert_adam_matches(n, k, target, seed):
+    z, y = _fit_case(n, k, target)
+    got = mappers._fit_mlp_weights(z, y, np.random.default_rng(seed))
+    expected = _four_block_adam(z, y, np.random.default_rng(seed))
+    for name, a, b in zip(("W1", "b1", "w2", "b2"), got, expected):
+        assert _same_bits(a, b), name
