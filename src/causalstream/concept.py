@@ -141,18 +141,19 @@ class Concept(Serializable):
     def initial_state(self) -> TemporalState:
         return TemporalState.initial(self.root_dists, self.continuous_nodes)
 
-    def copy(self) -> "Concept":
+    def copy(self, nodes: set | None = None) -> "Concept":
         """A copy for drift to edit, equal to this concept in ``to_dict``.
 
         The graph, params, temporal params and root distributions are never
-        edited in place and are shared; the two dicts and every mapper's
-        arrays are new.
+        edited in place and are shared; the two dicts are new, and so are
+        the mappers of ``nodes`` (every mapper by default).  The other
+        mappers are the same objects, so an edit may touch only the mappers
+        of ``nodes``: copy on write.
         """
-        return replace(
-            self,
-            root_dists=dict(self.root_dists),
-            mappers={n: copy_mapper(m) for n, m in self.mappers.items()},
-        )
+        mappers = dict(self.mappers)
+        for n in self.mappers if nodes is None else set(nodes) & mappers.keys():
+            mappers[n] = copy_mapper(mappers[n])
+        return replace(self, root_dists=dict(self.root_dists), mappers=mappers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Concept):

@@ -522,9 +522,15 @@ def validate_schedule_against(schedule: DriftSchedule, concept: Concept) -> None
 
 
 def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
-    """Apply all actions of an event to a copy of the concept."""
+    """Apply all actions of an event to a copy of the concept.
 
-    out = concept.copy()
+    Copy on write: the copy has new mappers for the nodes the actions name
+    and shares every other mapper with ``concept``, which is left as it
+    was.  The segment engine runs one ``predict`` per distinct mapper, so a
+    shared mapper costs one call for the rows of both concepts.
+    """
+
+    out = concept.copy({action.node for action in spec.actions})
     for action in spec.actions:
         _checked(out, action).abrupt(out, action, rng)
     return out

@@ -29,16 +29,22 @@ __all__ = [
 LEARNER_NAMES = ("logistic", "naive-bayes", "linear")
 
 
+# the largest double whose square is finite
+_LARGEST_ROOT = math.sqrt(np.finfo(float).max)
+
+
 class RunningStats:
     """Per-feature running mean/variance over observed (non-missing) values.
 
     Doubles as the imputation source: a missing feature is replaced by its
     running mean (0.0 until the feature has ever been observed).
 
-    A row is complete when ``x.dot(x)`` is finite, which implies every entry
-    is (an overflow only takes the masked path).  A complete row takes the
-    plain Welford step, the masked form's IEEE operations, and ``impute``
-    returns it as is.
+    A cell counts as observed when its square is finite: a missing (NaN) or
+    infinite cell is not, and neither is a finite cell so huge that it
+    would make every variance that reads it infinite.  A row is complete
+    when ``x.dot(x)`` is finite, which implies every cell is observed.  A
+    complete row takes the plain Welford step, the masked form's IEEE
+    operations, and ``impute`` returns it as is.
     """
 
     def __init__(self, n_features: int):
@@ -53,7 +59,7 @@ class RunningStats:
             self.mean += delta / self.count
             self._m2 += delta * (x - self.mean)
             return
-        obs = np.isfinite(x)
+        obs = np.abs(x) <= _LARGEST_ROOT
         self.count[obs] += 1
         delta = np.where(obs, x - self.mean, 0.0)
         self.mean += np.where(obs, delta / np.maximum(self.count, 1), 0.0)
@@ -67,7 +73,7 @@ class RunningStats:
     def impute(self, x: np.ndarray) -> np.ndarray:
         if math.isfinite(x.dot(x)):
             return x
-        return np.where(np.isfinite(x), x, self.mean)
+        return np.where(np.abs(x) <= _LARGEST_ROOT, x, self.mean)
 
     def standardize(self, x: np.ndarray) -> np.ndarray:
         return (self.impute(x) - self.mean) / self.std()

@@ -1,13 +1,14 @@
 """Streaming engine: drift-schedule execution, temporal state, per-instance
 interventions and missingness, and value propagation through the graph.
 
-The concept is fixed between two event boundaries and moves row by row
-only inside a gradual or incremental window, and the temporal state never
-reads a node's value, so the engine builds the stream in segments: the
-draws of a segment are made in batches, in the order of a row-at-a-time
-walk, each row with its own concept version's parameters, then every node
-is computed for all of its rows with one batched ``predict`` per distinct
-mapper (see ``StreamGenerator``).
+The concept changes at an abrupt event and moves row by row only inside a
+gradual or incremental window, and the temporal state never reads a node's
+value, so the engine builds the stream in segments: the draws of a segment
+are made in batches, in the order of a row-at-a-time walk, each row with
+its own concept version's parameters, then every node is computed for all
+of its rows with one batched ``predict`` per distinct mapper (see
+``StreamGenerator``).  Drift copies only the mappers it edits, so the
+versions of a segment share the rest.
 
 Reproducibility contract: one master seed spawns five independent substreams
 (concept init, node values, interventions, missing masks, drift schedule).
@@ -48,7 +49,7 @@ from .drift import (
 )
 from .graph import CausalGraph, build_dag
 from .mappers import copy_mapper
-from .temporal import TemporalParams, _one_pole, root_value_path
+from .temporal import TemporalParams, TemporalState, _one_pole, root_value_path
 
 # not called here; ``bench/tracing.py`` patches these one-row steps on this
 # module
@@ -66,8 +67,8 @@ __all__ = [
     "collect",
 ]
 
-# rows per segment at most; a segment also ends at the next event boundary.
-# Larger segments batch more rows per ``predict`` call, but the engine may
+# rows per segment at most; a segment also ends where a window starts or
+# ends.  Larger segments batch more rows per ``predict`` call, but the engine may
 # build up to one segment past the last row a consumer asks for.
 _SEGMENT_ROWS = 256
 
@@ -161,11 +162,13 @@ def spawn_streams(seed: int) -> StreamRngs:
 class StreamGenerator:
     """State machine that builds the stream in segments and hands out rows.
 
-    A segment runs from the first unbuilt row to the next event, the end of
-    the open window or ``length``, at most ``_SEGMENT_ROWS`` rows.  Outside
-    a window one concept produces all of it; inside a gradual or incremental
-    window each row has a concept version of its own (see
-    ``_segment_concept``).  A segment is built in two phases:
+    A segment runs from the first unbuilt row to ``length``, the start or
+    end of a gradual or incremental window, at most ``_SEGMENT_ROWS`` rows
+    (see ``_segment_concept``).  Outside a window each abrupt or recurrent
+    event inside the segment adds a concept version, which makes the rows
+    from its event on; inside a window each row has a version of its own.
+    A drift event copies only the mappers its actions name, so versions
+    share every other mapper.  A segment is built in two phases:
 
     1. the segment's draws, in the order of a row-at-a-time walk (see
        ``spawn_streams``): on ``values`` one call per run of normal or
@@ -182,7 +185,8 @@ class StreamGenerator:
     Temporal state never reads a node's value, so phase 1 needs no mapper,
     and every ``predict`` gives a row the same bits however many rows share
     the call.  A stream's bytes therefore do not depend on where segments
-    end.  ``step``, ``take`` and iteration read rows from the current
+    end.  An event inside a segment is snapshotted after phase 1, with the
+    temporal state after the row before it, read from the nodes' paths.  ``step``, ``take`` and iteration read rows from the current
     segment; ``concept``, ``state`` and the substreams may run up to one
     segment ahead of the rows handed out.  ``length``, when given, is one
     more segment boundary: a consumer that takes ``length`` rows leaves
@@ -234,70 +238,77 @@ class StreamGenerator:
 
     # -- event machinery ---------------------------------------------------
 
-    def _complete(self, event_id: str) -> None:
-        self._concept_id = event_id
-        self.snapshots[event_id] = snapshot_concept(self.concept, self.state)
-
     def _advance_events(self) -> None:
+        """Close the open window at its end and open a gradual or
+        incremental window at its start; ``_segment_concept`` applies the
+        abrupt and recurrent events."""
+
         t = self._built
         if self._window is not None and t >= self._window[0].t_end:
             spec, event_id, shift = self._window
             if spec.rate == "gradual":
                 self.concept = shift
             # incremental concepts already sit exactly on the endpoint
-            self._complete(event_id)
-            self._window = None
-        while self._next_event < len(self.schedule.events):
-            spec = self.schedule.events[self._next_event]
-            if spec.t_start > t:
-                break
-            self._next_event += 1
-            event_id = concept_id(self._next_event)
-            if spec.kind == "recurrent":
-                # the schedule only names concepts of earlier events
-                snap = self.snapshots[spec.snapshot_id]
-                self.concept = apply_recurrent(self.concept, snap)
-                self._complete(event_id)
-            elif spec.rate == "abrupt":
-                self.concept = apply_abrupt(self.concept, spec, self.rngs.schedule)
-                self._complete(event_id)
-            elif spec.rate == "gradual":
-                endpoint = begin_gradual(self.concept, spec, self.rngs.schedule)
-                self._window = (spec, event_id, endpoint)
-            else:
-                self.concept = self.concept.copy()
-                plan = begin_incremental(self.concept, spec, self.rngs.schedule)
-                self._window = (spec, event_id, plan)
+            self._concept_id, self._window = event_id, None
+            self.snapshots[event_id] = snapshot_concept(self.concept, self.state)
+        events = self.schedule.events[self._next_event :]
+        if not events or events[0].t_start > t or events[0].rate == "abrupt":
+            return
+        spec = events[0]
+        self._next_event += 1
+        if spec.rate == "gradual":
+            shift = begin_gradual(self.concept, spec, self.rngs.schedule)
+        else:
+            self.concept = self.concept.copy({a.node for a in spec.actions})
+            shift = begin_incremental(self.concept, spec, self.rngs.schedule)
+        self._window = (spec, concept_id(self._next_event), shift)
 
-    def _segment_concept(self) -> tuple[list[Concept], list[str], list[int]]:
+    def _segment_concept(self) -> tuple[list[Concept], list[str], np.ndarray, list[int]]:
         """The concept versions of the next segment, the concept id of each,
-        and the version of each of the segment's rows.
+        the version of each of the segment's rows, and the row where each
+        version after the first begins.
 
-        The segment ends at ``_SEGMENT_ROWS`` rows, at the next event, at
-        the end of the open window and at ``length``, whichever comes first.
-        Outside a window one concept makes every row.  Inside a gradual
-        window each row's ``gradual_selector`` draw picks the start concept
-        or the endpoint.  Inside an incremental window each row's
-        ``incremental_step`` moves ``concept``, and the row gets a version
-        of its own, which shares every mapper that no action moves.  The
-        schedule draws are made one row after the next.
+        The segment ends at ``_SEGMENT_ROWS`` rows, at ``length``, at the
+        end of the open window and at the start of the next one, whichever
+        comes first.  Outside a window the abrupt and recurrent events that
+        start inside the segment are applied here, in row order, each on
+        the version before it: each adds a version, which makes the rows
+        from its event on.  A recurrent event that restores a concept
+        completed inside the segment ends the segment before it instead.
+        Inside a gradual window each row's ``gradual_selector`` draw picks
+        the start concept or the endpoint.  Inside an incremental window
+        each row's ``incremental_step`` moves ``concept``, and the row gets
+        a version of its own, which shares every mapper that no action
+        moves.  The schedule draws are made one row after the next.
         """
 
         t = self._built
-        ends = [t + _SEGMENT_ROWS]
-        if self._window is not None:
-            ends.append(self._window[0].t_end)
-        if self._next_event < len(self.schedule.events):
-            ends.append(self.schedule.events[self._next_event].t_start)
+        end = t + _SEGMENT_ROWS
         if self._length is not None and t < self._length:
-            ends.append(self._length)
-        rows = range(t, min(ends))
+            end = min(end, self._length)
         if self._window is None:
-            return [self.concept], [self._concept_id], [0] * len(rows)
+            versions, ids, starts = [self.concept], [self._concept_id], []
+            events = self.schedule.events
+            while self._next_event < len(events) and events[self._next_event].t_start < end:
+                spec = events[self._next_event]
+                if spec.rate != "abrupt" or spec.snapshot_id in ids[1:]:
+                    end = spec.t_start
+                    break
+                self._next_event += 1
+                if spec.kind == "recurrent":
+                    concept = apply_recurrent(versions[-1], self.snapshots[spec.snapshot_id])
+                else:
+                    concept = apply_abrupt(versions[-1], spec, self.rngs.schedule)
+                versions.append(concept)
+                ids.append(concept_id(self._next_event))
+                starts.append(spec.t_start - t)
+            self.concept, self._concept_id = versions[-1], ids[-1]
+            return versions, ids, np.searchsorted(starts, np.arange(end - t), "right"), starts
         spec, event_id, shift = self._window
+        rows = range(t, min(end, spec.t_end))
         if spec.rate == "gradual":
             which = [int(gradual_selector(r, spec, self.rngs.schedule)) for r in rows]
-            return [self.concept, shift], [self._concept_id, event_id], which
+            return [self.concept, shift], [self._concept_id, event_id], np.array(which), []
         c = self.concept
         moved = [a.node for a in spec.actions if a.node in c.mappers]
         versions = []
@@ -305,7 +316,7 @@ class StreamGenerator:
             incremental_step(c, shift, r - spec.t_start, self.rngs.schedule)
             mappers = {**c.mappers, **{node: copy_mapper(c.mappers[node]) for node in moved}}
             versions.append(replace(c, root_dists=dict(c.root_dists), mappers=mappers))
-        return versions, [event_id] * len(rows), list(range(len(rows)))
+        return versions, [event_id] * len(rows), np.arange(len(rows)), []
 
     # -- intervention helpers ------------------------------------------------
 
@@ -326,12 +337,15 @@ class StreamGenerator:
     # -- the segment engine --------------------------------------------------
 
     def _segment(self) -> list[Instance]:
-        """Apply due events, then build the rows of the next segment."""
+        """Open or close a window, plan the next segment, then build its
+        rows and snapshot each concept its events completed."""
 
         self._advance_events()
         t0 = self._built
-        versions, ids, which = self._segment_concept()
-        drawn, forced, missing = self._draw_rows(versions, which)
+        versions, ids, which, starts = self._segment_concept()
+        drawn, forced, missing, states = self._draw_rows(versions, which, starts)
+        for k, state in enumerate(states, start=1):
+            self.snapshots[ids[k]] = snapshot_concept(versions[k], state)
         overrides: dict[int, tuple[list[int], list]] = {}
         for i, row in enumerate(forced):
             for node, value in row.items():
@@ -341,7 +355,10 @@ class StreamGenerator:
         concept = versions[0]
         mapper, permutation = (lambda node, P: concept.mappers[node]), concept.class_permutation
         if len(versions) > 1:
-            mapper, permutation = (lambda node, P: _RowMappers(versions, which, node)), None
+            # each version's rows, grouped once for every node
+            order = np.argsort(which, kind="stable")
+            groups = np.split(order, np.searchsorted(which[order], range(1, len(versions))))
+            mapper, permutation = (lambda node, P: _RowMappers(versions, groups, node)), None
         V = _ancestor_walk(
             concept.graph,
             len(which),
@@ -352,16 +369,18 @@ class StreamGenerator:
             overrides,
         )
         self._built = t0 + len(which)
-        return self._emit(concept, [ids[k] for k in which], t0, V, forced, missing)
+        return self._emit(concept, [ids[k] for k in which.tolist()], t0, V, forced, missing)
 
-    def _draw_rows(self, versions: list[Concept], which: list[int]):
+    def _draw_rows(self, versions: list[Concept], which: np.ndarray, cuts: list[int]):
         """Phase 1: every draw of the segment's rows, in the order of a
         row-at-a-time walk, batched; row ``i`` draws with the parameters of
         ``versions[which[i]]``.
 
         Returns the per-node draws on ``values`` (a root's natural value, a
-        continuous inner node's AR noise), and per row the forced values and
-        the masked features.
+        continuous inner node's AR noise), per row the forced values and
+        the masked features, and the temporal state before each row of
+        ``cuts``, read from the nodes' paths; ``state`` moves past the
+        segment's last row.
         """
 
         concept, n = versions[0], len(which)
@@ -374,15 +393,20 @@ class StreamGenerator:
             scale = np.asarray([p[2] for p in params])[which]
         draws = _draw_in_rows(self.rngs.values, n, loc, scale, uniform).T.tolist()
         ewma, ar = self.state.ewma, self.state.ar
-        drawn, j = {}, 0
+        drawn, noise, j = {}, {}, 0
         for node, root in walk:
-            path = _one_pole(draws[j + root], temporal.rho, ar[node])
-            ar[node] = path[-1]
+            drawn[node] = noise[node] = _one_pole(draws[j + root], temporal.rho, ar[node])
             if root:
-                path = root_value_path(draws[j], path, temporal, ewma[node])
-                ewma[node] = path[-1]
-            drawn[node] = path
+                drawn[node] = root_value_path(draws[j], noise[node], temporal, ewma[node])
             j += 1 + root
+        states = [
+            TemporalState(
+                {node: drawn[node][k - 1] if k else x for node, x in ewma.items()},
+                {node: noise[node][k - 1] if k else x for node, x in ar.items()},
+            )
+            for k in [*cuts, n]
+        ]
+        self.state = states.pop()
         # per row, one gate on each substream, then the row's payload if it
         # opens
         policy, emitted, rngs = self.policy, self.emitted_features, self.rngs
@@ -392,10 +416,10 @@ class StreamGenerator:
         specs = [{node: self._value_spec(v, node) for node in eligible} for v in versions]
         forced = [
             draw_interventions(self.p_i, policy, eligible, specs[k], rngs.interventions)
-            for k in which
+            for k in which.tolist()
         ]
-        missing = [draw_missing(self.p_m, policy, emitted, rngs.missing) for _ in which]
-        return drawn, forced, missing
+        missing = [draw_missing(self.p_m, policy, emitted, rngs.missing) for _ in range(n)]
+        return drawn, forced, missing, states
 
     def _emit(self, concept, ids, t0, V, forced, missing) -> list[Instance]:
         """The segment's instances, row ``i`` with concept id ``ids[i]``:
@@ -467,22 +491,25 @@ def _draw_params(concept: Concept) -> tuple[list, list, list, list]:
 class _RowMappers:
     """One node's mappers in a segment whose rows come from several concept
     versions, read by the ancestor walk as one mapper: ``predict`` runs each
-    distinct mapper once, on its rows, and relabels the target's classes by
-    each version's permutation.  ``predict`` is row-independent, so a row
+    distinct mapper once, on the rows of every version that holds it, and
+    relabels the target's classes by each version's permutation.  Drift
+    copies only the mappers it edits, so a node that no event of the
+    segment names costs one call.  ``predict`` is row-independent, so a row
     gets the bits that a segment of its version alone would give it."""
 
-    def __init__(self, versions: list[Concept], which: list[int], node: int):
+    def __init__(self, versions: list[Concept], rows: list[np.ndarray], node: int):
         self.kind = versions[0].mappers[node].kind
         target = node == versions[0].graph.target
-        self.groups: dict[tuple, tuple] = {}
-        for i, k in enumerate(which):
-            m, perm = versions[k].mappers[node], versions[k].class_permutation
-            perm = perm if target else None
-            self.groups.setdefault((id(m), perm), (m, perm, []))[2].append(i)
+        groups: dict[tuple, tuple] = {}
+        for version, r in zip(versions, rows):
+            if len(r):
+                m, perm = version.mappers[node], version.class_permutation if target else None
+                groups.setdefault((id(m), perm), (m, perm, []))[2].append(r)
+        self.groups = [(m, perm, np.concatenate(r)) for m, perm, r in groups.values()]
 
     def predict(self, P: np.ndarray) -> np.ndarray:
         out = np.empty(len(P))
-        for m, perm, rows in self.groups.values():
+        for m, perm, rows in self.groups:
             y = m.predict(P[rows])
             out[rows] = y if perm is None else np.asarray(perm)[y]
         return out

@@ -2,10 +2,15 @@
 
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import settings
 
-from causalstream.drift import DriftSchedule
+from causalstream.concept import ConceptParams
+from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec
+from causalstream.generator import GeneratorConfig
+from causalstream.graph import build_dag
 from causalstream.presets import preset_config
+from causalstream.temporal import TemporalParams
 
 # property tests draw the same examples on every run, so tier-1 stays
 # deterministic and its time bounded; ``--hypothesis-profile=deep`` draws
@@ -119,3 +124,32 @@ COVERAGE_DOC = {
         ]
     },
 }
+
+
+def wide_refit() -> GeneratorConfig:
+    """d=30, 600 rows, two abrupt events that re-simulate a wide graph.
+
+    Node 17 is a learned-mlp feature, 26th of 31 nodes in topological
+    order, and the last parent of the target 22.  The event at t=200 refits
+    it; the event at t=400 moves the target's prototypes, then refits node
+    17 again.  Each re-simulation walks 25 or 26 nodes and reads 8 or 11 of
+    them.
+    """
+    refit = ShiftAction("refit-new-target-fn", 17)
+    move = ShiftAction("move-prototypes", 22)
+    return GeneratorConfig(
+        dataset_size=600,
+        seed=0,
+        d=30,
+        graph=build_dag(30, 6, 1, 3, np.random.default_rng(3)),
+        p_i=0.1,
+        p_m=0.1,
+        temporal=TemporalParams(alpha=0.05, rho=0.5, sigma=0.4),
+        concept=ConceptParams(
+            n_classes=3, nodes={17: {"mapper": "learned-mlp"}, 22: {"mapper": "prototype"}}
+        ),
+        schedule=DriftSchedule((
+            ShiftSpec("distributional", "abrupt", 200, 1, (refit,)),
+            ShiftSpec("distributional", "abrupt", 400, 1, (move, refit)),
+        )),
+    )

@@ -56,6 +56,10 @@ and only by that key: re-inserting ``"task"`` as the first key of each
 document's ``params`` gives the previous table back.  No ``csv`` or
 ``sidecar`` entry moved, and the RNG layout is unchanged.
 
+Abrupt and recurrent events applied inside a segment, with copy-on-write
+concept versions, moved no entry: each such event is snapshotted with the
+temporal state after the row before it, read from the segment's paths.
+
 ``PYTHONPATH=src python tests/test_digests.py`` prints the current table,
 so an update is a paste that can be reviewed line by line; with
 ``--check`` it prints only the entries that differ from ``DIGESTS``, as
@@ -66,47 +70,13 @@ import copy
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
-from conftest import COVERAGE_DOC, preset_prefix
-from causalstream.concept import ConceptParams
+from conftest import COVERAGE_DOC, preset_prefix, wide_refit
 from causalstream.config import config_to_document, parse_config
-from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec
-from causalstream.generator import GeneratorConfig, build_stream
-from causalstream.graph import build_dag
+from causalstream.generator import build_stream
 from causalstream.presets import preset_config
 from causalstream.stream_io import write_stream_csv
-from causalstream.temporal import TemporalParams
-
-
-def _wide_refit() -> GeneratorConfig:
-    """d=30, 600 rows, two abrupt events that re-simulate a wide graph.
-
-    Node 17 is a learned-mlp feature, 26th of 31 nodes in topological
-    order, and the last parent of the target 22.  The event at t=200 refits
-    it; the event at t=400 moves the target's prototypes, then refits node
-    17 again.  Each re-simulation walks 25 or 26 nodes and reads 8 or 11 of
-    them.
-    """
-    refit = ShiftAction("refit-new-target-fn", 17)
-    move = ShiftAction("move-prototypes", 22)
-    return GeneratorConfig(
-        dataset_size=600,
-        seed=0,
-        d=30,
-        graph=build_dag(30, 6, 1, 3, np.random.default_rng(3)),
-        p_i=0.1,
-        p_m=0.1,
-        temporal=TemporalParams(alpha=0.05, rho=0.5, sigma=0.4),
-        concept=ConceptParams(
-            n_classes=3, nodes={17: {"mapper": "learned-mlp"}, 22: {"mapper": "prototype"}}
-        ),
-        schedule=DriftSchedule((
-            ShiftSpec("distributional", "abrupt", 200, 1, (refit,)),
-            ShiftSpec("distributional", "abrupt", 400, 1, (move, refit)),
-        )),
-    )
 
 
 CASES = {
@@ -118,7 +88,7 @@ CASES = {
     "dataset5[:1100]": lambda: preset_prefix("dataset5", 1100),
     "dataset6[:600]": lambda: preset_prefix("dataset6", 600),
     "coverage": lambda: parse_config(copy.deepcopy(COVERAGE_DOC)).generator,
-    "wide-refit": _wide_refit,
+    "wide-refit": wide_refit,
 }
 
 DIGESTS = {

@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import preset_prefix
+from conftest import COVERAGE_DOC, preset_prefix
 from causalstream.concept import (
     deterministic_label,
     init_concept,
@@ -11,7 +12,9 @@ from causalstream.concept import (
     simulate_concept_samples,
     snapshot_concept,
 )
+from causalstream.config import parse_config
 from causalstream.drift import (
+    MECHANISMS,
     DriftSchedule,
     InterventionPolicy,
     ShiftAction,
@@ -479,3 +482,38 @@ def test_resimulation_relabels_the_target_as_the_stream_does():
     sim_share = float(np.mean(S[:, 2] == 1))
     stream_share = float(np.mean(stream.y[100:] == 1))
     assert abs(sim_share - stream_share) < 0.1, (sim_share, stream_share)
+
+
+# per mechanism, a coverage-config node it acts on (None: the label) and the
+# shift kind that may use it
+_COW_CASES = {
+    "refit-new-target-fn": ("distributional", 4),
+    "reinit-random-mlp": ("distributional", 3),
+    "move-prototypes": ("distributional", 2),
+    "change-distance": ("distributional", 2),
+    "rotate-hyperplane": ("distributional", 5),
+    "swap-classes": ("severe", None),
+    "root-params": ("covariate", 0),
+}
+
+
+def test_every_mechanism_is_covered_by_the_copy_on_write_cases():
+    assert sorted(_COW_CASES) == sorted(MECHANISMS)
+
+
+@pytest.mark.parametrize("mechanism", sorted(_COW_CASES))
+def test_apply_abrupt_copies_only_the_mappers_its_actions_name(mechanism):
+    """``apply_abrupt`` leaves its input's document as it was, returns the
+    very same mapper object for every node that no action names and a new
+    one for each node an action names.  The segment engine's one
+    ``predict`` per distinct mapper depends on this sharing."""
+    kind, node = _COW_CASES[mechanism]
+    concept = build_stream(parse_config(copy.deepcopy(COVERAGE_DOC)).generator).concept
+    before = concept.to_dict()
+    params = {"shift_std": 1.0} if mechanism == "root-params" else {}
+    spec = ShiftSpec(kind, "abrupt", 0, 1, (ShiftAction(mechanism, node, params),))
+    out = apply_abrupt(concept, spec, np.random.default_rng(5))
+    assert concept.to_dict() == before
+    assert out.to_dict() != before
+    for n, m in concept.mappers.items():
+        assert (out.mappers[n] is m) == (n != node), n

@@ -55,6 +55,31 @@ def test_running_stats_welford_and_impute():
     assert fresh.std()[0] == 1.0  # unit variance until two observations
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("learner", [LogisticLearner, NaiveBayesLearner])
+def test_one_huge_cell_does_not_poison_a_learner(learner):
+    """A single cell of 1e160, whose square overflows, counts as missing:
+    every variance stays finite and the accuracy after it stays within
+    0.02 of the clean stream's."""
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 2, 300)
+    X = rng.normal(0.0, 1.0, (300, 3)) + 2.0 * y[:, None]
+    huge = X.copy()
+    huge[100, 1] = 1e160
+    accuracy = []
+    for data in (X, huge):
+        model = learner(3, 2)
+        curve = prequential_run((data, y), model, W=50, initial_train=20, task="classification")
+        accuracy.append(curve.raw[100:].mean())
+        stats = model.imputer if learner is LogisticLearner else model.stats
+        assert np.isfinite(stats.std()).all()
+    if learner is LogisticLearner:
+        assert np.isfinite(model.var).all()
+    else:
+        assert np.isfinite(model._class_var()).all()
+    assert accuracy[1] >= accuracy[0] - 0.02
+
+
 def test_warmup_is_train_only():
     X, y = _indexed_stream(30)
     audit = AuditLearner()

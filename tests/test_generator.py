@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import COVERAGE_DOC, preset_prefix
+from conftest import COVERAGE_DOC, preset_prefix, wide_refit
 import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
 from causalstream.concept import ConceptParams
@@ -217,17 +217,54 @@ def _run(cfg, path) -> dict:
     }
 
 
-@pytest.mark.parametrize("case", ["dataset1", "dataset2", "coverage"])
+def _dense_events():
+    """The coverage graph, p_i = p_m = 0.1, 300 rows and dense abrupt
+    events: at rows 1, 2 and 3, a root shift and a class swap 5 rows apart,
+    and a restore of ``concept2`` that a default segment completed 58 rows
+    earlier, followed at once by one more event."""
+    doc = copy.deepcopy(COVERAGE_DOC)
+    doc.update(dataset_size=300, p_i=0.1, p_m=0.1)
+
+    def abrupt(kind, t, *actions):
+        return {"kind": kind, "rate": "abrupt", "t_start": t, "actions": list(actions)}
+
+    doc["schedule"] = {"events": [
+        abrupt("distributional", 1, {"mechanism": "change-distance", "node": 2}),
+        abrupt("distributional", 2, {"mechanism": "rotate-hyperplane", "node": 5}),
+        abrupt(
+            "distributional", 3,
+            {"mechanism": "move-prototypes", "node": 2},
+            {"mechanism": "refit-new-target-fn", "node": 4},
+        ),
+        abrupt("covariate", 40, {"mechanism": "root-params", "node": 0,
+                                 "params": {"shift_std": 1.0}}),
+        abrupt("severe", 45, {"mechanism": "swap-classes"}),
+        {"kind": "recurrent", "rate": "abrupt", "t_start": 60, "snapshot_id": "concept2"},
+        abrupt("distributional", 61, {"mechanism": "reinit-random-mlp", "node": 3}),
+    ]}
+    return parse_config(doc).generator
+
+
+_SEGMENT_CASES = {
+    "dataset1": lambda: preset_config("dataset1", 0),
+    "dataset2": lambda: preset_config("dataset2", 0),
+    "coverage": lambda: parse_config(copy.deepcopy(COVERAGE_DOC)).generator,
+    "wide-refit": wide_refit,
+    "dense": _dense_events,
+}
+
+
+@pytest.mark.parametrize("case", list(_SEGMENT_CASES))
 def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
-    """Segments of 1, 7 or 4096 rows give the same run as the default.
-    dataset2 and the coverage config hold gradual and incremental windows,
-    which the cap splits."""
-    if case == "coverage":
-        cfg = parse_config(copy.deepcopy(COVERAGE_DOC)).generator
-    else:
-        cfg = preset_config(case, 0)
+    """Segments of 1, 7, 256 or 4096 rows give the same run as the default:
+    the CSV, every row's concept id, values, intervened and missing fields,
+    and every snapshot's concept and state.  dataset2 and the coverage
+    config hold gradual and incremental windows, which the cap splits; the
+    dense case puts several abrupt events, and a restore of a concept
+    completed in the same segment, inside one default segment."""
+    cfg = _SEGMENT_CASES[case]()
     expected = _run(cfg, tmp_path / "default.csv")
-    for rows in (1, 7, 4096):
+    for rows in (1, 7, 256, 4096):
         monkeypatch.setattr(generator_module, "_SEGMENT_ROWS", rows)
         got = _run(cfg, tmp_path / f"{rows}.csv")
         for what in expected:

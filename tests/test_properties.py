@@ -1,11 +1,13 @@
 """Property-based invariants over small random configs and schedules.
 
-Each example draws a graph (pinned in the config, so the event can name one
+Each example draws a graph (pinned in the config, so an event can name one
 of its nodes), a task, temporal parameters at their edges, intervention and
-missing rates, and one abrupt, gradual or incremental event.  An incremental
-event moves a root's distribution, or one inner node's mapper, which the
-config pins to a kind that the mechanism moves.  The ``ci`` profile in
-``conftest.py`` makes the draws deterministic and bounds their number.
+missing rates, and one to three events: abrupt, gradual or incremental ones,
+which may follow each other back to back, and recurrent restores of an
+earlier concept.  An incremental event moves a root's distribution, or one
+inner node's mapper, which the config pins to a kind that the mechanism
+moves.  The ``ci`` profile in ``conftest.py`` makes the draws deterministic
+and bounds their number.
 
 A run either raises ``ValueError`` before its first row or yields its rows;
 the properties compare these outcomes.  Toggling a rate flips it between 0
@@ -33,6 +35,7 @@ from causalstream.drift import (
     ShiftSpec,
     apply_abrupt,
     begin_incremental,
+    concept_id,
 )
 from causalstream.generator import GeneratorConfig, build_stream
 from causalstream.graph import build_dag
@@ -50,6 +53,36 @@ _INNER_PLANS = {
 }
 
 
+def _event(draw, graph, task, t_start, rows, pins):
+    """One abrupt, gradual or incremental event at ``t_start``; an
+    incremental event on an inner node pins it, in ``pins``, to a kind
+    that the mechanism moves."""
+    rate = draw(st.sampled_from(["abrupt", "gradual", "incremental"]))
+    duration = 1 if rate == "abrupt" else draw(st.integers(2, max(2, min(30, rows - t_start))))
+    free = [n for n in range(graph.n_nodes) if not graph.is_root(n) and n not in pins]
+    if rate == "incremental" and free and draw(st.booleans()):
+        # one mechanism on one inner node, pinned to a kind it moves; the
+        # target's kind must also fit the task
+        node = draw(st.sampled_from(free))
+        fits = CATEGORICAL_KINDS if task == "classification" else CONTINUOUS_KINDS
+        menu = [
+            (mechanism, kind)
+            for mechanism, kinds in _INNER_PLANS.items()
+            for kind in kinds
+            if node != graph.target or kind in fits
+        ]
+        mechanism, kind = draw(st.sampled_from(menu))
+        pins[node] = {"mapper": kind, "n_classes": 2}
+        kind, action = "distributional", ShiftAction(mechanism, node)
+    elif rate != "incremental" and task == "classification" and draw(st.booleans()):
+        kind, action = "severe", ShiftAction("swap-classes")
+    else:
+        root = draw(st.sampled_from(graph.roots))
+        params = draw(st.sampled_from([{"redraw": True}, {"shift_std": 1.0, "scale_factor": 1.5}]))
+        kind, action = "covariate", ShiftAction("root-params", root, params)
+    return ShiftSpec(kind, rate, t_start, duration, (action,))
+
+
 @st.composite
 def configs(draw):
     d = draw(st.integers(2, 6))
@@ -62,31 +95,19 @@ def configs(draw):
     )
     task = draw(st.sampled_from(["classification", "regression"]))
     rows = draw(st.integers(40, 120))
-    t_start = draw(st.integers(1, rows - 1))
-    rate = draw(st.sampled_from(["abrupt", "gradual", "incremental"]))
-    duration = 1 if rate == "abrupt" else draw(st.integers(2, max(2, rows - t_start)))
-    concept = None
-    if rate == "incremental" and draw(st.booleans()):
-        # one mechanism on one inner node, pinned to a kind it moves; the
-        # target's kind must also fit the task
-        node = draw(st.sampled_from([n for n in range(graph.n_nodes) if not graph.is_root(n)]))
-        fits = CATEGORICAL_KINDS if task == "classification" else CONTINUOUS_KINDS
-        menu = [
-            (mechanism, kind)
-            for mechanism, kinds in _INNER_PLANS.items()
-            for kind in kinds
-            if node != graph.target or kind in fits
-        ]
-        mechanism, kind = draw(st.sampled_from(menu))
-        concept = ConceptParams(nodes={node: {"mapper": kind, "n_classes": 2}})
-        kind, action = "distributional", ShiftAction(mechanism, node)
-    elif rate != "incremental" and task == "classification" and draw(st.booleans()):
-        kind, action = "severe", ShiftAction("swap-classes")
-    else:
-        root = draw(st.sampled_from(graph.roots))
-        params = draw(st.sampled_from([{"redraw": True}, {"shift_std": 1.0, "scale_factor": 1.5}]))
-        kind, action = "covariate", ShiftAction("root-params", root, params)
-    event = ShiftSpec(kind, rate, t_start, duration, (action,))
+    # 1-3 events; the next starts 0, 1 or 9 rows after the last one ends, so
+    # abrupt events may come back to back, and a recurrent event restores
+    # the concept of an earlier one
+    t, events, pins = draw(st.integers(1, rows // 2)), [], {}
+    for _ in range(draw(st.integers(1, 3))):
+        if t >= rows:
+            break
+        if events and draw(st.booleans()):
+            restored = concept_id(draw(st.integers(0, len(events))))
+            events.append(ShiftSpec("recurrent", "abrupt", t, snapshot_id=restored))
+        else:
+            events.append(_event(draw, graph, task, t, rows, pins))
+        t = events[-1].t_end + draw(st.sampled_from([0, 1, 9]))
     return GeneratorConfig(
         dataset_size=rows,
         seed=draw(st.integers(0, 2**16)),
@@ -99,8 +120,8 @@ def configs(draw):
             rho=draw(st.sampled_from([0.0, 1.0])),
             sigma=draw(st.sampled_from([0.0, 0.3])),
         ),
-        schedule=DriftSchedule((event,)),
-        concept=concept,
+        schedule=DriftSchedule(tuple(events)),
+        concept=ConceptParams(nodes=pins) if pins else None,
         graph=graph,
     )
 
