@@ -140,21 +140,8 @@ def ljung_box(series: np.ndarray, h: int = 20) -> LjungBoxResult:
 
 # largest block of kernel values held at once, in bytes
 _BLOCK_BYTES = 4 << 20
-
-
-def _sq_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances between the rows of P and Q.
-
-    Expanded as ``|p|^2 + |q|^2 - 2 p.q`` so one matrix product does the
-    work; rounding can leave a tiny negative where a distance is near zero,
-    so the result is clamped at 0.
-    """
-
-    D = P @ Q.T
-    D *= -2.0
-    D += np.einsum("ij,ij->i", P, P)[:, None]
-    D += np.einsum("ij,ij->i", Q, Q)
-    return np.maximum(D, 0.0, out=D)
+# rows per block of the distance triangle in ``median_bandwidth``
+_TRIANGLE_ROWS = 64
 
 
 def _kernel_operands(Z: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +203,50 @@ def mmd2_rbf(A: np.ndarray, B: np.ndarray, bandwidth: float) -> float:
     return max(float(kaa + kbb - 2.0 * kab), 0.0)
 
 
+def _upper_sq_dists(X: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between rows ``i < j`` of X, in no set
+    order and not yet clamped at 0.
+
+    Each is ``-2 x_i.x_j + |x_i|^2 + |x_j|^2``, added in that order, from one
+    matrix product.  The additions run per block of ``_TRIANGLE_ROWS`` rows,
+    on that block's own triangle and on the rectangle to its right, so they
+    never touch the lower triangle.
+    """
+
+    n = X.shape[0]
+    G = X @ X.T
+    sq = np.einsum("ij,ij->i", X, X)
+    upper = np.triu(np.ones((_TRIANGLE_ROWS, _TRIANGLE_ROWS), dtype=bool), 1)
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for a in range(0, n, _TRIANGLE_ROWS):
+        b = min(a + _TRIANGLE_ROWS, n)
+        D = G[a:b, a:b] * -2.0
+        D += sq[a:b, None]
+        D += sq[a:b]
+        tri = D[upper[: b - a, : b - a]]
+        out[pos : pos + tri.size] = tri
+        pos += tri.size
+        R = out[pos : pos + (b - a) * (n - b)].reshape(b - a, n - b)
+        np.multiply(G[a:b, b:], -2.0, out=R)
+        R += sq[a:b, None]
+        R += sq[b:]
+        pos += R.size
+    return out
+
+
 def median_bandwidth(X: np.ndarray, seed: int = 0, subsample: int = 1000) -> float:
-    """Median pairwise distance over at most ``subsample`` rows."""
+    """Median pairwise distance over at most ``subsample`` rows; 1.0 when
+    that median is 0 or NaN.
+
+    The median is found by selection, not by sorting every distance: one
+    in-place ``partition`` of the squared distances puts the upper middle
+    one in place, the largest below it is the lower middle one (for an even
+    count), and only those two are clamped at 0, rooted and averaged with
+    ``np.mean``.  Clamping and ``sqrt`` never reorder two values, so these
+    are the two middle values of the clamped, rooted distances, and the
+    result is the float ``np.median`` gives over all of them, bit for bit.
+    """
 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -227,8 +256,14 @@ def median_bandwidth(X: np.ndarray, seed: int = 0, subsample: int = 1000) -> flo
         rng = np.random.default_rng(seed)
         idx = rng.choice(n, size=subsample, replace=False)
         X = X[np.sort(idx)]
-    d = np.sqrt(_sq_dists(X, X))
-    med = float(np.median(d[np.triu_indices_from(d, k=1)]))
+    d2 = _upper_sq_dists(X)
+    k = d2.size // 2
+    d2.partition(k)
+    # partition puts NaN last, and np.median returns NaN when any is there
+    if np.isnan(d2[k:].max()):
+        return 1.0
+    middle = [d2[:k].max(), d2[k]] if d2.size % 2 == 0 else [d2[k]]
+    med = float(np.mean(np.sqrt(np.maximum(middle, 0.0))))
     return med if med > 0 else 1.0
 
 

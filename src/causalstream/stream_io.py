@@ -103,6 +103,8 @@ def read_stream_csv(path):
     data = _load_complete(lines[1:], k)
     if data is not None:
         X[:], y[:] = data[:, :-1], data[:, -1]
+        # only a filled empty field reads as NaN there
+        np.isnan(X, out=mask)
     # the cell-by-cell parse, which names the row and column of a bad cell
     for i, line in enumerate(lines[1:] if data is None else ()):
         parts = line.split(",")
@@ -162,14 +164,21 @@ def read_stream_csv(path):
 
 def _load_complete(rows: list[str], k: int) -> np.ndarray | None:
     """The ``(n, k + 1)`` numbers of ``rows`` from one ``np.loadtxt`` call,
-    which parses a cell to the bits ``float()`` gives; None for a file with
-    an empty field or any cell the call rejects.  ``comments=None`` keeps a
-    ``#`` an error rather than the start of a dropped comment.
+    which parses a cell to the bits ``float()`` gives, with NaN for an empty
+    feature field; None for a file with an ``n`` or ``N`` (a nan, inf or
+    infinity cell, which the writer never emits) or any cell the call
+    rejects, an empty label among them, so that those files keep the
+    per-cell parse and its messages.  ``comments=None`` keeps a ``#`` an
+    error rather than the start of a dropped comment.
     """
 
-    body = "\n" + "\n".join(rows) + "\n"
-    if not rows or ",," in body or "\n," in body or ",\n" in body:
+    body = "\n".join(rows)
+    if not rows or "n" in body or "N" in body:
         return None
+    if ",," in body or any(row[0] == "," for row in rows):
+        # two passes fill every run of empty fields, then a leading one
+        rows = [r.replace(",,", ",nan,").replace(",,", ",nan,") if ",," in r else r for r in rows]
+        rows = ["nan" + r if r[0] == "," else r for r in rows]
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:

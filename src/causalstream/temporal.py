@@ -14,7 +14,6 @@ prediction std) before stepping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -112,8 +111,11 @@ def root_value_path(
     noise states ``noise``, from value ``x0``, bit for bit."""
 
     c, alpha = 1.0 - params.alpha, params.alpha
-    path = accumulate(zip(theta, noise), lambda x, tn: c * x + alpha * tn[0] + tn[1], initial=x0)
-    return list(path)[1:]
+    path, x = [], x0
+    for th, nz in zip(theta, noise):
+        x = c * x + alpha * th + nz
+        path.append(x)
+    return path
 
 
 def simulate_ar_noise(
@@ -175,4 +177,8 @@ def _one_pole(xs: list[float], c: float, y0: float) -> list[float]:
     bit for bit.
     """
 
-    return list(accumulate(xs, lambda y, v: v + c * y, initial=y0))[1:]
+    path, y = [], y0
+    for x in xs:
+        y = x + c * y
+        path.append(y)
+    return path

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from causalstream import analysis
 from causalstream.analysis import (
@@ -202,6 +203,112 @@ def test_mmd_separates_shifted_batches():
     C = rng.normal(0.0, 1.0, size=(300, 2))
     bw = median_bandwidth(np.vstack([A, B]))
     assert mmd2_rbf(A, B, bw) > 10 * max(mmd2_rbf(A, C, bw), 1e-6)
+
+
+def _sq_dist_matrix(X):
+    """Squared distances between the rows of X, before the clamp at 0, with
+    the matrix product and elementwise steps ``median_bandwidth`` applies."""
+
+    D = X @ X.T
+    D *= -2.0
+    D += np.einsum("ij,ij->i", X, X)[:, None]
+    D += np.einsum("ij,ij->i", X, X)
+    return D
+
+
+def _sorting_bandwidth(X, seed=0, subsample=1000):
+    """The bandwidth as ``np.median`` over the rooted strict upper triangle
+    of the full clamped squared-distance matrix."""
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] > subsample:
+        idx = np.random.default_rng(seed).choice(X.shape[0], size=subsample, replace=False)
+        X = X[np.sort(idx)]
+    D = np.maximum(_sq_dist_matrix(X), 0.0)
+    med = float(np.median(np.sqrt(D)[np.triu_indices_from(D, 1)]))
+    return med if med > 0 else 1.0
+
+
+def _bandwidth_input(n, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "rounded":
+        X = np.round(X, 1)
+    elif kind == "integers":  # few distinct distances, so heavy ties
+        X = rng.integers(0, 3, size=(n, d)).astype(float)
+    elif kind == "constant":
+        X[:] = X[0]
+    elif kind == "repeated-rows":
+        X[rng.integers(0, n, size=n // 2)] = X[0]
+    return X
+
+
+# n = 2 (one pair), 3 and 6 (odd pair counts), 4 and 64 (even), row counts
+# around the 64-row blocks, and row counts past the 1000-row subsample
+@given(
+    n=st.integers(2, 200),
+    d=st.integers(1, 13),
+    kind=st.sampled_from(["normal", "rounded", "integers", "constant", "repeated-rows"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, d=1, kind="normal", seed=0)
+@example(n=3, d=1, kind="integers", seed=1)
+@example(n=4, d=2, kind="constant", seed=2)
+@example(n=6, d=3, kind="rounded", seed=3)
+@example(n=64, d=1, kind="integers", seed=4)
+@example(n=129, d=13, kind="repeated-rows", seed=5)
+@example(n=1001, d=1, kind="integers", seed=6)
+@example(n=1300, d=6, kind="normal", seed=7)
+# a partition that leaves the largest value below the middle elsewhere
+@example(n=400, d=2, kind="normal", seed=16)
+def test_median_bandwidth_is_the_sorting_median_bit_for_bit(n, d, kind, seed):
+    X = _bandwidth_input(n, d, kind, seed)
+    bw = median_bandwidth(X, seed=seed % 7)
+    assert bw == _sorting_bandwidth(X, seed=seed % 7)
+    if kind == "constant":
+        assert bw == 1.0
+    if n <= 1000:
+        # the same squared distances, bit for bit, in another order
+        D = _sq_dist_matrix(X)
+        assert np.array_equal(
+            np.sort(analysis._upper_sq_dists(X)), np.sort(D[np.triu_indices_from(D, 1)])
+        )
+
+
+def test_a_middle_distance_rounded_below_zero_counts_as_zero():
+    # three rows one rounding apart, whose three distances come out
+    # negative, and a far row: the two middle distances straddle 0
+    X = np.array([
+        [1.8905338179353062, -5.227484414807456, -4.130635433918923],
+        [1.8905338179353273, -5.227484414807466, -4.130635433918932],
+        [1.890533817935325, -5.227484414807464, -4.130635433918937],
+        [0.0, 0.0, 0.0],
+    ])
+    D = _sq_dist_matrix(X)
+    tri = np.sort(D[np.triu_indices_from(D, 1)])
+    assert tri[2] < 0.0 < tri[3]
+    assert median_bandwidth(X) == _sorting_bandwidth(X) == math.sqrt(tri[3]) / 2.0
+
+
+@pytest.mark.parametrize("rows", [4, 5], ids=["nan-median", "finite-median"])
+def test_median_bandwidth_of_a_nan_row_is_one(rows):
+    # with 5 rows, 4 of the 10 distances are NaN and the middle two are not
+    X = np.array([[0.0], [np.nan], [1.0], [3.0], [4.0]])[:rows]
+    assert median_bandwidth(X) == _sorting_bandwidth(X) == 1.0
+
+
+def test_the_heatmap_uses_the_sorting_bandwidth(monkeypatch):
+    rng = np.random.default_rng(11)
+    X = np.round(rng.normal(size=(1100, 2)) + np.linspace(0.0, 1.0, 1100)[:, None], 1)
+    y = (rng.random(1100) < 0.4).astype(float)
+    hm = mmd_heatmap(X, 220, y=y, include_label=True, seed=3)
+    Z = np.column_stack([X, y])
+    Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+    assert hm.bandwidth == _sorting_bandwidth(Z, seed=3)
+    monkeypatch.setattr(analysis, "median_bandwidth", _sorting_bandwidth)
+    ref = mmd_heatmap(X, 220, y=y, include_label=True, seed=3)
+    assert ref.bandwidth == hm.bandwidth
+    assert np.array_equal(ref.values, hm.values)
 
 
 def test_median_bandwidth_two_points():
