@@ -193,6 +193,8 @@ def mmd2_rbf(A: np.ndarray, B: np.ndarray, bandwidth: float) -> float:
         raise ValueError(
             f"column arity mismatch: {A.shape[1]} vs {B.shape[1]}"
         )
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("stream contains missing or non-finite values")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     na, nb = A.shape[0], B.shape[0]

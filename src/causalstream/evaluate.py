@@ -31,6 +31,8 @@ LEARNER_NAMES = ("logistic", "naive-bayes", "linear")
 
 # the largest double whose square is finite
 _LARGEST_ROOT = math.sqrt(np.finfo(float).max)
+# most cells of complete rows a RunningStats holds before it runs their steps
+_PENDING_CELLS = 1 << 20
 
 
 class RunningStats:
@@ -45,29 +47,83 @@ class RunningStats:
     when ``x.dot(x)`` is finite, which implies every cell is observed.  A
     complete row takes the plain Welford step, the masked form's IEEE
     operations, and ``impute`` returns it as is.
+
+    A complete row's step waits: ``update`` copies the row into one flat
+    buffer, which doubles as it fills up to ``_PENDING_CELLS`` cells (or
+    one wider row), and the held steps run in arrival order, with the same
+    operations, before any read of ``count``, ``mean`` or ``_m2``, before
+    an incomplete row's masked step or imputation, and when the full
+    buffer must take one more row.  A learner that reads the statistics
+    only to fill a missing cell thus never runs them on a complete stream
+    shorter than the buffer.
     """
 
     def __init__(self, n_features: int):
-        self.count = np.zeros(n_features)
-        self.mean = np.zeros(n_features)
-        self._m2 = np.zeros(n_features)
+        self._count = np.zeros(n_features)
+        self._mean = np.zeros(n_features)
+        self._sq_dev = np.zeros(n_features)
+        self._max_held = max(_PENDING_CELLS // max(n_features, 1), 1)
+        self._held = np.empty((1, n_features))
+        self._n_held = 0
 
-    def update(self, x: np.ndarray) -> None:
-        if math.isfinite(x.dot(x)):
-            self.count += 1
-            delta = x - self.mean
-            self.mean += delta / self.count
-            self._m2 += delta * (x - self.mean)
+    def _step(self, x: np.ndarray) -> None:
+        self._count += 1
+        delta = x - self._mean
+        self._mean += delta / self._count
+        self._sq_dev += delta * (x - self._mean)
+
+    def _catch_up(self) -> None:
+        if self._n_held:
+            for i in range(self._n_held):
+                self._step(self._held[i])
+            self._n_held = 0
+
+    def _make_room(self) -> None:
+        n = self._n_held
+        if n == self._max_held:
+            self._catch_up()
             return
+        grown = np.empty((min(2 * n, self._max_held), self._held.shape[1]))
+        grown[:n] = self._held
+        self._held = grown
+
+    @property
+    def count(self) -> np.ndarray:
+        self._catch_up()
+        return self._count
+
+    @property
+    def mean(self) -> np.ndarray:
+        self._catch_up()
+        return self._mean
+
+    @property
+    def _m2(self) -> np.ndarray:
+        self._catch_up()
+        return self._sq_dev
+
+    def update(self, x: np.ndarray) -> np.ndarray:
+        """Counts the row's observed cells and returns the row as ``impute``
+        fills it after this update."""
+
+        if math.isfinite(x.dot(x)):
+            if self._n_held == len(self._held):
+                self._make_room()
+            self._held[self._n_held] = x
+            self._n_held += 1
+            return x
+        self._catch_up()
         obs = np.abs(x) <= _LARGEST_ROOT
-        self.count[obs] += 1
-        delta = np.where(obs, x - self.mean, 0.0)
-        self.mean += np.where(obs, delta / np.maximum(self.count, 1), 0.0)
-        delta2 = np.where(obs, x - self.mean, 0.0)
-        self._m2 += delta * delta2
+        self._count[obs] += 1
+        delta = np.where(obs, x - self._mean, 0.0)
+        self._mean += np.where(obs, delta / np.maximum(self._count, 1), 0.0)
+        delta2 = np.where(obs, x - self._mean, 0.0)
+        self._sq_dev += delta * delta2
+        return np.where(obs, x, self._mean)
 
     def std(self) -> np.ndarray:
-        var = np.where(self.count > 1, self._m2 / np.maximum(self.count, 1), 1.0)
+        count = self.count
+        var = np.where(count > 1, self._sq_dev / np.maximum(count, 1), 1.0)
         return np.sqrt(np.maximum(var, 1e-12))
 
     def impute(self, x: np.ndarray) -> np.ndarray:
@@ -75,8 +131,11 @@ class RunningStats:
             return x
         return np.where(np.abs(x) <= _LARGEST_ROOT, x, self.mean)
 
-    def standardize(self, x: np.ndarray) -> np.ndarray:
-        return (self.impute(x) - self.mean) / self.std()
+
+def _class_label(y, n_classes: int) -> int:
+    if not 0 <= y < n_classes or int(y) != y:
+        raise ValueError(f"label {y!r} is not a class in 0..{n_classes - 1}")
+    return int(y)
 
 
 class LogisticLearner:
@@ -123,19 +182,16 @@ class LogisticLearner:
         return int((z.dot(self.W) + self.b).argmax())
 
     def learn(self, x: np.ndarray, y: int) -> None:
-        y = int(y)
-        if not 0 <= y < self.n_classes:
-            raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
-        x = np.asarray(x, dtype=float)
-        self.imputer.update(x)
-        xi = self.imputer.impute(x)
+        y = _class_label(y, self.n_classes)
+        xi = self.imputer.update(np.asarray(x, dtype=float))
         if self.seen == 0:
             self.mean = xi.copy()
         else:
             r = max(1.0 / (self.seen + 1), self.stats_rate)
             d = xi - self.mean
-            self.mean += r * d
-            self.var = (1 - r) * self.var + r * d * d
+            rd = r * d
+            self.mean += rd
+            self.var = (1 - r) * self.var + rd * d
             self._scale = np.sqrt(self.var + 1e-12)
         self.seen += 1
         z = (xi - self.mean) / self._scale
@@ -152,7 +208,13 @@ class LogisticLearner:
 
 
 class NaiveBayesLearner:
-    """Incremental Gaussian naive Bayes with Laplace-smoothed priors."""
+    """Incremental Gaussian naive Bayes with Laplace-smoothed priors.
+
+    ``learn`` keeps the terms ``predict`` reads current: it rewrites the
+    learned class's row of the variance and of ``log(2 pi var)``, and the
+    log prior from a running row total, which equals ``counts.sum()``
+    exactly because every count is an integer-valued float.
+    """
 
     def __init__(self, n_features: int, n_classes: int):
         if n_classes < 2:
@@ -162,39 +224,34 @@ class NaiveBayesLearner:
         self.counts = np.zeros(n_classes)
         self.means = np.zeros((n_classes, n_features))
         self._m2 = np.zeros((n_classes, n_features))
-        # (log prior, class variance, log(2 pi var)), reset by learn
-        self._terms = None
+        self._rows = 0
+        # a class with at most one row has variance 1.0
+        self._var = np.ones((n_classes, n_features))
+        self._log_norm = np.log(2 * np.pi * self._var)
+        self._log_prior = np.log((self.counts + 1.0) / (self._rows + n_classes))
 
     def _class_var(self) -> np.ndarray:
-        var = np.where(
-            self.counts[:, None] > 1,
-            self._m2 / np.maximum(self.counts[:, None], 1),
-            1.0,
-        )
-        return np.maximum(var, 1e-9)
+        return self._var
 
     def predict(self, x: np.ndarray) -> int:
         z = self.stats.impute(np.asarray(x, dtype=float))
-        if self._terms is None:
-            prior = (self.counts + 1.0) / (self.counts.sum() + self.n_classes)
-            var = self._class_var()
-            self._terms = (np.log(prior), var, np.log(2 * np.pi * var))
-        log_prior, var, log_norm = self._terms
-        ll = -0.5 * ((z - self.means) ** 2 / var + log_norm).sum(axis=1)
-        return int((log_prior + ll).argmax())
+        ll = -0.5 * ((z - self.means) ** 2 / self._var + self._log_norm).sum(axis=1)
+        return int((self._log_prior + ll).argmax())
 
     def learn(self, x: np.ndarray, y: int) -> None:
-        y = int(y)
-        if not 0 <= y < self.n_classes:
-            raise ValueError(f"label {y} outside 0..{self.n_classes - 1}")
-        x = np.asarray(x, dtype=float)
-        self.stats.update(x)
-        z = self.stats.impute(x)
-        self._terms = None
+        y = _class_label(y, self.n_classes)
+        z = self.stats.update(np.asarray(x, dtype=float))
         self.counts[y] += 1
+        count = self.counts[y]
         delta = z - self.means[y]
-        self.means[y] += delta / self.counts[y]
+        self.means[y] += delta / count
         self._m2[y] += delta * (z - self.means[y])
+        if count > 1:
+            var = np.maximum(self._m2[y] / count, 1e-9)
+            self._var[y] = var
+            self._log_norm[y] = np.log(2 * np.pi * var)
+        self._rows += 1
+        self._log_prior = np.log((self.counts + 1.0) / (self._rows + self.n_classes))
 
 
 class LinearRegressorLearner:
@@ -208,6 +265,8 @@ class LinearRegressorLearner:
         self._y_count = 0
         self._y_mean = 0.0
         self._y_m2 = 0.0
+        # the standardizing scale changes only in learn
+        self._scale = np.ones(n_features)
 
     def _y_std(self) -> float:
         if self._y_count > 1:
@@ -215,18 +274,19 @@ class LinearRegressorLearner:
         return 1.0
 
     def predict(self, x: np.ndarray) -> float:
-        z = self.stats.standardize(np.asarray(x, dtype=float))
+        xi = self.stats.impute(np.asarray(x, dtype=float))
+        z = (xi - self.stats.mean) / self._scale
         return self._y_mean + (float(z @ self.w) + self.b) * self._y_std()
 
     def learn(self, x: np.ndarray, y: float) -> None:
-        x = np.asarray(x, dtype=float)
         y = float(y)
-        self.stats.update(x)
+        xi = self.stats.update(np.asarray(x, dtype=float))
         self._y_count += 1
         delta = y - self._y_mean
         self._y_mean += delta / self._y_count
         self._y_m2 += delta * (y - self._y_mean)
-        z = self.stats.standardize(x)
+        self._scale = self.stats.std()
+        z = (xi - self.stats.mean) / self._scale
         err = float(z @ self.w) + self.b - (y - self._y_mean) / self._y_std()
         self.w -= self.lr * err * z
         self.b -= self.lr * err
@@ -332,6 +392,8 @@ def prequential_run(
         raise ValueError("empty stream")
     if W < 1:
         raise ValueError("window must be positive")
+    if initial_train < 0:
+        raise ValueError("initial_train must be non-negative")
     if n <= initial_train:
         raise ValueError("stream no longer than the warmup")
     if task is None:

@@ -196,6 +196,14 @@ def test_mmd_guards():
         mmd2_rbf(X, X, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mmd2_rbf_rejects_non_finite_batches(bad):
+    with pytest.raises(ValueError, match="missing or non-finite"):
+        mmd2_rbf([[bad]], [[1.0]], 1.0)
+    with pytest.raises(ValueError, match="missing or non-finite"):
+        mmd2_rbf(np.ones((3, 2)), [[1.0, bad]], 1.0)
+
+
 def test_mmd_separates_shifted_batches():
     rng = np.random.default_rng(5)
     A = rng.normal(0.0, 1.0, size=(300, 2))

@@ -191,6 +191,20 @@ def test_logistic_validation():
         model.learn(np.zeros(2), 3)  # label out of range
 
 
+@pytest.mark.parametrize("learner", [LogisticLearner, NaiveBayesLearner])
+def test_learners_reject_a_label_that_is_not_a_class(learner):
+    model = learner(2, 3)
+    for label in (0.5, -0.5, 2.5, 3, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not a class"):
+            model.learn(np.zeros(2), label)
+    for label in (2.0, np.int64(1), np.float64(0.0)):
+        model.learn(np.zeros(2), label)
+    # int(0.5) is class 0, so a stream of 0.5 labels used to score 1.0
+    X, y = np.zeros((50, 2)), np.full(50, 0.5)
+    with pytest.raises(ValueError, match="not a class"):
+        prequential_run((X, y), learner(2, 2), W=5, initial_train=10, task="classification")
+
+
 def test_naive_bayes_matches_closed_form_posterior():
     """Compare against a hand-computed gaussian posterior on known data."""
     X0 = np.array([[0.0], [1.0], [2.0]])
@@ -257,6 +271,17 @@ def test_prequential_guards():
         prequential_run((X, y), AuditLearner(), W=0, initial_train=5)
     with pytest.raises(ValueError):
         prequential_run((X, y), AuditLearner(), W=5, initial_train=20)
+
+
+def test_prequential_rejects_a_negative_warmup():
+    # a warm-up of -1 used to learn X[-1] first and report a point at t=-1
+    X, y = _indexed_stream(50)
+    audit = AuditLearner()
+    with pytest.raises(ValueError, match="initial_train must be non-negative"):
+        prequential_run((X, y), audit, W=5, initial_train=-1, task="classification")
+    assert audit.log == []
+    curve = prequential_run((X, y), audit, W=5, initial_train=0, task="classification")
+    assert curve.t[0] == 0 and len(curve.t) == 50
 
 
 def _synthetic_curve(series, W=10):

@@ -7,9 +7,13 @@ every call, and one slice mean per curve point.  Every prediction, every
 curve value and every final learner array must carry exactly the same bits.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from causalstream import evaluate
 from causalstream.evaluate import (
     DelayedLabels,
     LinearRegressorLearner,
@@ -305,3 +309,137 @@ def test_running_stats_counts_observed_entries_and_keeps_complete_rows():
     st.update(np.array([1.0, np.nan, 3.0]))
     st.update(np.array([1e200, 1.0, 1.0]))  # 1e200 squared overflows: not observed
     assert st.count.tolist() == [2.0, 2.0, 3.0]
+
+
+# ----- deferred Welford steps and naive Bayes' kept terms -------------------
+
+# 1e154 is observed, but two of them overflow x.dot(x): a row of observed
+# cells that still takes the masked step
+ODD_CELLS = [np.nan, np.inf, -np.inf, 1e160, -1e160, 1e154]
+READS = ["mean", "count", "m2", "std", "impute"]
+
+
+@st.composite
+def stats_scripts(draw):
+    """A feature count, a pending cap of a few cells and a script of
+    updates and reads; complete rows come twice as often as mixed ones."""
+
+    d = draw(st.integers(1, 12))
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    complete = st.lists(finite, min_size=d, max_size=d)
+    mixed = st.lists(st.one_of(finite, st.sampled_from(ODD_CELLS)), min_size=d, max_size=d)
+    step = st.one_of(
+        complete.map(lambda row: ("update", row)),
+        complete.map(lambda row: ("update", row)),
+        mixed.map(lambda row: ("update", row)),
+        st.tuples(st.sampled_from(READS), st.one_of(complete, mixed)),
+    )
+    return d, draw(st.integers(1, 3 * d)), draw(st.lists(step, max_size=60))
+
+
+def assert_reads_match(new, ref, read, row):
+    if read == "std":
+        assert bits(new.std()) == bits(ref.std())
+    elif read == "impute":
+        assert bits(new.impute(row)) == bits(ref.impute(row))
+    else:
+        name = {"m2": "_m2"}.get(read, read)
+        assert bits(getattr(new, name)) == bits(getattr(ref, name)), read
+
+
+@given(stats_scripts())
+def test_deferred_steps_read_like_the_eager_reference(script):
+    d, cap, steps = script
+    with mock.patch.object(evaluate, "_PENDING_CELLS", cap):
+        new = RunningStats(d)
+    ref = RefRunningStats(d)
+    for op, cells in steps:
+        row = np.array(cells)
+        if op == "update":
+            filled = new.update(row)
+            ref.update(row)
+            assert bits(filled) == bits(ref.impute(row))
+        else:
+            assert_reads_match(new, ref, op, row)
+    for read in READS:
+        assert_reads_match(new, ref, read, np.full(d, np.nan))
+
+
+def test_editing_a_row_after_update_moves_no_statistic():
+    new, ref = RunningStats(3), RefRunningStats(3)
+    row = np.array([1.0, 2.0, 3.0])
+    for edit in (7.0, -4.0, 0.5):
+        new.update(row)
+        ref.update(row)
+        row[:] = edit
+    assert_same_state(new, ref)
+
+
+def test_held_rows_never_exceed_the_cap():
+    cap, d = 10, 3
+    with mock.patch.object(evaluate, "_PENDING_CELLS", cap):
+        new = RunningStats(d)
+    ref = RefRunningStats(d)
+    assert new._held.size <= cap
+    for row in np.random.default_rng(4).normal(size=(500, d)):
+        new.update(row)
+        ref.update(row)
+        assert new._n_held * d <= cap
+    assert_same_state(new, ref)
+
+
+def fresh_terms(nb):
+    """Naive Bayes' log prior, variance and log(2 pi var), recomputed."""
+
+    prior = (nb.counts + 1.0) / (nb.counts.sum() + nb.n_classes)
+    var = np.where(nb.counts[:, None] > 1, nb._m2 / np.maximum(nb.counts[:, None], 1), 1.0)
+    var = np.maximum(var, 1e-9)
+    return np.log(prior), var, np.log(2 * np.pi * var)
+
+
+class CheckedNaiveBayes(NaiveBayesLearner):
+    """Checks the kept terms against a fresh recompute after every learn."""
+
+    def learn(self, x, y):
+        super().learn(x, y)
+        kept = (self._log_prior, self._class_var(), self._log_norm)
+        for name, got, want in zip(("log prior", "var", "log norm"), kept, fresh_terms(self)):
+            assert bits(got) == bits(want), name
+
+
+@pytest.mark.parametrize("kind", ["complete", "nan-cells", "overflow-row"])
+@pytest.mark.parametrize("overlay", ["default", "delay-50", "half-labeled"])
+def test_naive_bayes_keeps_its_terms_exact_over_a_run(kind, overlay):
+    X, y = make_stream(kind, "naive-bayes")
+    nb = CheckedNaiveBayes(X.shape[1], N_CLASSES)
+    prequential_run(
+        (X, y), nb, W=7, initial_train=INITIAL_TRAIN, overlay=OVERLAYS[overlay],
+        task="classification",
+    )
+    assert nb._rows == nb.counts.sum() > INITIAL_TRAIN
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda k: st.lists(
+            st.tuples(
+                st.integers(0, k - 1),
+                st.lists(
+                    st.one_of(st.floats(-1e3, 1e3), st.sampled_from(ODD_CELLS)),
+                    min_size=3, max_size=3,
+                ),
+            ),
+            max_size=40,
+        ).map(lambda steps: (k, steps))
+    )
+)
+def test_naive_bayes_kept_terms_match_a_recompute(script):
+    k, steps = script
+    nb = CheckedNaiveBayes(3, k)
+    ref = RefNaiveBayes(3, k)
+    for label, cells in steps:
+        nb.learn(np.array(cells), label)
+        ref.learn(np.array(cells), label)
+        probe = np.array(cells[::-1])
+        assert nb.predict(probe) == ref.predict(probe)
+    assert_same_state(nb, ref)
