@@ -3,8 +3,13 @@ maximum-mean-discrepancy heatmaps over stream batches."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +57,79 @@ class MmdMatrix:
         return self.values.shape[0]
 
 
+# OpenBLAS's thread-count getter and setter, by the names numpy's wheels
+# export them under
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# the hold below is module state because the count it holds is process-wide
+_blas_lock = threading.Lock()
+_blas_holders = 0  # nested or concurrent holds of one BLAS thread
+_blas_saved = 0  # the thread count to restore when the last hold ends
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    links, resolved through numpy's own extension module on first use; None
+    where no setter resolves."""
+
+    try:
+        core = getattr(np, "_core", None) or np.core
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
+        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread while the block runs, so that a BLAS
+    call gives the same bits whatever the machine's thread count.
+
+    The hold is process-wide.  Holds nest and may overlap across threads;
+    the count found when the first began is restored when the last ends.
+    Yields whether the hold took: False where no setter resolves.
+    """
+
+    global _blas_holders, _blas_saved
+    blas = _blas_threads()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_holders += 1
+    try:
+        yield True
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                put(_blas_saved)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+@_one_blas_thread()
 def acf(series: np.ndarray, max_lag: int) -> AcfResult:
     """Biased autocorrelation estimate at lags 0..max_lag.
 
@@ -113,6 +191,7 @@ def chi_square_upper_tail(x: float, k: int) -> float:
     return min(head + total, 1.0)
 
 
+@_one_blas_thread()
 def ljung_box(series: np.ndarray, h: int = 20) -> LjungBoxResult:
     """Ljung-Box portmanteau test for autocorrelation up to lag h.
 
@@ -158,26 +237,79 @@ def _kernel_operands(Z: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.nd
     return np.hstack([Z, -gamma * sq, ones]), np.hstack([(2.0 * gamma) * Z, ones, -gamma * sq])
 
 
-def _kernel_sums(left: np.ndarray, right: np.ndarray, groups: int = 1) -> np.ndarray:
+def _block_rows(n_right: int) -> int:
+    """Rows of ``left`` per kernel block against ``n_right`` rows of
+    ``right``: as many as fit in ``_BLOCK_BYTES``, and at least one."""
+
+    return max(1, _BLOCK_BYTES // (8 * n_right))
+
+
+def _kernel_sums(
+    left: np.ndarray, right: np.ndarray, groups: int = 1, buf: np.ndarray | None = None
+) -> np.ndarray:
     """RBF kernel sums between the rows of ``left`` and each of ``groups``
     equal, consecutive row groups of ``right`` (see ``_kernel_operands``).
 
     Rounding can leave a tiny positive exponent where two rows coincide, so
     it is clamped at 0.  The kernel matrix is built in row blocks of at most
-    ``_BLOCK_BYTES``.
+    ``_BLOCK_BYTES``, in ``buf`` when one is given; it must hold a block.
     """
 
-    step = max(1, _BLOCK_BYTES // (8 * right.shape[0]))
-    ones = np.ones(min(step, left.shape[0]))
+    step = _block_rows(right.shape[0])
+    rows = min(step, left.shape[0])
+    if buf is None:
+        buf = np.empty(rows * right.shape[0])
+    ones = np.ones(rows)
     sums = np.zeros(groups)
     for s in range(0, left.shape[0], step):
-        K = left[s : s + step] @ right.T
+        L = left[s : s + step]
+        K = np.matmul(L, right.T, out=buf[: L.shape[0] * right.shape[0]].reshape(L.shape[0], -1))
         np.minimum(K, 0.0, out=K)
         np.exp(K, out=K)
         sums += (ones[: K.shape[0]] @ K).reshape(groups, -1).sum(axis=1)
     return sums
 
 
+def _parallel_kernel_sums(
+    left: np.ndarray, right: np.ndarray, b: int, spans: list[tuple[int, int, int]], workers: int
+) -> list[np.ndarray]:
+    """``_kernel_sums`` of each span ``(i, j, k)``: batch i of ``left``
+    against batches j..k-1 of ``right``, as k - j groups of ``b`` rows.
+
+    Worker w takes spans w, w + W, ... and writes each sum into that span's
+    slot, so the sums do not depend on the worker count.  The calling thread
+    is worker 0, and every worker's kernel buffer is allocated here.  An
+    error in any worker is raised once all of them have stopped.
+    """
+
+    workers = min(workers, len(spans))
+    size = max(min(_block_rows((k - j) * b), b) * (k - j) * b for _, j, k in spans)
+    bufs = [np.empty(size) for _ in range(workers)]
+    sums = [None] * len(spans)
+    errors = []
+
+    def work(w: int) -> None:
+        try:
+            for t in range(w, len(spans), workers):
+                if errors:
+                    return
+                i, j, k = spans[t]
+                sums[t] = _kernel_sums(left[i * b : (i + 1) * b], right[j * b : k * b], k - j, bufs[w])
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sums
+
+
+@_one_blas_thread()
 def mmd2_rbf(A: np.ndarray, B: np.ndarray, bandwidth: float) -> float:
     """Biased V-statistic estimate of squared MMD with an RBF kernel.
 
@@ -281,6 +413,11 @@ def mmd_heatmap(
     All columns are standardized by their global mean and scale; joint mode
     appends the label as one more standardized numeric column.  A trailing
     partial batch is dropped.
+
+    The kernel blocks are split over one worker thread per available CPU,
+    with OpenBLAS held to one thread for the call (see ``_one_blas_thread``);
+    where no setter resolves, one worker runs.  The values do not depend on
+    the worker count.
     """
 
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -305,21 +442,26 @@ def mmd_heatmap(
     scale[scale == 0] = 1.0
     Z = (M - mean) / scale
 
-    bw = median_bandwidth(Z, seed=seed)
     b = batch_size
     n_batches = n // b
-    left, right = _kernel_operands(Z, bw)
-    rows = [slice(i * b, (i + 1) * b) for i in range(n_batches)]
     # each batch's self-term once; then the upper triangle of cross terms,
     # as many whole batches per kernel block as fit in _BLOCK_BYTES
-    self_terms = np.array([_kernel_sums(left[r], right[r])[0] for r in rows]) / (b * b)
     per_block = max(1, _BLOCK_BYTES // (8 * b * b))
+    spans = [(i, i, i + 1) for i in range(n_batches)] + [
+        (i, j, min(j + per_block, n_batches))
+        for i in range(n_batches - 1)
+        for j in range(i + 1, n_batches, per_block)
+    ]
+    # one worker per CPU, but only while BLAS is held to one thread: a
+    # worker per CPU on top of BLAS's own threads oversubscribes the cores
+    with _one_blas_thread() as held:
+        bw = median_bandwidth(Z, seed=seed)
+        left, right = _kernel_operands(Z, bw)
+        sums = _parallel_kernel_sums(left, right, b, spans, _cpu_count() if held else 1)
+    self_terms = np.array([s[0] for s in sums[:n_batches]]) / (b * b)
     values = np.zeros((n_batches, n_batches))
-    for i in range(n_batches - 1):
-        for j in range(i + 1, n_batches, per_block):
-            k = min(j + per_block, n_batches)
-            cross = _kernel_sums(left[rows[i]], right[j * b : k * b], k - j) / (b * b)
-            values[i, j:k] = np.maximum(self_terms[i] + self_terms[j:k] - 2.0 * cross, 0.0)
+    for (i, j, k), s in zip(spans[n_batches:], sums[n_batches:]):
+        values[i, j:k] = np.maximum(self_terms[i] + self_terms[j:k] - 2.0 * (s / (b * b)), 0.0)
     # mirrored, so the matrix is exactly symmetric with a zero diagonal
     values = values + values.T
     return MmdMatrix(batch_size=batch_size, values=values, bandwidth=bw)

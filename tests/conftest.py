@@ -1,10 +1,13 @@
 """Shared test helpers and the acceptance-criteria summary hook."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
+from causalstream import analysis
 from causalstream.concept import ConceptParams
 from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec
 from causalstream.generator import GeneratorConfig
@@ -38,6 +41,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for number in sorted(criterion_lines):
         terminalreporter.write_line(criterion_lines[number])
+
+
+@contextmanager
+def forced_blas_threads(n: int):
+    """Run the block with OpenBLAS set to ``n`` threads, as on a machine
+    whose default is ``n``; skips the test where no setter resolves."""
+    blas = analysis._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter resolves")
+    get, put = blas
+    old = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 def preset_prefix(name: str, rows: int, seed: int = 0):

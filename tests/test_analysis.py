@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import forced_blas_threads
 from causalstream import analysis
 from causalstream.analysis import (
     SIGNIFICANCE_LEVELS,
@@ -427,6 +429,177 @@ def test_mmd_heatmap_matches_the_pairwise_definition(
     assert np.max(np.abs(hm.values - ref)) <= 1e-12
     assert np.array_equal(hm.values, hm.values.T)
     assert not np.diag(hm.values).any()
+
+
+def _serial_heatmap(X, batch_size, y=None, include_label=False, seed=0):
+    """The heatmap as one thread computes it, with OpenBLAS held to one
+    thread: each batch's self-term, then the upper-triangle cross blocks in
+    order, each kernel block a fresh matrix product."""
+
+    M = np.hstack([X, y.reshape(-1, 1)]) if include_label else X
+    scale = M.std(axis=0)
+    scale[scale == 0] = 1.0
+    Z = (M - M.mean(axis=0)) / scale
+
+    def kernel_sums(left, right, groups=1):
+        step = max(1, analysis._BLOCK_BYTES // (8 * right.shape[0]))
+        ones = np.ones(min(step, left.shape[0]))
+        sums = np.zeros(groups)
+        for s in range(0, left.shape[0], step):
+            K = left[s : s + step] @ right.T
+            np.minimum(K, 0.0, out=K)
+            np.exp(K, out=K)
+            sums += (ones[: K.shape[0]] @ K).reshape(groups, -1).sum(axis=1)
+        return sums
+
+    b = batch_size
+    nb = len(Z) // b
+    rows = [slice(i * b, (i + 1) * b) for i in range(nb)]
+    per_block = max(1, analysis._BLOCK_BYTES // (8 * b * b))
+    V = np.zeros((nb, nb))
+    with analysis._one_blas_thread():
+        bw = median_bandwidth(Z, seed=seed)
+        left, right = analysis._kernel_operands(Z, bw)
+        self_terms = np.array([kernel_sums(left[r], right[r])[0] for r in rows]) / (b * b)
+        for i in range(nb - 1):
+            for j in range(i + 1, nb, per_block):
+                k = min(j + per_block, nb)
+                cross = kernel_sums(left[rows[i]], right[j * b : k * b], k - j) / (b * b)
+                V[i, j:k] = np.maximum(self_terms[i] + self_terms[j:k] - 2.0 * cross, 0.0)
+    return V + V.T, bw
+
+
+def _recording_kernel_sums(monkeypatch, record):
+    """Patch ``_kernel_sums`` to call ``record()`` before each block."""
+
+    kernel_sums = analysis._kernel_sums
+
+    def recording(*args):
+        record()
+        return kernel_sums(*args)
+
+    monkeypatch.setattr(analysis, "_kernel_sums", recording)
+
+
+# many groups per cross block and a trailing partial batch; one group per
+# block (600 x 600 kernel values are over half of 4 MB); the label column;
+# one-row kernel blocks within a batch
+@pytest.mark.parametrize(
+    "n, d, batch_size, include_label, block_bytes",
+    [
+        (1337, 4, 100, False, None),
+        (1900, 3, 600, False, None),
+        (1250, 11, 250, True, None),
+        (1030, 2, 200, False, 3000),
+    ],
+)
+def test_heatmap_bits_do_not_depend_on_the_worker_count(
+    monkeypatch, n, d, batch_size, include_label, block_bytes
+):
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(n + d)
+    X = rng.normal(size=(n, d)) + np.linspace(0.0, 2.0, n)[:, None]
+    y = (rng.random(n) < np.linspace(0.2, 0.8, n)).astype(float)
+    # as on a machine whose BLAS runs two threads by default
+    with forced_blas_threads(2):
+        ref, bw = _serial_heatmap(X, batch_size, y=y, include_label=include_label, seed=2)
+        for workers in (1, 2, 3):
+            seen = set()
+            _recording_kernel_sums(monkeypatch, lambda: seen.add(threading.current_thread()))
+            monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
+            hm = mmd_heatmap(X, batch_size, y=y, include_label=include_label, seed=2)
+            assert len(seen) == workers
+            assert hm.bandwidth == bw
+            assert np.array_equal(hm.values, ref)
+
+
+def test_a_heatmap_restores_the_blas_thread_count(monkeypatch):
+    X = np.random.default_rng(12).normal(size=(1000, 3))
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    with forced_blas_threads(2):
+        get, _ = analysis._blas_threads()
+        during = []
+        _recording_kernel_sums(monkeypatch, lambda: during.append(get()))
+        mmd_heatmap(X, 100)
+        assert set(during) == {1}
+        assert get() == 2
+
+        caller = threading.current_thread()
+
+        def fail_in_a_worker():
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker failed")
+
+        _recording_kernel_sums(monkeypatch, fail_in_a_worker)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            mmd_heatmap(X, 100)
+        assert threading.active_count() == threads
+        assert get() == 2
+
+
+def test_concurrent_callers_keep_their_bits_and_the_blas_thread_count(monkeypatch):
+    # more callers and workers than cores, switching threads often: a lost
+    # update to the hold's count would leave BLAS on the wrong thread count
+    X = np.random.default_rng(14).normal(size=(900, 3)) + np.linspace(0.0, 1.0, 900)[:, None]
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    interval = sys.getswitchinterval()
+    with forced_blas_threads(2):
+        get, _ = analysis._blas_threads()
+        ref, _ = _serial_heatmap(X, 100)
+        ref_acf = acf(X[:, 0], 10).correlations
+        results = [None] * 4
+
+        def caller(c):
+            results[c] = (mmd_heatmap(X, 100).values, acf(X[:, 0], 10).correlations)
+
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(len(results))]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert get() == 2
+    for values, correlations in results:
+        assert np.array_equal(values, ref)
+        assert np.array_equal(correlations, ref_acf)
+
+
+def test_without_a_blas_setter_one_worker_matches_the_definition(monkeypatch):
+    monkeypatch.setattr(analysis, "_blas_threads", lambda: None)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 3)
+    seen = set()
+    _recording_kernel_sums(monkeypatch, lambda: seen.add(threading.current_thread()))
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(730, 3)) + np.linspace(0.0, 1.5, 730)[:, None]
+    hm = mmd_heatmap(X, 120)
+    assert seen == {threading.current_thread()}
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    for i in range(6):
+        for j in range(6):
+            A, B = Z[i * 120 : (i + 1) * 120], Z[j * 120 : (j + 1) * 120]
+            assert abs(hm.values[i, j] - _mmd2_definition(A, B, hm.bandwidth)) <= 1e-12
+
+
+def test_acf_ljung_box_and_mmd2_rbf_bits_do_not_depend_on_blas_threads():
+    rng = np.random.default_rng(23)
+    x = np.cumsum(rng.normal(size=100_000)) * 1e-2 + rng.normal(size=100_000)
+    A, B = x[:6000].reshape(-1, 2), x[-6000:].reshape(-1, 2)
+    results = []
+    for threads in (1, 2):
+        with forced_blas_threads(threads):
+            box = ljung_box(x, 30)
+            mmds = [mmd2_rbf(A, B, bw) for bw in (0.5, 3.0)]
+            results.append((acf(x, 30).correlations, box.Q, box.p_value, mmds))
+    (r1, q1, p1, m1), (r2, q2, p2, m2) = results
+    assert np.array_equal(r1, r2)
+    assert (q1, p1) == (q2, p2)
+    assert m1 == m2
 
 
 def test_import_leaves_out_scipy_signal_and_spatial():

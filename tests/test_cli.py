@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import COVERAGE_DOC, preset_prefix
+from conftest import COVERAGE_DOC, forced_blas_threads, preset_prefix
 from causalstream import cli
 from causalstream.cli import main
 from causalstream.config import ConfigError, config_to_document, load_config, parse_config
@@ -305,6 +305,25 @@ def test_analyze_mmd_report(tmp_path, small_config):
     assert len(rows) == 1 + 16
     diag = [r for r in rows[1:] if r.split(",")[0] == r.split(",")[1]]
     assert all(float(r.split(",")[2]) == 0.0 for r in diag)
+
+
+def test_analysis_reports_do_not_depend_on_blas_threads(tmp_path):
+    # past 10,000 rows OpenBLAS splits a dot product over its threads
+    cfg = replace(preset_config("dataset1", 0), dataset_size=12_000, schedule=DriftSchedule(()))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config_to_document(cfg)))
+    stream = _generate(tmp_path, path)
+    reports = {}
+    for threads in (1, 2):
+        with forced_blas_threads(threads):
+            for mode in ("acf", "ljungbox", "mmd"):
+                out = tmp_path / f"{mode}-{threads}.csv"
+                args = ["analyze", mode, str(stream), "--lags", "20", "--batch-size", "1000"]
+                assert main([*args, "--out", str(out)]) == 0
+                reports[mode, threads] = out.read_bytes()
+        reports["grid", threads] = (tmp_path / f"mmd-{threads}.grid.csv").read_bytes()
+    for kind in ("acf", "ljungbox", "mmd", "grid"):
+        assert reports[kind, 1] == reports[kind, 2], kind
 
 
 def test_a_failed_mmd_report_leaves_no_output(tmp_path, small_config, capsys):
