@@ -2,12 +2,12 @@
 
 ``encode`` writes a dataclass's init fields in declaration order; a field
 computed in ``__post_init__`` (``init=False``) is left out.  Nested objects
-give their ``to_dict``, tuples and arrays become lists, and a dict keyed by
-node id gets string keys in ascending order.  Every container of the result
-is new.  ``decode`` converts each value to its field's type hint; an
-unknown key, a missing one, a value of the wrong JSON type or an error of a
-nested constructor raises ``ValueError`` naming the path, such as
-``schedule.events[2].actions[0]``.
+give their ``to_dict``, tuples and arrays become lists, and a dict (or a
+read-only view of one) keyed by node id gets string keys in ascending
+order.  Every container of the result is new.  ``decode`` converts each
+value to its field's type hint; an unknown key, a missing one, a value of
+the wrong JSON type or an error of a nested constructor raises
+``ValueError`` naming the path, such as ``schedule.events[2].actions[0]``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def encode_value(v):
         return v
     if isinstance(v, (tuple, list)):
         return [x if isinstance(x, _PLAIN) else encode_value(x) for x in v]
-    if isinstance(v, dict):
+    if isinstance(v, (dict, types.MappingProxyType)):
         if all(isinstance(k, int) for k in v):
             return {str(k): encode_value(x) for k, x in sorted(v.items())}
         return {k: encode_value(x) for k, x in v.items()}

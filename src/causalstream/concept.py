@@ -7,19 +7,21 @@ forced by the task) and is fitted on a warmup simulation of its parents:
 marginals match generation-time marginals even at small alpha, where root
 values concentrate far below the raw distribution spread.
 
-A snapshot keeps a private copy of the concept and the document of the
-temporal state, and encodes the concept (graph, distributions, mapper
-parameters, class permutation) on its first read, since most snapshots are
-never read; the document round-trips every float exactly.  Restoring one
-never restores the temporal state, which keeps dynamics continuous across
-recurrent drift.
+Nothing a concept holds is mutable, so drift builds a new concept, and
+concept versions and snapshots share every mapper that no event replaces.
+A snapshot holds the concept itself and a copy of the temporal state, and
+encodes the concept (graph, distributions, mapper parameters, class
+permutation) on its first read, since most snapshots are never read; the
+document round-trips every float exactly.  Restoring one never restores the
+temporal state, which keeps dynamics continuous across recurrent drift.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -36,7 +38,6 @@ from .mappers import (
     ParentStats,
     PrototypeMapper,
     RootDistribution,
-    copy_mapper,
     draw_target_function,
     fit_continuous_mapper,
     init_categorical_mapper,
@@ -68,6 +69,7 @@ class ConceptParams(Serializable):
 
     ``nodes`` maps node id to a pin dict with keys from ``NODE_PIN_KEYS``;
     ``n_classes``, the target's class count, applies to classification only.
+    The params keep read-only views of the pins, with tuples for lists.
     """
 
     n_classes: int = 2
@@ -95,11 +97,19 @@ class ConceptParams(Serializable):
             unknown = sorted(set(pin) - NODE_PIN_KEYS)
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r} in nodes.{node}")
+        frozen = {
+            node: MappingProxyType(
+                {key: tuple(v) if isinstance(v, list) else v for key, v in pin.items()}
+            )
+            for node, pin in self.nodes.items()
+        }
+        object.__setattr__(self, "nodes", MappingProxyType(frozen))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Concept(Serializable):
-    """Everything needed to turn the graph into values at one point in time."""
+    """Everything needed to turn the graph into values at one point in time;
+    it holds read-only views of copies of the two dicts it is given."""
 
     graph: CausalGraph
     params: ConceptParams
@@ -107,6 +117,17 @@ class Concept(Serializable):
     root_dists: dict[int, RootDistribution]
     mappers: dict[int, Mapper]
     class_permutation: tuple[int, ...] | None
+
+    def __post_init__(self) -> None:
+        # ``copy`` and ``|`` copy a view at C speed; ``dict(view)`` does not
+        object.__setattr__(self, "root_dists", MappingProxyType(self.root_dists.copy()))
+        object.__setattr__(self, "mappers", MappingProxyType(self.mappers.copy()))
+
+    def with_mapper(self, node: int, mapper: Mapper) -> "Concept":
+        return replace(self, mappers=self.mappers | {node: mapper})
+
+    def with_root_dist(self, node: int, dist: RootDistribution) -> "Concept":
+        return replace(self, root_dists=self.root_dists | {node: dist})
 
     @property
     def task(self) -> str:
@@ -141,20 +162,6 @@ class Concept(Serializable):
     def initial_state(self) -> TemporalState:
         return TemporalState.initial(self.root_dists, self.continuous_nodes)
 
-    def copy(self, nodes: set | None = None) -> "Concept":
-        """A copy for drift to edit, equal to this concept in ``to_dict``.
-
-        The graph, params, temporal params and root distributions are never
-        edited in place and are shared; the two dicts are new, and so are
-        the mappers of ``nodes`` (every mapper by default).  The other
-        mappers are the same objects, so an edit may touch only the mappers
-        of ``nodes``: copy on write.
-        """
-        mappers = dict(self.mappers)
-        for n in self.mappers if nodes is None else set(nodes) & mappers.keys():
-            mappers[n] = copy_mapper(mappers[n])
-        return replace(self, root_dists=dict(self.root_dists), mappers=mappers)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Concept):
             return NotImplemented
@@ -162,52 +169,45 @@ class Concept(Serializable):
 
 
 class ConceptSnapshot:
-    """A concept's document plus the temporal state's document at capture.
+    """A concept plus the temporal state at capture.
 
-    The concept is given as a document, or as a concept that nothing else
-    holds, encoded on its first read; each read of ``concept`` or ``state``
-    hands out a copy.  Restoring applies the concept only; the captured state
-    is recorded for run files and inspection but deliberately not fed back
-    into a stream.
+    The concept is encoded to JSON text on its first read, and each read of
+    ``concept`` or ``state`` builds a new document.  Restoring applies the
+    concept only; the captured state is recorded for run files and
+    inspection but deliberately not fed back into a stream.
     """
 
-    def __init__(self, concept: dict | Concept, state: dict):
+    def __init__(self, concept: Concept, state: TemporalState):
         self._concept = concept
         self._state = state
 
-    def _document(self) -> dict:
-        if isinstance(self._concept, Concept):
-            self._concept = self._concept.to_dict()
-        return self._concept
+    @cached_property
+    def _json(self) -> str:
+        return json.dumps(self._concept.to_dict(), sort_keys=True)
 
     @property
     def concept(self) -> dict:
-        return copy.deepcopy(self._document())
+        return json.loads(self._json)
 
     @property
     def state(self) -> dict:
-        return copy.deepcopy(self._state)
+        return self._state.to_dict()
 
     def to_json(self) -> str:
-        return json.dumps({"concept": self._document(), "state": self._state}, sort_keys=True)
+        return json.dumps({"concept": self.concept, "state": self.state}, sort_keys=True)
 
     @classmethod
     def from_json(cls, s: str) -> "ConceptSnapshot":
         d = json.loads(s)
-        return cls(concept=d["concept"], state=d["state"])
+        return cls(Concept.from_dict(d["concept"]), TemporalState.from_dict(d["state"]))
 
 
 def snapshot_concept(concept: Concept, state: TemporalState) -> ConceptSnapshot:
-    # the snapshot shares nothing mutable with the live concept: ``copy``
-    # gives it its own mappers and root distributions, and the pins in
-    # ``params.nodes`` are copied here; only the graph, which is frozen and
-    # which nothing edits, is shared.  ``to_dict`` builds fresh containers.
-    own = replace(concept.copy(), params=copy.deepcopy(concept.params))
-    return ConceptSnapshot(own, state.to_dict())
+    return ConceptSnapshot(concept, state.copy())
 
 
 def restore_concept(snap: ConceptSnapshot) -> Concept:
-    return Concept.from_dict(snap._document())
+    return snap._concept
 
 
 def deterministic_label(concept: Concept, node_values: Mapping[int, float]) -> int:
@@ -311,9 +311,7 @@ def _init_mapper(node: int, graph: CausalGraph, task: str, params: ConceptParams
             distance=distance or "euclidean",
         )
     if kind == "random-mlp":
-        mapper = init_random_mlp(P.shape[1], rng)
-        mapper.calibrate(P)
-        return mapper
+        return init_random_mlp(P.shape[1], rng).calibrate(P)
     fn_kind = pin.get("target_fn")
     if fn_kind is None:
         fn_kind = _pick(TARGET_FN_KINDS, rng)
@@ -398,25 +396,31 @@ def init_concept(
     temporal: TemporalParams | None = None,
     task: str = "classification",
 ) -> Concept:
-    """Initialize a concept for ``task``; one retry on a fresh substream if a fit fails."""
+    """Initialize a concept for ``task``, retrying on a fresh seed if a fit fails.
+
+    There are up to four tries.  The first two take the two seeds that
+    ``rng`` gives first; a later try draws its seed from ``rng`` only then,
+    so a concept that builds within two tries leaves ``rng`` where it always
+    did.
+    """
 
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
     temporal = temporal if temporal is not None else TemporalParams()
     seeds = rng.integers(0, 2**63, size=2, dtype=np.uint64)
-    try:
-        return _init_once(graph, params, temporal, task, np.random.default_rng(int(seeds[0])))
-    except ValueError:
-        pass
-    try:
-        return _init_once(graph, params, temporal, task, np.random.default_rng(int(seeds[1])))
-    except ValueError as e:
-        if "degenerate parent box" in str(e) and temporal.alpha == 0 and temporal.sigma == 0:
-            raise ValueError(
-                f"{e}: temporal alpha = 0 and sigma = 0 hold every node at a "
-                "constant, so a categorical node has no parent spread to fit"
-            ) from e
-        raise
+    for attempt in range(4):
+        seed = seeds[attempt] if attempt < 2 else rng.integers(0, 2**63, dtype=np.uint64)
+        try:
+            return _init_once(graph, params, temporal, task, np.random.default_rng(int(seed)))
+        except ValueError as e:
+            constant = temporal.alpha == temporal.sigma == 0
+            if attempt and constant and "degenerate parent box" in str(e):
+                raise ValueError(
+                    f"{e}: temporal alpha = 0 and sigma = 0 hold every node at a "
+                    "constant, so a categorical node has no parent spread to fit"
+                ) from e
+            if attempt == 3:
+                raise
 
 
 def simulate_concept_samples(

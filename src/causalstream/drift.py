@@ -11,9 +11,11 @@ numeric parameters toward the endpoint in equal fractions per step, and the
 last step puts the endpoint itself.  The endpoint comes from the plan: a
 mechanism's plan makes the endpoint's draws, and its abrupt event is that
 plan run to the end at once, so both rates land on the same concept bit for
-bit.  An sgd-linear target-function change instead takes one partial-fit
-step per instance on a sample from the new function; its abrupt event is a
-full refit.
+bit, also for an event of several actions: each action is planned on the
+concept as it stands after the endpoints of the actions before it.  An
+sgd-linear target-function change instead takes one partial-fit step per
+instance on a sample from the new function; its abrupt event is a full
+refit.
 ``recurrent`` events restore an earlier concept snapshot, never its temporal
 state.  The initial concept is ``concept0`` and the k-th event completes
 ``concept<k>``, so a recurrent event may name only a concept of an earlier
@@ -24,13 +26,15 @@ serves, what it may act on (a root, the label or mapper kinds), its
 incremental plan, an abrupt apply where the abrupt event is not the plan run
 to the end, and its parameter check.  Event validation, abrupt application
 and incremental plans all read the table, so a new mechanism is added there
-and nowhere else.
+and nowhere else.  Concepts are immutable: every apply and every step
+returns a new concept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,10 +50,10 @@ from .mappers import (
     CENTROID_KINDS,
     FITTABLE_KINDS,
     TARGET_FN_KINDS,
+    Mapper,
     ParentStats,
     PrototypeMapper,
     RootDistribution,
-    copy_mapper,
     draw_target_function,
     eval_target_function,
     fit_continuous_mapper,
@@ -216,12 +220,12 @@ class InterventionPolicy(Serializable):
 # mechanisms
 #
 # A plan draws the endpoint of an incremental window up front and returns a
-# stepper ``step(concept, frac, rng)`` that moves the concept to fraction
-# ``frac`` of the way there, and onto the endpoint itself at ``frac = 1``.
-# An abrupt event runs the plan to ``frac = 1`` at once, so both rates reach
-# the same endpoint with the same draws.  Only a mechanism without a plan,
-# or whose plan steps toward its endpoint by samples (the sgd-linear
-# refit), has an abrupt apply of its own.
+# stepper ``step(concept, frac, rng)`` that returns the concept moved to
+# fraction ``frac`` of the way there, and onto the endpoint itself, with no
+# draw, at ``frac = 1``.  An abrupt event runs the plan to ``frac = 1`` at
+# once, so both rates reach the same endpoint with the same draws.  Only a
+# mechanism without a plan, or whose plan steps toward its endpoint by
+# samples (the sgd-linear refit), has an abrupt apply of its own.
 
 _ROOT = "root"
 _LABEL = "label"
@@ -249,69 +253,64 @@ def _check_refit(concept: Concept, params: dict) -> None:
         raise ValueError(f"unknown target function {params['target_fn']!r}")
 
 
-def _refit(concept: Concept, action: ShiftAction, rng) -> None:
+def _refit(concept: Concept, action: ShiftAction, rng) -> Concept:
     node, kind = action.node, concept.mappers[action.node].kind
     fn_kind = _new_target_fn_kind(concept, node, action.params, rng)
     P = _parent_matrix(concept, node, rng)
     fn = draw_target_function(fn_kind, P.shape[1], rng)
-    concept.mappers[node] = fit_continuous_mapper(
-        kind, P, fn, rng, eps_scale=concept.params.eps_scale
+    return concept.with_mapper(
+        node, fit_continuous_mapper(kind, P, fn, rng, eps_scale=concept.params.eps_scale)
     )
 
 
 def _plan_sgd_refit(concept: Concept, action: ShiftAction, rng):
-    """One partial-fit step per instance toward a new target function."""
+    """One partial-fit step per instance toward a new target function; the
+    step that finds the mapper the plan found restarts the schedule."""
 
-    node, mapper = action.node, concept.mappers[action.node]
+    node, start = action.node, concept.mappers[action.node]
     fn_kind = _new_target_fn_kind(concept, node, action.params, rng)
-    fn = draw_target_function(fn_kind, mapper.n_inputs, rng)
-    mapper.reset_partial_schedule()
+    fn = draw_target_function(fn_kind, start.n_inputs, rng)
 
-    def step(c: Concept, frac: float, rng) -> None:
+    def step(c: Concept, frac: float, rng) -> Concept:
         m = c.mappers[node]
+        if m is start:
+            m = m.reset_partial_schedule()
         z = rng.normal(size=m.n_inputs)
-        m.partial_fit(z, float(eval_target_function(fn, z)))
-        if frac >= 1.0:
-            m.fitted_target = fn
+        m = m.partial_fit(z, float(eval_target_function(fn, z)))
+        return c.with_mapper(node, m._with(fitted_target=fn) if frac >= 1.0 else m)
 
     return step
 
 
-def _lerp(put, start: list, end: list):
-    """Stepper that puts ``start + frac * (end - start)``, item by item, and
-    ``end`` itself from ``frac = 1`` on."""
+def _lerp(node: int, start, end, fields: tuple[str, ...]):
+    """Stepper that puts on ``node`` the mapper or root distribution
+    ``start`` with each of ``fields`` at ``s + frac * (e - s)``, from its
+    value on ``start`` to that on ``end``, and ``end`` from ``frac = 1`` on."""
 
-    def step(c: Concept, frac: float, rng) -> None:
-        put(c, end if frac >= 1.0 else [s + frac * (e - s) for s, e in zip(start, end)])
+    mapper = isinstance(start, Mapper)
+    put = Concept.with_mapper if mapper else Concept.with_root_dist
+    build = start._with if mapper else partial(replace, start)
+    pairs = {f: (getattr(start, f), getattr(end, f)) for f in fields}
+
+    def step(c: Concept, frac: float, rng) -> Concept:
+        if frac >= 1.0:
+            return put(c, node, end)
+        return put(c, node, build(**{f: s + frac * (e - s) for f, (s, e) in pairs.items()}))
 
     return step
 
 
 def _plan_reinit(concept: Concept, action: ShiftAction, rng):
-    node, mapper = action.node, concept.mappers[action.node]
-    end = copy_mapper(mapper)
-    end.reinit(rng)
-
-    def put(c: Concept, vals: list) -> None:
-        m = c.mappers[node]
-        m.W1, m.b1, m.w2 = vals[:3]
-        m.b2 = float(vals[3])
-
-    start = [mapper.W1.copy(), mapper.b1.copy(), mapper.w2.copy(), mapper.b2]
-    return _lerp(put, start, [end.W1, end.b1, end.w2, end.b2])
+    mapper = concept.mappers[action.node]
+    return _lerp(action.node, mapper, mapper.reinit(rng), ("W1", "b1", "w2", "b2"))
 
 
 def _plan_move_prototypes(concept: Concept, action: ShiftAction, rng):
     node, mapper = action.node, concept.mappers[action.node]
-    end = copy_mapper(mapper)
     P = _parent_matrix(concept, node, rng)
-    end.move_centroids(rng, ParentStats.from_samples(P))
-
-    def put(c: Concept, vals: list) -> None:
-        c.mappers[node].centroids = vals[0]
-        c.mappers[node].stats = end.stats
-
-    return _lerp(put, [mapper.centroids.copy()], [end.centroids])
+    end = mapper.move_centroids(rng, ParentStats.from_samples(P))
+    # the window's steps take the new parent box at once
+    return _lerp(node, mapper._with(stats=end.stats), end, ("centroids",))
 
 
 def _check_distance(concept: Concept, params: dict) -> None:
@@ -319,12 +318,12 @@ def _check_distance(concept: Concept, params: dict) -> None:
         raise ValueError(f"unknown distance {params['distance']!r}")
 
 
-def _change_distance(concept: Concept, action: ShiftAction, rng) -> None:
+def _change_distance(concept: Concept, action: ShiftAction, rng) -> Concept:
     mapper = concept.mappers[action.node]
     new = action.params.get("distance")
     if new is None:
         new = "manhattan" if mapper.distance == "euclidean" else "euclidean"
-    mapper.distance = new
+    return concept.with_mapper(action.node, mapper._with(distance=new))
 
 
 def _orthogonal_unit(w: np.ndarray, rng) -> np.ndarray:
@@ -351,12 +350,9 @@ def _rotation(mapper, params: dict, rng) -> tuple[float, np.ndarray]:
 def _plan_rotate(concept: Concept, action: ShiftAction, rng):
     node, mapper = action.node, concept.mappers[action.node]
     angle, u = _rotation(mapper, action.params, rng)
-    w0 = mapper.w.copy()
 
-    def step(c: Concept, frac: float, rng) -> None:
-        m = c.mappers[node]
-        m.w = w0
-        m.rotate(frac * angle, u)
+    def step(c: Concept, frac: float, rng) -> Concept:
+        return c.with_mapper(node, mapper.rotate(frac * angle, u))
 
     return step
 
@@ -374,12 +370,13 @@ def _check_swap(concept: Concept, params: dict) -> None:
             raise ValueError(f"cannot swap classes {c1} and {c2} of {n}")
 
 
-def _swap_classes(concept: Concept, action: ShiftAction, rng) -> None:
+def _swap_classes(concept: Concept, action: ShiftAction, rng) -> Concept:
     c1, c2 = action.params.get("c1"), action.params.get("c2")
     if c1 is None:
         c1, c2 = rng.choice(concept.n_classes, size=2, replace=False)
     swap = {int(c1): int(c2), int(c2): int(c1)}
-    concept.class_permutation = tuple(swap.get(v, v) for v in concept.class_permutation)
+    permutation = tuple(swap.get(v, v) for v in concept.class_permutation)
+    return replace(concept, class_permutation=permutation)
 
 
 # root-params keys that take a number; ``low`` and ``high`` can only be
@@ -438,13 +435,9 @@ def _shift_root_dist(
 
 
 def _plan_root(concept: Concept, action: ShiftAction, rng):
-    node, start = action.node, concept.root_dists[action.node]
+    start = concept.root_dists[action.node]
     end = _shift_root_dist(start, action.params, concept, rng)
-
-    def put(c: Concept, vals: list) -> None:
-        c.root_dists[node] = RootDistribution(start.kind, float(vals[0]), float(vals[1]))
-
-    return _lerp(put, [start.p1, start.p2], [end.p1, end.p2])
+    return _lerp(action.node, start, end, ("p1", "p2"))
 
 
 @dataclass(frozen=True)
@@ -460,11 +453,10 @@ class _Mechanism:
     # narrower targets for the incremental plan, when they differ
     plan_targets: tuple[str, ...] | None = None
 
-    def abrupt(self, concept: Concept, action: ShiftAction, rng) -> None:
+    def abrupt(self, concept: Concept, action: ShiftAction, rng) -> Concept:
         if self.apply is not None:
-            self.apply(concept, action, rng)
-        else:
-            self.plan(concept, action, rng)(concept, 1.0, rng)
+            return self.apply(concept, action, rng)
+        return self.plan(concept, action, rng)(concept, 1.0, rng)
 
 
 _MECHANISMS = {
@@ -522,18 +514,17 @@ def validate_schedule_against(schedule: DriftSchedule, concept: Concept) -> None
 
 
 def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
-    """Apply all actions of an event to a copy of the concept.
+    """The concept after all actions of an event, applied in order.
 
-    Copy on write: the copy has new mappers for the nodes the actions name
-    and shares every other mapper with ``concept``, which is left as it
-    was.  The segment engine runs one ``predict`` per distinct mapper, so a
-    shared mapper costs one call for the rows of both concepts.
+    It has new mappers for the nodes the actions name and shares every
+    other mapper with ``concept``.  The segment engine runs one ``predict``
+    per distinct mapper, so a shared mapper costs one call for the rows of
+    both concepts.
     """
 
-    out = concept.copy({action.node for action in spec.actions})
     for action in spec.actions:
-        _checked(out, action).abrupt(out, action, rng)
-    return out
+        concept = _checked(concept, action).abrupt(concept, action, rng)
+    return concept
 
 
 def apply_recurrent(concept: Concept, snap: ConceptSnapshot) -> Concept:
@@ -567,30 +558,35 @@ class IncrementalPlan:
     spec: ShiftSpec
     steppers: list
 
-    def step(self, concept: Concept, step_index: int, rng) -> None:
-        """Advance to position ``(step_index + 1) / duration`` of the window."""
+    def step(self, concept: Concept, step_index: int, rng) -> Concept:
+        """The concept at position ``(step_index + 1) / duration`` of the window."""
         frac = (step_index + 1) / self.spec.duration
         for step in self.steppers:
-            step(concept, frac, rng)
+            concept = step(concept, frac, rng)
+        return concept
 
 
 def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan:
-    """Freeze start/end parameters for every action of an incremental event.
+    """Fix start/end parameters for every action of an incremental event.
 
     Endpoint draws (new distribution parameters, centroid positions, rotation
     angle, fresh weights, new target function) all happen here, before the
-    first step.
+    first step.  Each action is planned on the concept after the endpoints
+    of the actions before it, as the abrupt event applies them; an sgd
+    refit has no endpoint without its per-step draws, so it moves none.
     """
 
-    steppers = [
-        _checked(concept, action, incremental=True).plan(concept, action, rng)
-        for action in spec.actions
-    ]
+    steppers = []
+    for action in spec.actions:
+        mech = _checked(concept, action, incremental=True)
+        steppers.append(mech.plan(concept, action, rng))
+        if mech.apply is None:  # the stepper puts its endpoint without a draw
+            concept = steppers[-1](concept, 1.0, None)
     return IncrementalPlan(spec=spec, steppers=steppers)
 
 
-def incremental_step(concept: Concept, plan: IncrementalPlan, step_index: int, rng) -> None:
-    plan.step(concept, step_index, rng)
+def incremental_step(concept: Concept, plan: IncrementalPlan, step_index: int, rng) -> Concept:
+    return plan.step(concept, step_index, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ value, so the engine builds the stream in segments: the draws of a segment
 are made in batches, in the order of a row-at-a-time walk, each row with
 its own concept version's parameters, then every node is computed for all
 of its rows with one batched ``predict`` per distinct mapper (see
-``StreamGenerator``).  Drift copies only the mappers it edits, so the
-versions of a segment share the rest.
+``StreamGenerator``).  Drift replaces only the mappers its actions name, so
+the versions of a segment share the rest.
 
 Reproducibility contract: one master seed spawns five independent substreams
 (concept init, node values, interventions, missing masks, drift schedule).
@@ -21,7 +21,7 @@ nor the bytes of a stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .drift import (
     validate_schedule_against,
 )
 from .graph import CausalGraph, build_dag
-from .mappers import copy_mapper
 from .temporal import TemporalParams, TemporalState, _one_pole, root_value_path
 
 # not called here; ``bench/tracing.py`` patches these one-row steps on this
@@ -167,7 +166,7 @@ class StreamGenerator:
     (see ``_segment_concept``).  Outside a window each abrupt or recurrent
     event inside the segment adds a concept version, which makes the rows
     from its event on; inside a window each row has a version of its own.
-    A drift event copies only the mappers its actions name, so versions
+    A drift event replaces only the mappers its actions name, so versions
     share every other mapper.  A segment is built in two phases:
 
     1. the segment's draws, in the order of a row-at-a-time walk (see
@@ -256,11 +255,8 @@ class StreamGenerator:
             return
         spec = events[0]
         self._next_event += 1
-        if spec.rate == "gradual":
-            shift = begin_gradual(self.concept, spec, self.rngs.schedule)
-        else:
-            self.concept = self.concept.copy({a.node for a in spec.actions})
-            shift = begin_incremental(self.concept, spec, self.rngs.schedule)
+        begin = begin_gradual if spec.rate == "gradual" else begin_incremental
+        shift = begin(self.concept, spec, self.rngs.schedule)
         self._window = (spec, concept_id(self._next_event), shift)
 
     def _segment_concept(self) -> tuple[list[Concept], list[str], np.ndarray, list[int]]:
@@ -277,9 +273,9 @@ class StreamGenerator:
         completed inside the segment ends the segment before it instead.
         Inside a gradual window each row's ``gradual_selector`` draw picks
         the start concept or the endpoint.  Inside an incremental window
-        each row's ``incremental_step`` moves ``concept``, and the row gets
-        a version of its own, which shares every mapper that no action
-        moves.  The schedule draws are made one row after the next.
+        each row's ``incremental_step`` gives the row a version of its own,
+        which shares every mapper that no action moves.  The schedule draws
+        are made one row after the next.
         """
 
         t = self._built
@@ -309,13 +305,11 @@ class StreamGenerator:
         if spec.rate == "gradual":
             which = [int(gradual_selector(r, spec, self.rngs.schedule)) for r in rows]
             return [self.concept, shift], [self._concept_id, event_id], np.array(which), []
-        c = self.concept
-        moved = [a.node for a in spec.actions if a.node in c.mappers]
         versions = []
         for r in rows:
-            incremental_step(c, shift, r - spec.t_start, self.rngs.schedule)
-            mappers = {**c.mappers, **{node: copy_mapper(c.mappers[node]) for node in moved}}
-            versions.append(replace(c, root_dists=dict(c.root_dists), mappers=mappers))
+            step = r - spec.t_start
+            self.concept = incremental_step(self.concept, shift, step, self.rngs.schedule)
+            versions.append(self.concept)
         return versions, [event_id] * len(rows), np.arange(len(rows)), []
 
     # -- intervention helpers ------------------------------------------------
@@ -493,7 +487,7 @@ class _RowMappers:
     versions, read by the ancestor walk as one mapper: ``predict`` runs each
     distinct mapper once, on the rows of every version that holds it, and
     relabels the target's classes by each version's permutation.  Drift
-    copies only the mappers it edits, so a node that no event of the
+    replaces only the mappers it names, so a node that no event of the
     segment names costs one call.  ``predict`` is row-independent, so a row
     gets the bits that a segment of its version alone would give it."""
 

@@ -12,6 +12,10 @@ anchors the node's noise amplitude.  Categorical mappers work on raw parent
 values and keep the parent min/max box so drift can redraw centroids inside
 the region the parents actually visit.
 
+A mapper is immutable: its arrays are read-only once its constructor ends,
+and each method that drift uses returns a new mapper, which shares every
+array it does not replace.
+
 All parameters serialize to plain JSON-compatible dicts with exact float
 round-trip (see ``Mapper``); ``serialize_params`` gives canonical bytes for
 equality checks.
@@ -50,7 +54,6 @@ __all__ = [
     "init_random_mlp",
     "init_categorical_mapper",
     "mapper_from_dict",
-    "copy_mapper",
     "serialize_params",
 ]
 
@@ -236,6 +239,18 @@ class Mapper:
     kind: str = ""
     _fields: tuple[str, ...] = ()
 
+    def _freeze(self) -> None:
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+
+    def _with(self, **changes) -> "Mapper":
+        """A new, frozen mapper with ``changes`` to its attributes; it shares the rest."""
+        out = object.__new__(type(self))
+        out.__dict__.update(vars(self), **changes)
+        out._freeze()
+        return out
+
     def predict(self, x):
         """Output for one input vector, as a Python number, or one per row of
         a matrix; a row's bits do not depend on how many rows share the
@@ -273,6 +288,7 @@ class _ContinuousBase(Mapper):
         self.out_mean = float(out_mean)
         self.out_scale = float(out_scale)
         self.fitted_target = fitted_target
+        self._freeze()
 
     @property
     def n_inputs(self) -> int:
@@ -285,14 +301,16 @@ class _ContinuousBase(Mapper):
         """Outputs for standardized rows ``z``."""
         raise NotImplementedError
 
-    def calibrate(self, X: np.ndarray, fallback_scale: float = 1.0) -> None:
-        """Standardize inputs on the sample ``X`` and record the mean/std of
-        the outputs there; a constant output gets ``fallback_scale``."""
-        self.in_mean, self.in_scale = _standardize_stats(X)
-        preds = self.predict(X)
-        self.out_mean = float(preds.mean())
+    def calibrate(self, X: np.ndarray, fallback_scale: float = 1.0) -> "_ContinuousBase":
+        """This mapper with inputs standardized on the sample ``X`` and the mean/std
+        of its outputs there recorded; a constant output gets ``fallback_scale``."""
+        in_mean, in_scale = _standardize_stats(X)
+        m = self._with(in_mean=in_mean, in_scale=in_scale)
+        preds = m.predict(X)
         out_scale = float(preds.std())
-        self.out_scale = out_scale if out_scale > 0 else fallback_scale
+        return m._with(
+            out_mean=float(preds.mean()), out_scale=out_scale if out_scale > 0 else fallback_scale
+        )
 
 
 class MLPMapper(_ContinuousBase):
@@ -319,10 +337,10 @@ class MLPMapper(_ContinuousBase):
         h = np.maximum(_rows_times(z, self.W1) + self.b1, 0.0)
         return _rows_times(h, self.w2) + self.b2
 
-    def reinit(self, rng: np.random.Generator) -> None:
-        """Redraw all weights (random-mlp drift); standardization is kept."""
-        self.W1, self.b1, self.w2 = _xavier_mlp(rng, self.n_inputs)
-        self.b2 = 0.0
+    def reinit(self, rng: np.random.Generator) -> "MLPMapper":
+        """This network with all weights redrawn (random-mlp drift); standardization is kept."""
+        W1, b1, w2 = _xavier_mlp(rng, self.n_inputs)
+        return self._with(W1=W1, b1=b1, w2=w2, b2=0.0)
 
 
 class RegressionTreeMapper(_ContinuousBase):
@@ -368,16 +386,14 @@ class RegressionTreeMapper(_ContinuousBase):
 class SGDLinearMapper(_ContinuousBase):
     """Linear model trained by per-sample SGD with l2 penalty.
 
-    ``partial_fit`` performs one additional step and exists for incremental
-    drift, which re-fits the node toward a new target function one instance
-    at a time; its inverse-scaling schedule restarts whenever a drift event
-    begins (``reset_partial_schedule``), otherwise steps at the tail of the
-    original schedule would be invisibly small.
-
-    The step count ``_partial_steps`` is not serialized, and a concept copy
-    carries it over.  It never reaches a stream: the only caller of
-    ``partial_fit`` is an incremental plan, which resets the count before
-    its first step.
+    ``partial_fit`` returns the mapper after one additional step and exists
+    for incremental drift, which re-fits the node toward a new target
+    function one instance at a time; its inverse-scaling schedule restarts
+    whenever a drift event begins (``reset_partial_schedule``), otherwise
+    steps at the tail of the original schedule would be invisibly small.
+    The step count ``_partial_steps`` is not serialized.  It never reaches a
+    stream: the only caller of ``partial_fit`` is an incremental plan, which
+    resets the count at its first step.
     """
 
     kind = "sgd-linear"
@@ -392,14 +408,15 @@ class SGDLinearMapper(_ContinuousBase):
     def _forward(self, z: np.ndarray) -> np.ndarray:
         return _rows_times(z, self.w) + self.b
 
-    def partial_fit(self, z: np.ndarray, y: float) -> None:
-        self._partial_steps += 1
-        lr = _SGD_ETA0 / self._partial_steps**_SGD_POWER_T
+    def partial_fit(self, z: np.ndarray, y: float) -> "SGDLinearMapper":
+        steps = self._partial_steps + 1
+        lr = _SGD_ETA0 / steps**_SGD_POWER_T
         cols = np.asarray(z, dtype=float)[:, None].tolist()
-        self.w[:], self.b = _sgd_kernel(len(cols))(self.w.tolist(), self.b, cols, [float(y)], [lr])
+        w, b = _sgd_kernel(len(cols))(self.w.tolist(), self.b, cols, [float(y)], [lr])
+        return self._with(w=np.array(w), b=b, _partial_steps=steps)
 
-    def reset_partial_schedule(self) -> None:
-        self._partial_steps = 0
+    def reset_partial_schedule(self) -> "SGDLinearMapper":
+        return self._with(_partial_steps=0)
 
 
 def _fit_mlp_weights(z, y, rng):
@@ -659,8 +676,7 @@ def fit_continuous_mapper(
         w, b = _fit_sgd(z, y, rng)
         mapper = SGDLinearMapper(w, b, **base)
 
-    mapper.calibrate(X, fallback_scale=t_scale)
-    return mapper
+    return mapper.calibrate(X, fallback_scale=t_scale)
 
 
 def init_random_mlp(n_in: int, rng: np.random.Generator) -> MLPMapper:
@@ -721,18 +737,17 @@ class _CentroidBase(Mapper):
             raise ValueError("one class per centroid required")
         if set(self.classes.tolist()) != set(range(self.n_classes)):
             raise ValueError("every class needs at least one centroid")
+        self._freeze()
 
     @property
     def n_inputs(self) -> int:
         return int(self.centroids.shape[1])
 
-    def move_centroids(self, rng: np.random.Generator, stats: ParentStats | None = None) -> None:
-        """Redraw centroid positions inside the (possibly updated) parent box."""
-        if stats is not None:
-            self.stats = stats
-        lo = np.asarray(self.stats.mins)
-        hi = np.asarray(self.stats.maxs)
-        self.centroids = rng.uniform(lo, hi, size=self.centroids.shape)
+    def move_centroids(self, rng: np.random.Generator, stats: ParentStats | None = None):
+        """This mapper with its centroids redrawn inside the (possibly updated) parent box."""
+        stats = self.stats if stats is None else stats
+        lo, hi = np.asarray(stats.mins), np.asarray(stats.maxs)
+        return self._with(centroids=rng.uniform(lo, hi, size=self.centroids.shape), stats=stats)
 
 
 class PrototypeMapper(_CentroidBase):
@@ -814,6 +829,7 @@ class HyperplaneMapper(Mapper):
         self.b = float(b)
         self.n_classes = 2
         self.stats = stats
+        self._freeze()
 
     @property
     def n_inputs(self) -> int:
@@ -822,8 +838,8 @@ class HyperplaneMapper(Mapper):
     def _rows(self, X: np.ndarray) -> np.ndarray:
         return (_rows_times(X, self.w) + self.b > 0).astype(int)
 
-    def rotate(self, angle_rad: float, plane_dir: np.ndarray) -> None:
-        """Rotate ``w`` by ``angle_rad`` toward the orthogonal unit ``plane_dir``.
+    def rotate(self, angle_rad: float, plane_dir: np.ndarray) -> "HyperplaneMapper":
+        """This plane rotated by ``angle_rad`` toward the orthogonal unit ``plane_dir``.
 
         The bias is recomputed so the plane keeps passing through the parent
         box centre.  With a single input the rotation degenerates to scaling
@@ -831,11 +847,11 @@ class HyperplaneMapper(Mapper):
         """
         norm = float(np.linalg.norm(self.w))
         if self.n_inputs == 1:
-            self.w = self.w * np.cos(angle_rad)
+            w = self.w * np.cos(angle_rad)
         else:
             u = np.asarray(plane_dir, dtype=float)
-            self.w = np.cos(angle_rad) * self.w + np.sin(angle_rad) * norm * u
-        self.b = -float(self.w @ self.stats.center)
+            w = np.cos(angle_rad) * self.w + np.sin(angle_rad) * norm * u
+        return self._with(w=w, b=-float(w @ self.stats.center))
 
 
 def init_categorical_mapper(
@@ -925,17 +941,6 @@ def mapper_from_dict(d: dict):
     if "stats" in fields:
         fields["stats"] = ParentStats.from_dict(fields["stats"])
     return make(**fields)
-
-
-def copy_mapper(mapper):
-    """A copy of ``mapper`` with its own arrays; its other attributes are
-    immutable values and are shared."""
-
-    out = object.__new__(type(mapper))
-    out.__dict__.update(
-        (k, v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(mapper).items()
-    )
-    return out
 
 
 def serialize_params(mapper) -> bytes:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def test_constant_nodes_name_their_temporal_cause():
     assert len(frame.y) == 50 and np.isfinite(frame.X).all()
 
 
+def test_a_concept_init_gets_two_more_tries_after_two_failures(monkeypatch):
+    """dataset6 at this seed has a constant categorical parent over the fit
+    sample in each of its first two tries; a third try, on a seed drawn from
+    the init substream only then, builds.  A run with constant nodes still
+    raises after two tries, and draws no third seed."""
+    import causalstream.concept as concept_module
+
+    tries = []
+    once = concept_module._init_once
+    monkeypatch.setattr(concept_module, "_init_once", lambda *a: tries.append(1) or once(*a))
+    gen = build_stream(preset_config("dataset6", seed=2916806109))
+    assert len(tries) == 3 and len(gen.take(20)) == 20
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    still = TemporalParams(alpha=0.0, rho=0.0, sigma=0.0)
+    with pytest.raises(ValueError, match="alpha = 0 and sigma = 0"):
+        init_concept(example_graph(), ConceptParams(), rng, temporal=still)
+    ref.integers(0, 2**63, size=2, dtype=np.uint64)
+    assert len(tries) == 5 and rng.random() == ref.random()
+
+
 def test_node_pins_respected():
     params = ConceptParams(
         n_classes=4,
@@ -127,13 +148,16 @@ def test_deterministic_label_rejects_regression():
 
 
 def test_concept_round_trip_and_copy():
+    """A decoded concept equals the original; a concept built from it with
+    a new mapper differs, and leaves the original alone."""
     c = _concept(7)
     clone = Concept.from_dict(c.to_dict())
     assert clone == c
-    cp = c.copy()
+    target = c.graph.target
+    cp = c.with_mapper(target, c.mappers[target])
     assert cp == c
-    cp.mappers[c.graph.target].move_centroids(np.random.default_rng(2))
-    assert cp != c  # mutating the copy leaves the original alone
+    cp = cp.with_mapper(target, cp.mappers[target].move_centroids(np.random.default_rng(2)))
+    assert cp != c == clone  # replacing a mapper of the new concept leaves the original alone
 
 
 @pytest.mark.parametrize(
@@ -144,20 +168,22 @@ def test_concept_round_trip_and_copy():
     ],
 )
 def test_copy_shares_no_mapper_array(kinds):
-    """In-place edits to every array of the copy's mappers leave the
-    original as it was."""
+    """Every kind's arrays are read-only, so an in-place edit raises; a
+    concept that replaces every array of every mapper leaves the original
+    as it was."""
     nodes = {node: {"mapper": kind} for node, kind in zip((2, 3, 4, 5), kinds)}
     c = init_concept(
         example_graph(), ConceptParams(n_classes=2, nodes=nodes), np.random.default_rng(3)
     )
     before = c.to_dict()
-    cp = c.copy()
-    assert cp.to_dict() == before
-    for m in cp.mappers.values():
-        arrays = [v for v in vars(m).values() if isinstance(v, np.ndarray)]
+    cp = c
+    for node, m in c.mappers.items():
+        arrays = {k: v for k, v in vars(m).items() if isinstance(v, np.ndarray)}
         assert arrays, m.kind
-        for v in arrays:
-            v += 1
+        for v in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                v += 1
+        cp = cp.with_mapper(node, m._with(**{k: v + 1 for k, v in arrays.items()}))
     assert c.to_dict() == before != cp.to_dict()
 
 
@@ -167,8 +193,12 @@ def test_snapshot_round_trip_and_isolation():
     snap = snapshot_concept(c, state)
     restored = restore_concept(snap)
     assert restored == c
-    # mutate the restored concept; the snapshot must not follow
-    restored.mappers[c.graph.target].move_centroids(np.random.default_rng(0))
+    # drift the restored concept; the snapshot must not follow
+    target = c.graph.target
+    drifted = restored.with_mapper(
+        target, restored.mappers[target].move_centroids(np.random.default_rng(0))
+    )
+    assert drifted != c
     again = restore_concept(snap)
     assert again == c
     assert serialize_params(again.mappers[c.graph.target]) == serialize_params(
@@ -184,17 +214,30 @@ def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
     concept_doc = json.loads(json.dumps(c.to_dict()))
     state_doc = json.loads(json.dumps(state.to_dict()))
     snap = snapshot_concept(c, state)
-    # change every array, list and dict the live concept holds, in place,
-    # before the snapshot is first read, then again after
+    # every array, tuple and dict the live concept holds refuses an edit in
+    # place; change each in a new live concept instead, before the snapshot
+    # is first read, then again after
     for edit in range(2):
-        for mapper in c.mappers.values():
-            for value in vars(mapper).values():
+        for node, mapper in c.mappers.items():
+            for key, value in vars(mapper).items():
                 if isinstance(value, np.ndarray) and value.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        value.flat[0] = -value.flat[0] - 1
+                    value = value.copy()
                     value.flat[0] = -value.flat[0] - 1
-        c.params.nodes[0]["dist_params"][0] = 99.0 + edit
-        c.params.nodes[0]["dist"] = "uniform"
-        c.root_dists[1] = c.root_dists[0]
-        c.class_permutation = tuple(reversed(c.class_permutation))
+                    c = c.with_mapper(node, c.mappers[node]._with(**{key: value}))
+        with pytest.raises(TypeError):
+            c.params.nodes[0]["dist_params"][0] = 99.0 + edit
+        with pytest.raises(TypeError):
+            c.params.nodes[0]["dist"] = "uniform"
+        pin = {"dist": "uniform", "dist_params": [99.0 + edit, 100.0]}
+        c = replace(c, params=replace(c.params, nodes={0: pin}))
+        with pytest.raises(TypeError):
+            c.root_dists[1] = c.root_dists[0]
+        c = c.with_root_dist(1, c.root_dists[0])
+        with pytest.raises(AttributeError):
+            c.class_permutation = tuple(reversed(c.class_permutation))
+        c = replace(c, class_permutation=tuple(reversed(c.class_permutation)))
         state.ewma[next(iter(state.ewma))] += 1.0
         state.ar[next(iter(state.ar))] += 1.0
         assert c.to_dict() != concept_doc
@@ -274,8 +317,7 @@ def test_a_pruned_walk_fills_its_columns_and_leaves_rng_as_the_full_walk(dataset
     regression = init_concept(
         example_graph(), ConceptParams(), np.random.default_rng(4), task="regression"
     )
-    swapped = _concept(3)
-    swapped.class_permutation = (2, 0, 1)
+    swapped = replace(_concept(3), class_permutation=(2, 0, 1))
     for c in (_concept(1), swapped, regression, dataset6.concept):
         graph, n = c.graph, 64
         order = graph.topo_order
@@ -331,10 +373,11 @@ def test_the_engine_encodes_only_the_snapshots_that_are_read(monkeypatch):
     assert len(gen.snapshots) == 2 and encoded == []
     doc = gen.snapshots["concept1"].concept
     assert gen.snapshots["concept1"].concept == doc and len(encoded) == 1
-    # dataset3's recurrent event reads one snapshot, to restore it
+    # dataset3's recurrent event restores a snapshot's concept itself,
+    # which it shares, without encoding it
     gen = build_stream(preset_config("dataset3", 0))
     gen.take(2500)
-    assert len(gen.snapshots) == 5 and len(encoded) == 2
+    assert len(gen.snapshots) == 5 and len(encoded) == 1
 
 
 def test_params_validation():

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import causalstream.mappers
 from conftest import COVERAGE_DOC, preset_prefix
 from causalstream.concept import (
     deterministic_label,
@@ -123,8 +124,7 @@ def test_covariate_shift_is_pure():
 
 
 def test_root_params_explicit_values():
-    c = _concept(2)
-    c.root_dists[0] = RootDistribution("normal", 0.0, 1.0)
+    c = _concept(2).with_root_dist(0, RootDistribution("normal", 0.0, 1.0))
     spec = ShiftSpec(
         "local", "abrupt", 10,
         actions=(ShiftAction("root-params", node=0, params={"mean": 3.0, "variance": 4.0}),),
@@ -261,17 +261,16 @@ def test_gradual_selector_ramp():
 
 
 def test_incremental_mean_walk_hits_exact_quarters():
-    c = _concept(7)
-    c.root_dists[0] = RootDistribution("normal", 0.0, 1.0)
+    c = _concept(7).with_root_dist(0, RootDistribution("normal", 0.0, 1.0))
     spec = ShiftSpec(
         "covariate", "incremental", 100, duration=4,
         actions=(ShiftAction("root-params", node=0, params={"mean": 1.0}),),
     )
-    work = c.copy()
+    work = c
     plan = begin_incremental(work, spec, np.random.default_rng(0))
     seen = []
     for i in range(4):
-        incremental_step(work, plan, i, np.random.default_rng(0))
+        work = incremental_step(work, plan, i, np.random.default_rng(0))
         seen.append(work.root_dists[0].p1)
         assert work.root_dists[0].p2 == 1.0
     assert seen == [0.25, 0.5, 0.75, 1.0]
@@ -303,13 +302,33 @@ def test_incremental_endpoint_matches_abrupt(mechanism):
     action = ShiftAction(mechanism, node=node, params=params)
     spec_inc = ShiftSpec(kind, "incremental", 100, duration=5, actions=(action,))
     spec_abr = ShiftSpec(kind, "abrupt", 100, actions=(action,))
-    work = c.copy()
+    work = c
     plan = begin_incremental(work, spec_inc, np.random.default_rng(77))
     for i in range(5):
-        incremental_step(work, plan, i, np.random.default_rng(0))
+        work = incremental_step(work, plan, i, np.random.default_rng(0))
     target = apply_abrupt(c, spec_abr, np.random.default_rng(77))
     assert work.to_dict() == target.to_dict()
     assert work.to_dict() != c.to_dict()
+
+
+@pytest.mark.parametrize("nodes", [(3, 5), (5, 3)])
+def test_a_multi_action_incremental_window_lands_on_the_abrupt_endpoint(nodes):
+    """Node 5 reads node 3, so ``move-prototypes 5`` after
+    ``reinit-random-mlp 3`` re-simulates its parents through the new node 3:
+    each action is planned on the concept after the endpoints of the
+    actions before it, as the abrupt event applies them."""
+    concept = build_stream(preset_config("dataset3", 0)).concept
+    assert 3 in concept.graph.parents[5]
+    mechanism = {3: "reinit-random-mlp", 5: "move-prototypes"}
+    actions = tuple(ShiftAction(mechanism[node], node=node) for node in nodes)
+    spec = ShiftSpec("distributional", "incremental", 100, duration=5, actions=actions)
+    plan = begin_incremental(concept, spec, np.random.default_rng(4))
+    work = concept
+    for i in range(5):
+        work = incremental_step(work, plan, i, np.random.default_rng(0))
+    once = dataclasses.replace(spec, rate="abrupt", duration=1)
+    target = apply_abrupt(concept, once, np.random.default_rng(4))
+    assert work.to_dict() == target.to_dict() != concept.to_dict()
 
 
 def test_partial_step_count_never_reaches_the_stream():
@@ -330,12 +349,12 @@ def test_incremental_refit_requires_sgd_linear():
         actions=(ShiftAction("refit-new-target-fn", node=2),),
     )
     with pytest.raises(ValueError):
-        begin_incremental(c.copy(), spec, np.random.default_rng(0))
+        begin_incremental(c, spec, np.random.default_rng(0))
     ok = ShiftSpec(
         "distributional", "incremental", 100, duration=5,
         actions=(ShiftAction("refit-new-target-fn", node=4),),
     )
-    begin_incremental(c.copy(), ok, np.random.default_rng(0))
+    begin_incremental(c, ok, np.random.default_rng(0))
 
 
 def test_begin_gradual_returns_shifted_endpoint():
@@ -517,3 +536,35 @@ def test_apply_abrupt_copies_only_the_mappers_its_actions_name(mechanism):
     assert out.to_dict() != before
     for n, m in concept.mappers.items():
         assert (out.mappers[n] is m) == (n != node), n
+
+
+@pytest.mark.parametrize("mechanism", sorted(_COW_CASES))
+def test_no_array_or_dict_of_a_drifted_concept_is_writable(mechanism):
+    """After the abrupt event and after each step of the incremental one,
+    every array of every mapper of the concept is read-only, and so are its
+    dicts; drift makes no copy of a mapper, and no function to make one
+    is left."""
+    kind, node = _COW_CASES[mechanism]
+    concept = build_stream(parse_config(copy.deepcopy(COVERAGE_DOC)).generator).concept
+    params = {"shift_std": 1.0} if mechanism == "root-params" else {}
+    action = ShiftAction(mechanism, node, params)
+    rng = np.random.default_rng(5)
+    versions = [apply_abrupt(concept, ShiftSpec(kind, "abrupt", 0, 1, (action,)), rng)]
+    if mechanism not in ("change-distance", "swap-classes"):  # the two without a plan
+        plan = begin_incremental(concept, ShiftSpec(kind, "incremental", 0, 3, (action,)), rng)
+        work = concept
+        for i in range(3):
+            work = incremental_step(work, plan, i, rng)
+            versions.append(work)
+    for c in versions:
+        for m in c.mappers.values():
+            arrays = [v for v in vars(m).values() if isinstance(v, np.ndarray)]
+            assert arrays, m.kind
+            for v in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    v[...] = 0
+        with pytest.raises(TypeError):
+            c.mappers[2] = c.mappers[3]
+        with pytest.raises(TypeError):
+            c.root_dists[0] = c.root_dists[1]
+    assert not hasattr(causalstream.mappers, "copy_mapper")

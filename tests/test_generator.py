@@ -7,7 +7,7 @@ import pytest
 from conftest import COVERAGE_DOC, preset_prefix, wide_refit
 import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
-from causalstream.concept import ConceptParams
+from causalstream.concept import ConceptParams, restore_concept
 from causalstream.config import GeneratorConfig, parse_config
 from causalstream.drift import (
     DriftSchedule,
@@ -148,6 +148,23 @@ def test_snapshots_cover_every_event():
     gen = build_stream(cfg)
     gen.take(cfg.dataset_size)
     assert set(gen.snapshots) >= {f"concept{i}" for i in range(5)}
+
+
+@pytest.mark.parametrize("preset", ["dataset2", "dataset3"])
+def test_snapshots_share_every_mapper_that_no_event_names(preset):
+    """Each snapshot, and each recurrent restore, holds the very mapper
+    objects of the live concept for every node that no event of the run
+    names: no event copies a mapper."""
+    cfg = preset_config(preset, 0)
+    gen = build_stream(cfg)
+    gen.take(cfg.dataset_size)
+    named = {action.node for event in cfg.schedule for action in event.actions}
+    live = gen.concept.mappers
+    unnamed = [node for node in live if node not in named]
+    assert unnamed and len(gen.snapshots) == len(cfg.schedule) + 1
+    for sid, snap in gen.snapshots.items():
+        held = restore_concept(snap).mappers
+        assert all(held[node] is live[node] for node in unnamed), sid
 
 
 def test_feature_subsample_limits_emission():

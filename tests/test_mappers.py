@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from causalstream import mappers
 from causalstream.mappers import (
     CATEGORICAL_KINDS,
+    CENTROID_KINDS,
+    CONTINUOUS_KINDS,
     GaussianPrototypeMapper,
     HyperplaneMapper,
     ParentStats,
@@ -177,7 +179,7 @@ def test_hyperplane_predict_and_rotate():
     m = HyperplaneMapper(np.array([1.0, 0.0]), 0.0, stats)
     assert m.predict(np.array([0.5, 3.0])) == 1
     assert m.predict(np.array([-0.5, 1.0])) == 0
-    m.rotate(math.pi, np.array([0.0, 1.0]))
+    m = m.rotate(math.pi, np.array([0.0, 1.0]))
     assert m.predict(np.array([0.5, 0.0])) == 0
     assert m.predict(np.array([-0.5, 0.0])) == 1
 
@@ -254,6 +256,42 @@ def _every_kind(k: int):
     return mappers
 
 
+def _assert_read_only(m) -> None:
+    arrays = [v for v in vars(m).values() if isinstance(v, np.ndarray)]
+    assert arrays, m.kind
+    for v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0
+
+
+def test_every_kind_is_read_only_and_every_change_builds_a_new_mapper():
+    """Each of the 8 kinds is frozen once built, and each method that drift
+    uses returns a new frozen mapper and leaves the one it was called on as
+    it was."""
+    X = np.random.default_rng(7).normal(0.0, 2.0, size=(64, 3))
+    rng = np.random.default_rng(8)
+    kinds = set()
+    for m in _every_kind(3):
+        kinds.add(m.kind)
+        before = serialize_params(m)
+        changed = [m._with()]
+        if m.kind in CONTINUOUS_KINDS:
+            changed.append(m.calibrate(X))
+        if m.kind == "random-mlp":
+            changed.append(m.reinit(rng))
+        if m.kind == "sgd-linear":
+            changed += [m.reset_partial_schedule(), m.partial_fit(X[0], 1.0)]
+        if m.kind in CENTROID_KINDS:
+            changed += [m.move_centroids(rng), m.move_centroids(rng, ParentStats.from_samples(X))]
+        if m.kind == "hyperplane":
+            changed.append(m.rotate(1.0, np.array([0.0, 0.6, 0.8])))
+        for new in [m, *changed]:
+            _assert_read_only(new)
+        assert all(new is not m for new in changed), m.kind
+        assert serialize_params(m) == before, m.kind
+    assert kinds == set(CONTINUOUS_KINDS + CATEGORICAL_KINDS)
+
+
 @pytest.mark.parametrize("k", [1, 3, 9])
 def test_predict_rows_do_not_depend_on_the_batch(k):
     """A row's output has the same bits alone, in chunks of 7 and among 4096."""
@@ -290,7 +328,7 @@ def test_predict_is_the_one_product_path():
         assert np.array_equal(chunked, full), m.kind
         assert np.array_equal(np.array([m.predict(x) for x in X]), full), m.kind
         if m.kind not in CATEGORICAL_KINDS:
-            m.calibrate(X)
+            m = m.calibrate(X)
             preds = m.predict(X)
             assert m.out_mean == float(preds.mean()), m.kind
             assert m.out_scale == float(preds.std()), m.kind
@@ -406,7 +444,7 @@ def test_every_sgd_arity_matches_the_float_steps(k, n, seed):
     m = SGDLinearMapper(w, b, in_mean=np.zeros(k), in_scale=np.ones(k))
     w0 = w0.tolist()
     for t, (row, target) in enumerate(zip(z, y.tolist()), start=1):
-        m.partial_fit(row, target)
+        m = m.partial_fit(row, target)
         b0 = _float_sgd_step(w0, b0, row.tolist(), target, t)
     assert _same_bits(m.w, np.array(w0))
     assert type(m.b) is float and _same_bits(m.b, b0)
@@ -502,17 +540,19 @@ def test_sgd_fit_matches_numpy_updates(n, k, target):
 def test_partial_fit_matches_numpy_updates(k):
     X = np.random.default_rng(k).normal(size=(200, k))
     m = fit_continuous_mapper("sgd-linear", X, TargetFunction("sine"), np.random.default_rng(1))
-    w_array = m.w
+    first, w_before = m, m.w.copy()
     w, b = m.w.tolist(), m.b
     w1, b1 = m.w.copy(), m.b
     rng = np.random.default_rng(2)
     for t in range(1, 300):
         z = rng.normal(size=k)
         y = float(eval_target_function(TargetFunction("rbf"), z))
-        m.partial_fit(z, y)
+        m = m.partial_fit(z, y)
         b = _float_sgd_step(w, b, z.tolist(), y, t)
         b1 = _numpy_sgd_step(w1, b1, z, y, t)
-    assert m.w is w_array  # updated in place
+    # each step builds a new mapper and leaves the one before it as it was
+    assert m._partial_steps == 299 and first._partial_steps == 0
+    assert _same_bits(first.w, w_before) and not first.w.flags.writeable
     assert _same_bits(m.w, np.array(w))
     assert type(m.b) is float and _same_bits(m.b, b)
     assert np.allclose(m.w, w1, rtol=1e-9) and np.isclose(m.b, b1, rtol=1e-9)

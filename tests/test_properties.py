@@ -229,11 +229,12 @@ _STEPPED = {
 def test_an_incremental_window_lands_on_the_abrupt_endpoint(
     cfg, kind, duration, seed, root_params
 ):
-    """Every stepped mechanism on every node it fits: the plan run over
-    ``duration`` steps and the abrupt event, from the same schedule draws,
-    give equal concept documents.  Every inner feature node is pinned to
-    ``kind``; the drawn schedule, which may name a node by another kind, is
-    dropped."""
+    """Every stepped mechanism on every node it fits, alone, and events of
+    2-3 of those actions of one shift kind, in a drawn order: the plan run
+    over ``duration`` steps and the abrupt event, from the same schedule
+    draws, give equal concept documents.  Every inner feature node is
+    pinned to ``kind``; the drawn schedule, which may name a node by another
+    kind, is dropped."""
     graph = cfg.graph
     pin = {"mapper": kind, "n_classes": 2}
     inner = [n for n in graph.feature_nodes if not graph.is_root(n)]
@@ -250,16 +251,22 @@ def test_an_incremental_window_lands_on_the_abrupt_endpoint(
         for node, m in concept.mappers.items()
         if m.kind in _STEPPED
     ]
-    for shift_kind, action in actions:
-        spec = ShiftSpec(shift_kind, "incremental", 0, duration, (action,))
-        work = concept.copy()
-        plan = begin_incremental(work, spec, np.random.default_rng(seed))
-        steps = np.random.default_rng(seed + 1)
+    events = [(shift_kind, (action,)) for shift_kind, action in actions]
+    order = np.random.default_rng(seed)
+    for shift_kind in ("covariate", "distributional"):
+        group = [action for k, action in actions if k == shift_kind]
+        if len(group) > 1:
+            picks = order.permutation(len(group))[: order.integers(2, 4)]
+            events.append((shift_kind, tuple(group[i] for i in picks)))
+    for shift_kind, acts in events:
+        spec = ShiftSpec(shift_kind, "incremental", 0, duration, acts)
+        plan = begin_incremental(concept, spec, np.random.default_rng(seed))
+        work, steps = concept, np.random.default_rng(seed + 1)
         for i in range(duration):
-            plan.step(work, i, steps)
+            work = plan.step(work, i, steps)
         once = replace(spec, rate="abrupt", duration=1)
         abrupt = apply_abrupt(concept, once, np.random.default_rng(seed))
-        assert work.to_dict() == abrupt.to_dict(), action
+        assert work.to_dict() == abrupt.to_dict(), acts
 
 
 def _drift_free(cfg, **changes):
