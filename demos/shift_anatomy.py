@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from causalstream import (
+    ConceptSnapshot,
     ShiftAction,
     ShiftSpec,
     TemporalState,
@@ -21,7 +22,6 @@ from causalstream import (
     init_concept,
     preset_config,
     serialize_params,
-    snapshot_concept,
 )
 from causalstream.presets import example_graph
 
@@ -81,7 +81,7 @@ def main():
         f"exact transposition: {np.array_equal(post, expected)}"
     )
 
-    snap = snapshot_concept(
+    snap = ConceptSnapshot(
         concept, TemporalState.initial(concept.root_dists, concept.continuous_nodes)
     )
     drifted = apply_abrupt(

@@ -19,9 +19,7 @@ from .concept import (
     ConceptSnapshot,
     deterministic_label,
     init_concept,
-    restore_concept,
     simulate_concept_samples,
-    snapshot_concept,
 )
 from .config import (
     AnalysisOptions,

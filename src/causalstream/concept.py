@@ -9,18 +9,17 @@ values concentrate far below the raw distribution spread.
 
 Nothing a concept holds is mutable, so drift builds a new concept, and
 concept versions and snapshots share every mapper that no event replaces.
-A snapshot holds the concept itself and a copy of the temporal state, and
-encodes the concept (graph, distributions, mapper parameters, class
-permutation) on its first read, since most snapshots are never read; the
-document round-trips every float exactly.  Restoring one never restores the
-temporal state, which keeps dynamics continuous across recurrent drift.
+A snapshot is a frozen value: the concept itself and the frozen temporal
+state at capture, neither copied.  Its JSON document (graph, distributions,
+mapper parameters, class permutation, state) round-trips every float
+exactly.  Restoring one never restores the temporal state, which keeps
+dynamics continuous across recurrent drift.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -52,8 +51,6 @@ __all__ = [
     "Concept",
     "ConceptSnapshot",
     "init_concept",
-    "snapshot_concept",
-    "restore_concept",
     "deterministic_label",
     "simulate_concept_samples",
 ]
@@ -168,46 +165,20 @@ class Concept(Serializable):
         return self.to_dict() == other.to_dict()
 
 
-class ConceptSnapshot:
-    """A concept plus the temporal state at capture.
+@dataclass(frozen=True)
+class ConceptSnapshot(Serializable):
+    """A concept plus the temporal state at capture, both shared with the
+    stream, since neither can change.
 
-    The concept is encoded to JSON text on its first read, and each read of
-    ``concept`` or ``state`` builds a new document.  Restoring applies the
-    concept only; the captured state is recorded for run files and
-    inspection but deliberately not fed back into a stream.
+    Restoring applies the concept only; the captured state is recorded for
+    run files and inspection but deliberately not fed back into a stream.
     """
 
-    def __init__(self, concept: Concept, state: TemporalState):
-        self._concept = concept
-        self._state = state
-
-    @cached_property
-    def _json(self) -> str:
-        return json.dumps(self._concept.to_dict(), sort_keys=True)
-
-    @property
-    def concept(self) -> dict:
-        return json.loads(self._json)
-
-    @property
-    def state(self) -> dict:
-        return self._state.to_dict()
+    concept: Concept
+    state: TemporalState
 
     def to_json(self) -> str:
-        return json.dumps({"concept": self.concept, "state": self.state}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ConceptSnapshot":
-        d = json.loads(s)
-        return cls(Concept.from_dict(d["concept"]), TemporalState.from_dict(d["state"]))
-
-
-def snapshot_concept(concept: Concept, state: TemporalState) -> ConceptSnapshot:
-    return ConceptSnapshot(concept, state.copy())
-
-
-def restore_concept(snap: ConceptSnapshot) -> Concept:
-    return snap._concept
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def deterministic_label(concept: Concept, node_values: Mapping[int, float]) -> int:

@@ -24,15 +24,16 @@ event.
 Every mechanism is one entry of the ``_MECHANISMS`` table: the shift kinds it
 serves, what it may act on (a root, the label or mapper kinds), its
 incremental plan, an abrupt apply where the abrupt event is not the plan run
-to the end, and its parameter check.  Event validation, abrupt application
-and incremental plans all read the table, so a new mechanism is added there
-and nowhere else.  Concepts are immutable: every apply and every step
-returns a new concept.
+to the end, the keys its params may hold and its parameter check.  Event
+validation, abrupt application and incremental plans all read the table, so
+a new mechanism is added there and nowhere else.  Concepts are immutable:
+every apply and every step returns a new concept.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -40,12 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._codec import Serializable
-from .concept import (
-    Concept,
-    ConceptSnapshot,
-    restore_concept,
-    simulate_concept_samples,
-)
+from .concept import Concept, ConceptSnapshot, simulate_concept_samples
 from .mappers import (
     CENTROID_KINDS,
     FITTABLE_KINDS,
@@ -91,13 +87,17 @@ class ShiftAction(Serializable):
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mechanism not in _MECHANISMS:
+        mech = _MECHANISMS.get(self.mechanism)
+        if mech is None:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if _MECHANISMS[self.mechanism].targets == (_LABEL,):
+        if mech.targets == (_LABEL,):
             if self.node is not None:
                 raise ValueError(f"{self.mechanism} acts on the label, not a node")
         elif self.node is None:
             raise ValueError(f"{self.mechanism} needs a node")
+        unknown = sorted(set(self.params) - set(mech.keys))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {self.mechanism} params")
 
 
 @dataclass(frozen=True)
@@ -248,6 +248,13 @@ def _new_target_fn_kind(concept: Concept, node: int, params: dict, rng) -> str:
     return kind
 
 
+def _check_number(what: str, value) -> None:
+    """Raise unless ``value`` is a finite int or float; a bool is neither."""
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+
+
 def _check_refit(concept: Concept, params: dict) -> None:
     if params.get("target_fn") not in (None, *TARGET_FN_KINDS):
         raise ValueError(f"unknown target function {params['target_fn']!r}")
@@ -338,18 +345,18 @@ def _orthogonal_unit(w: np.ndarray, rng) -> np.ndarray:
     raise ValueError("could not draw a direction orthogonal to the hyperplane")
 
 
-def _rotation(mapper, params: dict, rng) -> tuple[float, np.ndarray]:
-    """(angle in radians, unit direction orthogonal to ``w``); angle first."""
-
-    angle = params.get("angle_deg")
-    if angle is None:
-        angle = float(rng.uniform(30.0, 150.0))
-    return np.deg2rad(float(angle)), _orthogonal_unit(mapper.w, rng)
+def _check_rotate(concept: Concept, params: dict) -> None:
+    if params.get("angle_deg") is not None:
+        _check_number("rotate-hyperplane angle_deg", params["angle_deg"])
 
 
 def _plan_rotate(concept: Concept, action: ShiftAction, rng):
     node, mapper = action.node, concept.mappers[action.node]
-    angle, u = _rotation(mapper, action.params, rng)
+    angle = action.params.get("angle_deg")
+    if angle is None:
+        angle = float(rng.uniform(30.0, 150.0))
+    # the angle is drawn before the unit direction orthogonal to ``w``
+    angle, u = np.deg2rad(float(angle)), _orthogonal_unit(mapper.w, rng)
 
     def step(c: Concept, frac: float, rng) -> Concept:
         return c.with_mapper(node, mapper.rotate(frac * angle, u))
@@ -365,7 +372,9 @@ def _check_swap(concept: Concept, params: dict) -> None:
     if (c1 is None) != (c2 is None):
         raise ValueError("swap-classes needs both c1 and c2, or neither")
     if c1 is not None:
-        c1, c2 = int(c1), int(c2)
+        for c in (c1, c2):
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                raise ValueError(f"swap-classes classes must be integers, not {c!r}")
         if c1 == c2 or not (0 <= c1 < n and 0 <= c2 < n):
             raise ValueError(f"cannot swap classes {c1} and {c2} of {n}")
 
@@ -385,16 +394,13 @@ _ROOT_NUMBERS = ("shift_std", "scale_factor", "mean", "variance", "low", "high")
 
 
 def _check_root(concept: Concept, params: dict) -> None:
+    if not isinstance(params.get("redraw", False), bool):
+        raise ValueError(f"root-params redraw must be true or false, not {params['redraw']!r}")
     for key in _ROOT_NUMBERS:
         if key not in params:
             continue
-        try:
-            value = float(params[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"root-params {key} must be a number, not {params[key]!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"root-params {key} must be finite")
-        if key in ("scale_factor", "variance") and value <= 0:
+        _check_number(f"root-params {key}", params[key])
+        if key in ("scale_factor", "variance") and params[key] <= 0:
             raise ValueError(f"{key} must be positive")
 
 
@@ -452,6 +458,8 @@ class _Mechanism:
     check: Callable | None = None
     # narrower targets for the incremental plan, when they differ
     plan_targets: tuple[str, ...] | None = None
+    # the keys the action's params may hold
+    keys: tuple[str, ...] = ()
 
     def abrupt(self, concept: Concept, action: ShiftAction, rng) -> Concept:
         if self.apply is not None:
@@ -467,15 +475,34 @@ _MECHANISMS = {
         _refit,
         _check_refit,
         plan_targets=("sgd-linear",),
+        keys=("target_fn",),
     ),
     "reinit-random-mlp": _Mechanism(("distributional",), ("random-mlp",), _plan_reinit),
     "move-prototypes": _Mechanism(("distributional",), CENTROID_KINDS, _plan_move_prototypes),
     "change-distance": _Mechanism(
-        ("distributional",), ("prototype",), apply=_change_distance, check=_check_distance
+        ("distributional",),
+        ("prototype",),
+        apply=_change_distance,
+        check=_check_distance,
+        keys=("distance",),
     ),
-    "rotate-hyperplane": _Mechanism(("distributional",), ("hyperplane",), _plan_rotate),
-    "swap-classes": _Mechanism(("severe",), (_LABEL,), apply=_swap_classes, check=_check_swap),
-    "root-params": _Mechanism(("covariate", "local"), (_ROOT,), _plan_root, check=_check_root),
+    "rotate-hyperplane": _Mechanism(
+        ("distributional",),
+        ("hyperplane",),
+        _plan_rotate,
+        check=_check_rotate,
+        keys=("angle_deg",),
+    ),
+    "swap-classes": _Mechanism(
+        ("severe",), (_LABEL,), apply=_swap_classes, check=_check_swap, keys=("c1", "c2")
+    ),
+    "root-params": _Mechanism(
+        ("covariate", "local"),
+        (_ROOT,),
+        _plan_root,
+        check=_check_root,
+        keys=(*_ROOT_NUMBERS, "redraw"),
+    ),
 }
 MECHANISMS = tuple(_MECHANISMS)
 
@@ -530,7 +557,7 @@ def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
 def apply_recurrent(concept: Concept, snap: ConceptSnapshot) -> Concept:
     """Bring back a snapshotted concept; temporal state is left alone."""
 
-    return restore_concept(snap)
+    return snap.concept
 
 
 def begin_gradual(concept: Concept, spec: ShiftSpec, rng) -> Concept:
@@ -553,10 +580,10 @@ def gradual_selector(t: int, spec: ShiftSpec, rng) -> bool:
     return bool(rng.random() < p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncrementalPlan:
     spec: ShiftSpec
-    steppers: list
+    steppers: tuple[Callable, ...]
 
     def step(self, concept: Concept, step_index: int, rng) -> Concept:
         """The concept at position ``(step_index + 1) / duration`` of the window."""
@@ -582,7 +609,7 @@ def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan
         steppers.append(mech.plan(concept, action, rng))
         if mech.apply is None:  # the stepper puts its endpoint without a draw
             concept = steppers[-1](concept, 1.0, None)
-    return IncrementalPlan(spec=spec, steppers=steppers)
+    return IncrementalPlan(spec, tuple(steppers))
 
 
 def incremental_step(concept: Concept, plan: IncrementalPlan, step_index: int, rng) -> Concept:

@@ -230,9 +230,6 @@ class NaiveBayesLearner:
         self._log_norm = np.log(2 * np.pi * self._var)
         self._log_prior = np.log((self.counts + 1.0) / (self._rows + n_classes))
 
-    def _class_var(self) -> np.ndarray:
-        return self._var
-
     def predict(self, x: np.ndarray) -> int:
         z = self.stats.impute(np.asarray(x, dtype=float))
         ll = -0.5 * ((z - self.means) ** 2 / self._var + self._log_norm).sum(axis=1)

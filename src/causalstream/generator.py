@@ -31,7 +31,6 @@ from .concept import (
     ConceptSnapshot,
     _ancestor_walk,
     init_concept,
-    snapshot_concept,
 )
 from .drift import (
     DriftSchedule,
@@ -185,11 +184,12 @@ class StreamGenerator:
     and every ``predict`` gives a row the same bits however many rows share
     the call.  A stream's bytes therefore do not depend on where segments
     end.  An event inside a segment is snapshotted after phase 1, with the
-    temporal state after the row before it, read from the nodes' paths.  ``step``, ``take`` and iteration read rows from the current
-    segment; ``concept``, ``state`` and the substreams may run up to one
-    segment ahead of the rows handed out.  ``length``, when given, is one
-    more segment boundary: a consumer that takes ``length`` rows leaves
-    nothing built past them.
+    temporal state after the row before it, read from the nodes' paths.
+    ``step``, ``take`` and iteration read rows from the current segment;
+    ``concept``, ``state`` and the substreams may run up to one segment
+    ahead of the rows handed out.  ``length``, when given, is one more
+    segment boundary: a consumer that takes ``length`` rows leaves nothing
+    built past them.
     """
 
     def __init__(
@@ -228,7 +228,7 @@ class StreamGenerator:
         self._rows = iter(())
         self.snapshots: dict[str, ConceptSnapshot] = {}
         self._concept_id = concept_id(0)
-        self.snapshots[self._concept_id] = snapshot_concept(concept, self.state)
+        self.snapshots[self._concept_id] = ConceptSnapshot(concept, self.state)
         self._next_event = 0
         # the open gradual or incremental window, if any (windows are
         # disjoint): its spec, its concept id, and the endpoint concept of a
@@ -249,7 +249,7 @@ class StreamGenerator:
                 self.concept = shift
             # incremental concepts already sit exactly on the endpoint
             self._concept_id, self._window = event_id, None
-            self.snapshots[event_id] = snapshot_concept(self.concept, self.state)
+            self.snapshots[event_id] = ConceptSnapshot(self.concept, self.state)
         events = self.schedule.events[self._next_event :]
         if not events or events[0].t_start > t or events[0].rate == "abrupt":
             return
@@ -339,7 +339,7 @@ class StreamGenerator:
         versions, ids, which, starts = self._segment_concept()
         drawn, forced, missing, states = self._draw_rows(versions, which, starts)
         for k, state in enumerate(states, start=1):
-            self.snapshots[ids[k]] = snapshot_concept(versions[k], state)
+            self.snapshots[ids[k]] = ConceptSnapshot(versions[k], state)
         overrides: dict[int, tuple[list[int], list]] = {}
         for i, row in enumerate(forced):
             for node, value in row.items():
@@ -596,18 +596,18 @@ class StreamFrame:
         return self.X.shape[0]
 
 
-def collect(source, n: int | None = None, task: str | None = None) -> StreamFrame:
+def collect(source, n: int | None = None) -> StreamFrame:
     """Materialize instances into arrays.
 
-    ``source`` is a StreamGenerator (then ``n`` is required) or any iterable
-    of Instance.
+    ``source`` is a StreamGenerator (then ``n`` is required), whose concept
+    gives the task, or any iterable of Instance, whose labels do.
     """
 
+    task = None
     if isinstance(source, StreamGenerator):
         if n is None:
             raise ValueError("n is required when collecting from a generator")
-        if task is None:
-            task = source.concept.task
+        task = source.concept.task
         names = source.feature_names
         instances = source.take(n)
     else:

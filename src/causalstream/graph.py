@@ -87,8 +87,8 @@ class CausalGraph(Serializable):
 def topological_order(graph: CausalGraph | dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """Stable Kahn topological order, ascending node id among ready nodes.
 
-    Accepts either a :class:`CausalGraph` or a bare ``parents`` mapping (the
-    latter is what the graph constructor itself uses).  Raises ``ValueError``
+    Accepts either a :class:`CausalGraph` (the graph constructor passes
+    itself) or a bare ``parents`` mapping.  Raises ``ValueError``
     if the edges contain a cycle; construction guarantees acyclicity, so the
     check exists for graphs deserialized from config files.
     """

@@ -14,6 +14,7 @@ prediction std) before stepping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,17 +46,22 @@ class TemporalParams(Serializable):
             raise ValueError("sigma must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TemporalState(Serializable):
-    """Mutable per-node dynamic state.
+    """Per-node dynamic state at one row.
 
     ``ewma`` holds the previous output of each root; ``ar`` holds the AR(1)
-    noise of every continuous node.  Fresh streams start at the distribution
-    mean with zero noise (``initial``).
+    noise of every continuous node.  The state holds read-only views of
+    copies of the two dicts it is given.  Fresh streams start at the
+    distribution mean with zero noise (``initial``).
     """
 
     ewma: dict[int, float] = field(default_factory=dict)
     ar: dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ewma", MappingProxyType(self.ewma.copy()))
+        object.__setattr__(self, "ar", MappingProxyType(self.ar.copy()))
 
     @classmethod
     def initial(
@@ -67,9 +73,6 @@ class TemporalState(Serializable):
             ewma={n: d.mean() for n, d in root_dists.items()},
             ar={int(n): 0.0 for n in continuous_nodes},
         )
-
-    def copy(self) -> "TemporalState":
-        return TemporalState(ewma=dict(self.ewma), ar=dict(self.ar))
 
 
 def ar_noise_step(

@@ -13,11 +13,7 @@ import pytest
 from conftest import record_criterion
 
 from causalstream.analysis import acf, ljung_box, mmd_heatmap
-from causalstream.concept import (
-    deterministic_label,
-    init_concept,
-    snapshot_concept,
-)
+from causalstream.concept import ConceptSnapshot, deterministic_label, init_concept
 from causalstream.temporal import TemporalParams
 from causalstream.drift import DriftSchedule, ShiftAction, ShiftSpec, apply_abrupt, apply_recurrent
 from causalstream.evaluate import (
@@ -208,7 +204,7 @@ def test_criterion_05_severe_shift_exactness():
 def test_criterion_06_recurrent_restore():
     c = _grid_concept(4)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)
-    snap = snapshot_concept(c, state)
+    snap = ConceptSnapshot(c, state)
     pts, labels = _grid_labels(c, 10_000)
     drifted = apply_abrupt(
         c,

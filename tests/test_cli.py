@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -134,6 +135,36 @@ def test_forced_value_spec_needs_a_continuous_node(tmp_path, capsys, node):
             {"mechanism": "root-params", "node": 0, "params": {"shift_std": "big"}}]},
         {"kind": "severe", "actions": [
             {"mechanism": "swap-classes", "params": {"c1": 1}}]},
+        {"kind": "covariate", "actions": [
+            {"mechanism": "root-params", "node": 0, "params": {"shift_sd": 3.0}}]},
+        {"kind": "covariate", "actions": [
+            {"mechanism": "root-params", "node": 0, "params": {"redraw": 1}}]},
+        {"kind": "severe", "actions": [
+            {"mechanism": "swap-classes", "params": {"c1": 0.5, "c2": 2}}]},
+        {"kind": "severe", "actions": [
+            {"mechanism": "swap-classes", "params": {"c1": True, "c2": 2}}]},
+        {"kind": "severe", "actions": [
+            {"mechanism": "swap-classes", "params": {"c1": 1.9, "c2": 2}}]},
+        {"kind": "severe", "actions": [
+            {"mechanism": "swap-classes", "params": {"c1": "1", "c2": 2}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "refit-new-target-fn", "node": 2, "params": {"angle_deg": 30.0}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "change-distance", "node": 5, "params": {"c1": 0}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "reinit-random-mlp", "node": 3, "params": {"scale": 2.0}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "move-prototypes", "node": 5, "params": {"distance": "euclidean"}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "rotate-hyperplane", "node": 5, "params": {"angle": 30.0}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "rotate-hyperplane", "node": 5, "params": {"angle_deg": "wide"}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "rotate-hyperplane", "node": 5, "params": {"angle_deg": math.nan}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "rotate-hyperplane", "node": 5, "params": {"angle_deg": math.inf}}]},
+        {"kind": "distributional", "actions": [
+            {"mechanism": "rotate-hyperplane", "node": 5, "params": {"angle_deg": True}}]},
     ],
     ids=[
         "swap-class-out-of-range",
@@ -143,10 +174,29 @@ def test_forced_value_spec_needs_a_continuous_node(tmp_path, capsys, node):
         "negative-variance",
         "shift-std-not-a-number",
         "swap-one-class",
+        "root-unknown-key",
+        "redraw-not-a-bool",
+        "swap-fraction",
+        "swap-bool",
+        "swap-fraction-above-one",
+        "swap-string",
+        "refit-unknown-key",
+        "distance-unknown-key",
+        "reinit-unknown-key",
+        "move-unknown-key",
+        "rotate-unknown-key",
+        "angle-not-a-number",
+        "angle-nan",
+        "angle-infinite",
+        "angle-bool",
     ],
 )
 def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
-    doc = config_to_document(preset_prefix("dataset1", 400))
+    # a rotation needs a hyperplane node: node 5 of the coverage config
+    if event["actions"][0]["mechanism"] == "rotate-hyperplane":
+        doc = copy.deepcopy(COVERAGE_DOC)
+    else:
+        doc = config_to_document(preset_prefix("dataset1", 400))
     doc["schedule"] = {"events": [dict(event, rate="abrupt", t_start=200)]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -11,9 +11,7 @@ from causalstream.concept import (
     ConceptSnapshot,
     deterministic_label,
     init_concept,
-    restore_concept,
     simulate_concept_samples,
-    snapshot_concept,
 )
 from causalstream.drift import ShiftAction, ShiftSpec, apply_abrupt
 from causalstream.generator import GeneratorConfig, build_stream, collect
@@ -190,8 +188,8 @@ def test_copy_shares_no_mapper_array(kinds):
 def test_snapshot_round_trip_and_isolation():
     c = _concept(8)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)
-    snap = snapshot_concept(c, state)
-    restored = restore_concept(snap)
+    snap = ConceptSnapshot(c, state)
+    restored = snap.concept
     assert restored == c
     # drift the restored concept; the snapshot must not follow
     target = c.graph.target
@@ -199,7 +197,7 @@ def test_snapshot_round_trip_and_isolation():
         target, restored.mappers[target].move_centroids(np.random.default_rng(0))
     )
     assert drifted != c
-    again = restore_concept(snap)
+    again = snap.concept
     assert again == c
     assert serialize_params(again.mappers[c.graph.target]) == serialize_params(
         c.mappers[c.graph.target]
@@ -213,10 +211,10 @@ def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
     # equal to a JSON round trip of the concept, so the bytes are the same
     concept_doc = json.loads(json.dumps(c.to_dict()))
     state_doc = json.loads(json.dumps(state.to_dict()))
-    snap = snapshot_concept(c, state)
-    # every array, tuple and dict the live concept holds refuses an edit in
-    # place; change each in a new live concept instead, before the snapshot
-    # is first read, then again after
+    snap = ConceptSnapshot(c, state)
+    # every array, tuple and dict the live concept and state hold refuses an
+    # edit in place; change each in a new live concept or state instead,
+    # twice over
     for edit in range(2):
         for node, mapper in c.mappers.items():
             for key, value in vars(mapper).items():
@@ -238,21 +236,28 @@ def test_snapshot_is_unmoved_by_in_place_changes_to_the_live_concept():
         with pytest.raises(AttributeError):
             c.class_permutation = tuple(reversed(c.class_permutation))
         c = replace(c, class_permutation=tuple(reversed(c.class_permutation)))
-        state.ewma[next(iter(state.ewma))] += 1.0
-        state.ar[next(iter(state.ar))] += 1.0
+        with pytest.raises(TypeError):
+            state.ewma[next(iter(state.ewma))] += 1.0
+        with pytest.raises(TypeError):
+            state.ar[next(iter(state.ar))] += 1.0
+        state = TemporalState(
+            {node: x + 1.0 for node, x in state.ewma.items()},
+            {node: x + 1.0 for node, x in state.ar.items()},
+        )
         assert c.to_dict() != concept_doc
-        assert snap.concept == concept_doc
-        assert snap.state == state_doc
-    # a read hands out a copy: editing it moves no later read or restore
+        assert snap.concept.to_dict() == concept_doc
+        assert snap.state.to_dict() == state_doc
+    # a document is new on every read: editing it moves no later read or
+    # restore
     for edit in range(2):
-        doc = snap.concept
+        doc = snap.to_dict()["concept"]
         doc["root_dists"].clear()
         doc["params"]["nodes"][next(iter(doc["params"]["nodes"]))]["dist_params"][0] = 7.0
         doc["mappers"][next(iter(doc["mappers"]))].clear()
         doc["class_permutation"].reverse()
         assert doc != concept_doc
-        assert snap.concept == concept_doc
-        assert restore_concept(snap).to_dict() == concept_doc
+        assert snap.to_dict()["concept"] == concept_doc
+        assert snap.concept.to_dict() == concept_doc
         assert json.loads(snap.to_json())["concept"] == concept_doc
 
 
@@ -260,19 +265,45 @@ def test_editing_a_read_state_moves_no_snapshot_bytes():
     gen = build_stream(preset_config("dataset3", 0))
     snap = gen.snapshots["concept0"]
     before = snap.to_json()
-    state = snap.state
+    state = snap.state.to_dict()
     state["ewma"][next(iter(state["ewma"]))] = 123.0
     state["ar"].clear()
-    assert snap.state != state
+    assert snap.state.to_dict() != state
     assert snap.to_json() == before
+
+
+def test_every_in_place_edit_of_a_state_raises():
+    """A state keeps read-only views of copies of its dicts, also a
+    snapshot's state read from a segment's paths."""
+    ewma, ar = {0: 1.0}, {0: 0.0, 2: 0.5}
+    fresh = TemporalState(ewma, ar)
+    ewma[0] = ar[2] = 9.0
+    assert fresh.ewma == {0: 1.0} and fresh.ar == {0: 0.0, 2: 0.5}
+    gen = build_stream(preset_prefix("dataset1", 600))
+    gen.take(600)
+    for state in (fresh, gen.snapshots["concept1"].state, gen.state):
+        for view in (state.ewma, state.ar):
+            node = next(iter(view))
+            with pytest.raises(TypeError):
+                view[node] = 2.0
+            with pytest.raises(TypeError):
+                view[node] += 2.0
+            with pytest.raises(TypeError):
+                del view[node]
+            for method in ("clear", "pop", "popitem", "setdefault", "update"):
+                with pytest.raises(AttributeError):
+                    getattr(view, method)
+        with pytest.raises(AttributeError):
+            state.ar = {}
 
 
 def test_snapshot_json_round_trip():
     c = _concept(9)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)
-    snap = snapshot_concept(c, state)
-    clone = ConceptSnapshot.from_json(snap.to_json())
+    snap = ConceptSnapshot(c, state)
+    clone = ConceptSnapshot.from_dict(json.loads(snap.to_json()))
     assert clone.concept == snap.concept and clone.state == snap.state
+    assert clone == snap and clone.to_json() == snap.to_json()
 
 
 def test_simulate_concept_samples_shape_and_determinism():
@@ -371,13 +402,17 @@ def test_the_engine_encodes_only_the_snapshots_that_are_read(monkeypatch):
     gen = build_stream(preset_prefix("dataset6", 600))
     gen.take(600)
     assert len(gen.snapshots) == 2 and encoded == []
-    doc = gen.snapshots["concept1"].concept
-    assert gen.snapshots["concept1"].concept == doc and len(encoded) == 1
+    # a read hands out the concept itself; only its document encodes it
+    snap = gen.snapshots["concept1"]
+    assert snap.concept is gen.concept and encoded == []
+    snap.to_json()
+    assert len(encoded) == 1 and encoded[0] is snap.concept
     # dataset3's recurrent event restores a snapshot's concept itself,
     # which it shares, without encoding it
+    encoded.clear()
     gen = build_stream(preset_config("dataset3", 0))
     gen.take(2500)
-    assert len(gen.snapshots) == 5 and len(encoded) == 1
+    assert len(gen.snapshots) == 5 and encoded == []
 
 
 def test_params_validation():

@@ -7,11 +7,10 @@ import pytest
 import causalstream.mappers
 from conftest import COVERAGE_DOC, preset_prefix
 from causalstream.concept import (
+    ConceptSnapshot,
     deterministic_label,
     init_concept,
-    restore_concept,
     simulate_concept_samples,
-    snapshot_concept,
 )
 from causalstream.config import parse_config
 from causalstream.drift import (
@@ -176,6 +175,18 @@ def test_swap_classes_bad_pair_raises():
         apply_abrupt(c, spec, np.random.default_rng(0))
 
 
+def test_python_and_numpy_numbers_pass_the_param_checks():
+    c = _concept(3)
+    swap = ShiftAction("swap-classes", params={"c1": np.int64(0), "c2": np.uint8(1)})
+    swapped = apply_abrupt(c, ShiftSpec("severe", "abrupt", 100, actions=(swap,)), None)
+    assert swapped.class_permutation[:2] == (1, 0)
+    concept = build_stream(parse_config(copy.deepcopy(COVERAGE_DOC)).generator).concept
+    for angle in (60, -30.5, np.int64(90), np.float32(12.5)):
+        rotate = ShiftAction("rotate-hyperplane", 5, {"angle_deg": angle})
+        event = ShiftSpec("distributional", "abrupt", 10, actions=(rotate,))
+        validate_schedule_against(DriftSchedule((event,)), concept)
+
+
 @pytest.mark.parametrize("pair", [{"c1": 1}, {"c2": 0}])
 def test_swap_classes_needs_both_classes_or_neither(pair):
     """A lone c1 or c2 is rejected up front instead of being ignored."""
@@ -198,7 +209,7 @@ def test_root_params_values_are_checked_up_front(params):
 def test_recurrent_restores_snapshot_labels():
     c = _concept(4)
     state = TemporalState.initial(c.root_dists, c.continuous_nodes)
-    snap = snapshot_concept(c, state)
+    snap = ConceptSnapshot(c, state)
     pts, labels = _grid_labels(c)
     drifted = apply_abrupt(
         c,
@@ -218,7 +229,7 @@ def test_recurrent_restores_snapshot_labels():
         [deterministic_label(back, dict(zip(parents, row))) for row in pts]
     )
     assert np.array_equal(restored, labels)
-    assert back == restore_concept(snap)
+    assert back == snap.concept
 
 
 def test_refit_changes_target_function():

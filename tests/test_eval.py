@@ -76,7 +76,7 @@ def test_one_huge_cell_does_not_poison_a_learner(learner):
     if learner is LogisticLearner:
         assert np.isfinite(model.var).all()
     else:
-        assert np.isfinite(model._class_var()).all()
+        assert np.isfinite(model._var).all()
     assert accuracy[1] >= accuracy[0] - 0.02
 
 

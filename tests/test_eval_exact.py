@@ -402,7 +402,7 @@ class CheckedNaiveBayes(NaiveBayesLearner):
 
     def learn(self, x, y):
         super().learn(x, y)
-        kept = (self._log_prior, self._class_var(), self._log_norm)
+        kept = (self._log_prior, self._var, self._log_norm)
         for name, got, want in zip(("log prior", "var", "log norm"), kept, fresh_terms(self)):
             assert bits(got) == bits(want), name
 

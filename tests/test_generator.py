@@ -7,7 +7,7 @@ import pytest
 from conftest import COVERAGE_DOC, preset_prefix, wide_refit
 import causalstream.generator as generator_module
 from causalstream.analysis import ljung_box
-from causalstream.concept import ConceptParams, restore_concept
+from causalstream.concept import ConceptParams
 from causalstream.config import GeneratorConfig, parse_config
 from causalstream.drift import (
     DriftSchedule,
@@ -148,6 +148,9 @@ def test_snapshots_cover_every_event():
     gen = build_stream(cfg)
     gen.take(cfg.dataset_size)
     assert set(gen.snapshots) >= {f"concept{i}" for i in range(5)}
+    # dataset1's events are abrupt, so its last snapshot holds the live
+    # concept itself
+    assert gen.snapshots["concept4"].concept is gen.concept
 
 
 @pytest.mark.parametrize("preset", ["dataset2", "dataset3"])
@@ -163,7 +166,7 @@ def test_snapshots_share_every_mapper_that_no_event_names(preset):
     unnamed = [node for node in live if node not in named]
     assert unnamed and len(gen.snapshots) == len(cfg.schedule) + 1
     for sid, snap in gen.snapshots.items():
-        held = restore_concept(snap).mappers
+        held = snap.concept.mappers
         assert all(held[node] is live[node] for node in unnamed), sid
 
 
@@ -223,7 +226,7 @@ def test_ewma_only_mode_breaks_whiteness():
 
 def _run(cfg, path) -> dict:
     """A whole run: its CSV bytes, each row's fields that the CSV does not
-    hold, and every snapshot document."""
+    hold, and every snapshot's concept and state."""
     gen = build_stream(cfg)
     rows = gen.take(cfg.dataset_size)
     write_stream_csv(path, rows, gen.feature_names)

@@ -335,6 +335,6 @@ def test_a_recurrent_restore_is_exact(cfg):
         return
     initial = gen.concept.to_dict()
     gen.take(rows)
-    assert gen.snapshots["concept0"].concept == initial
+    assert gen.snapshots["concept0"].concept.to_dict() == initial
     assert gen.concept.to_dict() == initial
-    assert gen.snapshots["concept2"].concept == initial
+    assert gen.snapshots["concept2"].concept.to_dict() == initial

@@ -52,10 +52,12 @@ def test_initial_state_is_distribution_means():
 def test_state_round_trip():
     dists = {0: RootDistribution("normal", -1.0, 2.0)}
     st = TemporalState.initial(dists, continuous_nodes=(0, 2))
-    st.ar[2] = 0.7
+    st = TemporalState(st.ewma, st.ar | {2: 0.7})
     clone = TemporalState.from_dict(st.to_dict())
     assert clone.ewma == st.ewma and clone.ar == st.ar
-    clone.ar[2] = 0.0
+    with pytest.raises(TypeError):
+        clone.ar[2] = 0.0
+    clone = TemporalState(clone.ewma, clone.ar | {2: 0.0})
     assert st.ar[2] == 0.7  # copies never alias
 
 
