@@ -61,7 +61,6 @@ from .generator import (
     StreamGenerator,
     build_stream,
     collect,
-    generate,
     spawn_streams,
 )
 from .graph import CausalGraph, build_dag, topological_order

@@ -533,11 +533,14 @@ def _checked(concept: Concept, action: ShiftAction, incremental: bool = False) -
 
 def validate_schedule_against(schedule: DriftSchedule, concept: Concept) -> None:
     """Check every action of every event against the concept's nodes and
-    classes, so a bad schedule fails before the first row."""
+    classes, so a bad schedule fails before the first row, at its path."""
 
-    for event in schedule:
-        for action in event.actions:
-            _checked(concept, action, incremental=event.rate == "incremental")
+    for i, event in enumerate(schedule):
+        for j, action in enumerate(event.actions):
+            try:
+                _checked(concept, action, incremental=event.rate == "incremental")
+            except ValueError as e:
+                raise ValueError(f"schedule.events[{i}].actions[{j}]: {e}") from None
 
 
 def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:

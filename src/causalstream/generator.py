@@ -61,7 +61,6 @@ __all__ = [
     "StreamGenerator",
     "spawn_streams",
     "build_stream",
-    "generate",
     "collect",
 ]
 
@@ -185,11 +184,13 @@ class StreamGenerator:
     the call.  A stream's bytes therefore do not depend on where segments
     end.  An event inside a segment is snapshotted after phase 1, with the
     temporal state after the row before it, read from the nodes' paths.
-    ``step``, ``take`` and iteration read rows from the current segment;
-    ``concept``, ``state`` and the substreams may run up to one segment
-    ahead of the rows handed out.  ``length``, when given, is one more
-    segment boundary: a consumer that takes ``length`` rows leaves nothing
-    built past them.
+    The built segment is the one row buffer of two readers: ``step``,
+    ``take`` and iteration build its ``Instance``s on their first read of
+    it, and ``collect`` slices its arrays and builds none.  Either reader
+    goes on from the row the other stopped at.  ``concept``, ``state`` and
+    the substreams may run up to one segment ahead of the rows handed out.
+    ``length``, when given, is one more segment boundary: a consumer that
+    takes ``length`` rows leaves nothing built past them.
     """
 
     def __init__(
@@ -220,12 +221,16 @@ class StreamGenerator:
                 raise ValueError(f"cannot emit node {bad[0]}")
         self.emitted_features = emitted_features
         self.feature_names = tuple(f"x{i + 1}" for i in range(len(emitted_features)))
-        # ``t`` is the next row ``step`` hands out; ``_built`` the next row
-        # the engine builds
+        # ``t`` is the next row handed out; ``_built`` the next row the
+        # engine builds
         self.t = 0
         self._built = 0
         self._length = length
-        self._rows = iter(())
+        # the segment that ends at ``_built``: its first row, node values,
+        # forced values, masked features and row concept ids; ``_rows`` holds
+        # its instances once ``step`` has read it
+        self._seg: tuple | None = None
+        self._rows: list[Instance] | None = None
         self.snapshots: dict[str, ConceptSnapshot] = {}
         self._concept_id = concept_id(0)
         self.snapshots[self._concept_id] = ConceptSnapshot(concept, self.state)
@@ -330,7 +335,7 @@ class StreamGenerator:
 
     # -- the segment engine --------------------------------------------------
 
-    def _segment(self) -> list[Instance]:
+    def _segment(self) -> None:
         """Open or close a window, plan the next segment, then build its
         rows and snapshot each concept its events completed."""
 
@@ -346,24 +351,20 @@ class StreamGenerator:
                 rows, vals = overrides.setdefault(node, ([], []))
                 rows.append(i)
                 vals.append(value)
-        concept = versions[0]
-        mapper, permutation = (lambda node, P: concept.mappers[node]), concept.class_permutation
-        if len(versions) > 1:
-            # each version's rows, grouped once for every node
-            order = np.argsort(which, kind="stable")
-            groups = np.split(order, np.searchsorted(which[order], range(1, len(versions))))
-            mapper, permutation = (lambda node, P: _RowMappers(versions, groups, node)), None
+        # each version's rows, grouped once for every node
+        order = np.argsort(which, kind="stable")
+        groups = np.split(order, np.searchsorted(which[order], range(1, len(versions))))
         V = _ancestor_walk(
-            concept.graph,
+            versions[0].graph,
             len(which),
             drawn.__getitem__,
-            mapper,
+            lambda node, P: _RowMappers(versions, groups, node),
             lambda node, m: drawn[node],
-            permutation,
-            overrides,
+            forced=overrides,
         )
         self._built = t0 + len(which)
-        return self._emit(concept, [ids[k] for k in which.tolist()], t0, V, forced, missing)
+        self._seg = (t0, V, forced, missing, [ids[k] for k in which.tolist()])
+        self._rows = None
 
     def _draw_rows(self, versions: list[Concept], which: np.ndarray, cuts: list[int]):
         """Phase 1: every draw of the segment's rows, in the order of a
@@ -415,11 +416,12 @@ class StreamGenerator:
         missing = [draw_missing(self.p_m, policy, emitted, rngs.missing) for _ in range(n)]
         return drawn, forced, missing, states
 
-    def _emit(self, concept, ids, t0, V, forced, missing) -> list[Instance]:
-        """The segment's instances, row ``i`` with concept id ``ids[i]``:
-        Python ints for categorical nodes and floats for continuous ones,
-        ``None`` for masked features."""
+    def _emit(self) -> list[Instance]:
+        """The built segment's instances: Python ints for categorical nodes
+        and floats for continuous ones, ``None`` for masked features."""
 
+        t0, V, forced, missing, ids = self._seg
+        concept = self.concept
         topo = concept.graph.topo_order
         columns = {
             node: (V[:, node].astype(int) if concept.is_categorical(node) else V[:, node]).tolist()
@@ -440,13 +442,15 @@ class StreamGenerator:
         ]
 
     def step(self) -> Instance:
-        """The next row, building a new segment when the current one is spent."""
+        """The next row, building a new segment when the current one is spent
+        and the segment's instances on their first read."""
 
-        inst = next(self._rows, None)
-        if inst is None:
-            self._rows = iter(self._segment())
-            inst = next(self._rows)
-        self.t = inst.t + 1
+        if self.t == self._built:
+            self._segment()
+        if self._rows is None:
+            self._rows = self._emit()
+        inst = self._rows[self.t - self._seg[0]]
+        self.t += 1
         return inst
 
     def take(self, n: int) -> list[Instance]:
@@ -483,11 +487,11 @@ def _draw_params(concept: Concept) -> tuple[list, list, list, list]:
 
 
 class _RowMappers:
-    """One node's mappers in a segment whose rows come from several concept
-    versions, read by the ancestor walk as one mapper: ``predict`` runs each
-    distinct mapper once, on the rows of every version that holds it, and
-    relabels the target's classes by each version's permutation.  Drift
-    replaces only the mappers it names, so a node that no event of the
+    """One node's mappers in a segment whose rows come from one or more
+    concept versions, read by the ancestor walk as one mapper: ``predict``
+    runs each distinct mapper once, on the rows of every version that holds
+    it, and relabels the target's classes by each version's permutation.
+    Drift replaces only the mappers it names, so a node that no event of the
     segment names costs one call.  ``predict`` is row-independent, so a row
     gets the bits that a segment of its version alone would give it."""
 
@@ -570,14 +574,6 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
     )
 
 
-def generate(config: GeneratorConfig):
-    """Yield exactly ``dataset_size`` instances for ``config``."""
-
-    gen = build_stream(config)
-    for _ in range(config.dataset_size):
-        yield gen.step()
-
-
 @dataclass
 class StreamFrame:
     """Column view of a finished stream chunk.  Missing entries are NaN in
@@ -596,43 +592,36 @@ class StreamFrame:
         return self.X.shape[0]
 
 
-def collect(source, n: int | None = None) -> StreamFrame:
-    """Materialize instances into arrays.
+def collect(gen: StreamGenerator, n: int) -> StreamFrame:
+    """The next ``n`` rows of ``gen`` as arrays, sliced from its segments
+    with no ``Instance`` built; ``step`` goes on from the row after them."""
 
-    ``source`` is a StreamGenerator (then ``n`` is required), whose concept
-    gives the task, or any iterable of Instance, whose labels do.
-    """
-
-    task = None
-    if isinstance(source, StreamGenerator):
-        if n is None:
-            raise ValueError("n is required when collecting from a generator")
-        task = source.concept.task
-        names = source.feature_names
-        instances = source.take(n)
-    else:
-        instances = list(source)
-        if n is not None:
-            instances = instances[:n]
-        names = None
-    k = len(instances[0].features) if instances else 0
-    if names is None:
-        names = tuple(f"x{i + 1}" for i in range(k))
-    cells = np.array([inst.features for inst in instances], dtype=object)
-    cells = cells.reshape(len(instances), k)
-    mask = cells == None  # noqa: E711 -- elementwise: a masked feature is None
-    X = cells.astype(float)  # None becomes NaN
-    y = np.array([inst.label for inst in instances], dtype=float)
-    if task is None:
-        task = "classification" if np.allclose(y, np.round(y)) else "regression"
-    if task == "classification":
-        y = y.astype(int)
+    V, forced, missing, ids = [np.empty((0, gen.concept.graph.n_nodes))], [], [], []
+    end = gen.t + n
+    while gen.t < end:
+        if gen.t == gen._built:
+            gen._segment()
+        t0, v, f, m, c = gen._seg
+        a, b = gen.t - t0, min(end, gen._built) - t0
+        gen.t += b - a
+        V.append(v[a:b])
+        forced += f[a:b]
+        missing += m[a:b]
+        ids += c[a:b]
+    V = np.concatenate(V)
+    emitted, task = gen.emitted_features, gen.concept.task
+    X = V[:, list(emitted)]
+    # every masked cell set by one assignment, not one call per row
+    col = {node: j for j, node in enumerate(emitted)}
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[[i for i, m in enumerate(missing) for _ in m], [col[v] for m in missing for v in m]] = True
+    X[mask] = np.nan
     return StreamFrame(
         X=X,
-        y=y,
-        feature_names=names,
+        y=V[:, gen.concept.graph.target].astype(int if task == "classification" else float),
+        feature_names=gen.feature_names,
         task=task,
         missing_mask=mask,
-        intervened=[inst.intervened for inst in instances],
-        concept_ids=[inst.concept_id for inst in instances],
+        intervened=[tuple(sorted(row)) for row in forced],
+        concept_ids=ids,
     )

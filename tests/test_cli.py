@@ -191,7 +191,7 @@ def test_forced_value_spec_needs_a_continuous_node(tmp_path, capsys, node):
         "angle-bool",
     ],
 )
-def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
+def test_bad_action_params_fail_before_the_first_row(tmp_path, capsys, event):
     # a rotation needs a hyperplane node: node 5 of the coverage config
     if event["actions"][0]["mechanism"] == "rotate-hyperplane":
         doc = copy.deepcopy(COVERAGE_DOC)
@@ -201,10 +201,13 @@ def test_bad_action_params_fail_before_the_first_row(tmp_path, event):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "bad.csv"
+    where = "schedule.events[0].actions[0]: "
     assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
-    # rejected when the stream is built, before any row is drawn
-    with pytest.raises(ValueError):
+    assert where in capsys.readouterr().err
+    # rejected when the stream is built, before any row is drawn, with the
+    # path of the action
+    with pytest.raises(ValueError, match=re.escape(where)):
         build_stream(load_config(path).generator)
 
 
@@ -437,6 +440,21 @@ def test_evaluate_preset_full_pipeline(tmp_path):
     assert len(rows) == 1 + 4
     starts = [int(r.split(",")[2]) for r in rows[1:]]
     assert starts == [500, 1000, 1500, 2000]
+
+
+@pytest.mark.parametrize("preset", ["dataset1", "regression1"])
+def test_evaluate_preset_matches_evaluate_of_its_generated_csv(tmp_path, preset):
+    """``evaluate --preset`` collects the stream's arrays in process; the
+    curve and event summary it writes equal those read from the CSV that
+    ``generate`` writes for the same preset, byte for byte."""
+    stream = tmp_path / "s.csv"
+    assert main(["generate", "--preset", preset, "--out", str(stream)]) == 0
+    direct, read = tmp_path / "direct.csv", tmp_path / "read.csv"
+    assert main(["evaluate", "--preset", preset, "--out", str(direct)]) == 0
+    assert main(["evaluate", str(stream), "--preset", preset, "--out", str(read)]) == 0
+    assert direct.read_bytes() == read.read_bytes()
+    events = ".events.csv"
+    assert direct.with_suffix(events).read_bytes() == read.with_suffix(events).read_bytes()
 
 
 def test_evaluate_with_too_short_a_horizon_writes_nothing(tmp_path, capsys):

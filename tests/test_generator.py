@@ -15,7 +15,7 @@ from causalstream.drift import (
     ShiftAction,
     ShiftSpec,
 )
-from causalstream.generator import build_stream, collect, generate
+from causalstream.generator import build_stream, collect
 from causalstream.presets import example_graph, preset_config
 from causalstream.stream_io import write_stream_csv
 from causalstream.temporal import TemporalParams
@@ -55,16 +55,16 @@ def test_schedule_touches_nothing_before_t_start():
     assert first_diff == 500  # dataset1's first event fires exactly there
 
 
-def test_generate_yields_exactly_dataset_size():
+def test_take_yields_exactly_dataset_size():
     cfg = _drift_free(2, n=150)
-    rows = list(generate(cfg))
+    rows = build_stream(cfg).take(cfg.dataset_size)
     assert len(rows) == 150
     assert [r.t for r in rows] == list(range(150))
 
 
 def test_intervention_frequency_within_three_sigma():
     cfg = _drift_free(5, n=4000, p_i=0.2)
-    hit = sum(bool(inst.intervened) for inst in generate(cfg))
+    hit = sum(bool(inst.intervened) for inst in build_stream(cfg).take(cfg.dataset_size))
     mean, sd = 4000 * 0.2, (4000 * 0.2 * 0.8) ** 0.5
     assert abs(hit - mean) <= 3 * sd
 
@@ -82,7 +82,7 @@ def test_missing_frequency_and_arity():
             else:
                 assert inst.features[slot] is not None
     cfg2 = _drift_free(7, n=4000, p_m=0.5)
-    hit = sum(bool(inst.missing) for inst in generate(cfg2))
+    hit = sum(bool(inst.missing) for inst in build_stream(cfg2).take(cfg2.dataset_size))
     mean, sd = 4000 * 0.5, (4000 * 0.25) ** 0.5
     assert abs(hit - mean) <= 3 * sd
 
@@ -93,7 +93,7 @@ def test_forced_values_are_independent_of_parents():
         8, n=17_000, p_i=1.0, policy=InterventionPolicy(count_range=(3, 3)),
     )
     x0, x2 = [], []
-    for inst in generate(cfg):
+    for inst in build_stream(cfg).take(cfg.dataset_size):
         if 2 in inst.intervened:
             x0.append(inst.values[0])
             x2.append(inst.values[2])
@@ -226,14 +226,21 @@ def test_ewma_only_mode_breaks_whiteness():
 
 def _run(cfg, path) -> dict:
     """A whole run: its CSV bytes, each row's fields that the CSV does not
-    hold, and every snapshot's concept and state."""
+    hold, every snapshot's concept and state, and the arrays that
+    ``collect`` reads from a second generator."""
     gen = build_stream(cfg)
     rows = gen.take(cfg.dataset_size)
     write_stream_csv(path, rows, gen.feature_names)
+    frame = collect(build_stream(cfg), cfg.dataset_size)
     return {
         "csv": path.read_bytes(),
         "rows": [(r.concept_id, r.values, r.intervened, r.missing) for r in rows],
         "snapshots": {k: (s.concept, s.state) for k, s in gen.snapshots.items()},
+        "frame": (
+            *(a.tobytes() for a in (frame.X, frame.y, frame.missing_mask)),
+            frame.intervened,
+            frame.concept_ids,
+        ),
     }
 
 
@@ -278,7 +285,7 @@ _SEGMENT_CASES = {
 def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
     """Segments of 1, 7, 256 or 4096 rows give the same run as the default:
     the CSV, every row's concept id, values, intervened and missing fields,
-    and every snapshot's concept and state.  dataset2 and the coverage
+    every snapshot's concept and state, and the arrays of ``collect``.  dataset2 and the coverage
     config hold gradual and incremental windows, which the cap splits; the
     dense case puts several abrupt events, and a restore of a concept
     completed in the same segment, inside one default segment."""
@@ -354,15 +361,40 @@ def test_instance_field_types():
         assert all(type(n) is int for n in inst.intervened + inst.missing)
 
 
+def _frame_rows(frame) -> list[tuple]:
+    """Per row of a ``collect`` frame, the fields an ``Instance`` holds."""
+    features = [
+        tuple(None if masked else v for v, masked in zip(x, m))
+        for x, m in zip(frame.X.tolist(), frame.missing_mask.tolist())
+    ]
+    return list(zip(features, frame.y.tolist(), frame.intervened, frame.concept_ids))
+
+
 def test_step_take_and_iteration_read_one_stream():
+    """``step``, ``take``, iteration and ``collect`` read one stream, in
+    any mix; a ``collect`` may start inside a segment that ``step`` began,
+    and ``step`` inside one that ``collect`` built.  The default segments
+    end at row 256."""
     cfg = _drift_free(14, n=300, p_i=0.3, p_m=0.2)
     a = build_stream(cfg)
-    rows = [a.step() for _ in range(5)] + a.take(100)
-    rows += [inst for _, inst in zip(range(195), a)]
-    b = build_stream(cfg).take(300)
-    assert [r.t for r in rows] == list(range(300))
-    assert rows == b
+    assert collect(a, 0).n == 0 and a.t == 0 and a._built == 0
+    rows = [a.step() for _ in range(5)]
+    frames = [(5, collect(a, 40))]
+    assert a.t == 45
+    rows += a.take(100)
+    assert a.t == 145
+    frames += [(145, collect(a, 0)), (145, collect(a, 150))]
+    assert a.t == 295
+    rows += [inst for _, inst in zip(range(5), a)]
     assert a.t == 300
+    b = build_stream(cfg).take(300)
+    assert [r.t for r in rows] == [*range(5), *range(45, 145), *range(295, 300)]
+    assert rows == [b[r.t] for r in rows]
+    for t, frame in frames:
+        want = [(r.features, r.label, r.intervened, r.concept_id) for r in b[t : t + frame.n]]
+        assert _frame_rows(frame) == want, t
+    assert [f.n for _, f in frames] == [40, 0, 150]
+    assert any(r.missing for r in b[145:295])  # the mask has cells to show
 
 
 def test_batched_draws_repeat_the_one_row_calls():

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import COVERAGE_DOC
 import causalstream.generator as generator_module
 from causalstream.concept import ConceptParams, simulate_concept_samples
 from causalstream.config import config_to_document, parse_config
@@ -37,10 +38,10 @@ from causalstream.drift import (
     begin_incremental,
     concept_id,
 )
-from causalstream.generator import GeneratorConfig, build_stream
+from causalstream.generator import GeneratorConfig, build_stream, collect
 from causalstream.graph import build_dag
 from causalstream.mappers import CATEGORICAL_KINDS, CENTROID_KINDS, CONTINUOUS_KINDS
-from causalstream.stream_io import write_stream_csv
+from causalstream.stream_io import read_stream_csv, write_sidecar, write_stream_csv
 from causalstream.temporal import TemporalParams
 
 
@@ -171,6 +172,31 @@ def test_segment_length_never_changes_the_bytes(cfg):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generator_module, "_SEGMENT_ROWS", rows)
             assert _csv_bytes(cfg) == expected, rows
+
+
+@given(configs())
+@example(parse_config(json.loads(json.dumps(COVERAGE_DOC))).generator)
+def test_collect_equals_the_csv_round_trip_of_take(cfg):
+    """``collect`` slices the segments' arrays and builds no ``Instance``;
+    its reference is the CSV of the same rows taken one at a time, read
+    back with a sidecar that records the task."""
+    gen = _build(cfg)
+    if isinstance(gen, str):
+        return
+    frame = collect(gen, cfg.dataset_size)
+    gen = build_stream(cfg)
+    rows = gen.take(cfg.dataset_size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        write_stream_csv(path, rows, gen.feature_names)
+        write_sidecar(path, {"task": cfg.task})
+        ref = read_stream_csv(path)
+    assert np.array_equal(frame.X, ref.X, equal_nan=True)
+    assert np.array_equal(frame.missing_mask, ref.missing_mask)
+    assert np.array_equal(frame.y, ref.y) and frame.y.dtype == ref.y.dtype
+    assert (frame.task, frame.feature_names) == (ref.task, ref.feature_names)
+    assert frame.intervened == [r.intervened for r in rows]
+    assert frame.concept_ids == [r.concept_id for r in rows]
 
 
 @given(configs())
