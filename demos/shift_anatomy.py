@@ -93,7 +93,7 @@ def main():
         np.random.default_rng(3),
     )
     relabeled = int((grid_labels(drifted, pts) != labels).sum())
-    restored = np.array_equal(grid_labels(apply_recurrent(drifted, snap), pts), labels)
+    restored = np.array_equal(grid_labels(apply_recurrent(drifted, snap.concept), pts), labels)
     print(
         f"recurrent restore: prototype move relabeled {relabeled} points, "
         f"snapshot restore exact: {restored}"

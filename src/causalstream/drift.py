@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._codec import Serializable
-from .concept import Concept, ConceptSnapshot, simulate_concept_samples
+from .concept import Concept, simulate_concept_samples
 from .mappers import (
     CENTROID_KINDS,
     FITTABLE_KINDS,
@@ -220,15 +220,30 @@ class InterventionPolicy(Serializable):
 # mechanisms
 #
 # A plan draws the endpoint of an incremental window up front and returns a
-# stepper ``step(concept, frac, rng)`` that returns the concept moved to
-# fraction ``frac`` of the way there, and onto the endpoint itself, with no
-# draw, at ``frac = 1``.  An abrupt event runs the plan to ``frac = 1`` at
-# once, so both rates reach the same endpoint with the same draws.  Only a
-# mechanism without a plan, or whose plan steps toward its endpoint by
-# samples (the sgd-linear refit), has an abrupt apply of its own.
+# stepper ``step(current, frac, rng)`` that returns the action's node's
+# mapper or root distribution moved from ``current`` to fraction ``frac`` of
+# the way there, and the endpoint itself, with no draw, at ``frac = 1``.  An
+# abrupt event runs the plan to ``frac = 1`` at once, so both rates reach
+# the same endpoint with the same draws.  Only a mechanism without a plan,
+# or whose plan steps toward its endpoint by samples (the sgd-linear refit),
+# has an abrupt apply of its own.
 
 _ROOT = "root"
 _LABEL = "label"
+
+
+def _step(concept: Concept, steppers, frac: float, rng) -> Concept:
+    """One new concept, with the node of each (node, stepper) pair of
+    ``steppers`` moved to ``frac``, in order, each stepper from the node as
+    the ones before it left it."""
+
+    roots, mappers = {}, {}
+    for node, step in steppers:
+        root = node in concept.root_dists
+        moved, was = (roots, concept.root_dists) if root else (mappers, concept.mappers)
+        moved[node] = step(moved.get(node, was[node]), frac, rng)
+    root_dists, mappers = concept.root_dists | roots, concept.mappers | mappers
+    return replace(concept, root_dists=root_dists, mappers=mappers)
 
 
 def _parent_matrix(concept: Concept, node: int, rng) -> np.ndarray:
@@ -278,38 +293,35 @@ def _plan_sgd_refit(concept: Concept, action: ShiftAction, rng):
     fn_kind = _new_target_fn_kind(concept, node, action.params, rng)
     fn = draw_target_function(fn_kind, start.n_inputs, rng)
 
-    def step(c: Concept, frac: float, rng) -> Concept:
-        m = c.mappers[node]
+    def step(m: Mapper, frac: float, rng) -> Mapper:
         if m is start:
             m = m.reset_partial_schedule()
         z = rng.normal(size=m.n_inputs)
         m = m.partial_fit(z, float(eval_target_function(fn, z)))
-        return c.with_mapper(node, m._with(fitted_target=fn) if frac >= 1.0 else m)
+        return m._with(fitted_target=fn) if frac >= 1.0 else m
 
     return step
 
 
-def _lerp(node: int, start, end, fields: tuple[str, ...]):
-    """Stepper that puts on ``node`` the mapper or root distribution
-    ``start`` with each of ``fields`` at ``s + frac * (e - s)``, from its
-    value on ``start`` to that on ``end``, and ``end`` from ``frac = 1`` on."""
+def _lerp(start, end, fields: tuple[str, ...]):
+    """Stepper that gives the mapper or root distribution ``start`` with
+    each of ``fields`` at ``s + frac * (e - s)``, from its value on
+    ``start`` to that on ``end``, and ``end`` from ``frac = 1`` on."""
 
-    mapper = isinstance(start, Mapper)
-    put = Concept.with_mapper if mapper else Concept.with_root_dist
-    build = start._with if mapper else partial(replace, start)
+    build = start._with if isinstance(start, Mapper) else partial(replace, start)
     pairs = {f: (getattr(start, f), getattr(end, f)) for f in fields}
 
-    def step(c: Concept, frac: float, rng) -> Concept:
+    def step(current, frac: float, rng):
         if frac >= 1.0:
-            return put(c, node, end)
-        return put(c, node, build(**{f: s + frac * (e - s) for f, (s, e) in pairs.items()}))
+            return end
+        return build(**{f: s + frac * (e - s) for f, (s, e) in pairs.items()})
 
     return step
 
 
 def _plan_reinit(concept: Concept, action: ShiftAction, rng):
     mapper = concept.mappers[action.node]
-    return _lerp(action.node, mapper, mapper.reinit(rng), ("W1", "b1", "w2", "b2"))
+    return _lerp(mapper, mapper.reinit(rng), ("W1", "b1", "w2", "b2"))
 
 
 def _plan_move_prototypes(concept: Concept, action: ShiftAction, rng):
@@ -317,7 +329,7 @@ def _plan_move_prototypes(concept: Concept, action: ShiftAction, rng):
     P = _parent_matrix(concept, node, rng)
     end = mapper.move_centroids(rng, ParentStats.from_samples(P))
     # the window's steps take the new parent box at once
-    return _lerp(node, mapper._with(stats=end.stats), end, ("centroids",))
+    return _lerp(mapper._with(stats=end.stats), end, ("centroids",))
 
 
 def _check_distance(concept: Concept, params: dict) -> None:
@@ -351,15 +363,15 @@ def _check_rotate(concept: Concept, params: dict) -> None:
 
 
 def _plan_rotate(concept: Concept, action: ShiftAction, rng):
-    node, mapper = action.node, concept.mappers[action.node]
+    mapper = concept.mappers[action.node]
     angle = action.params.get("angle_deg")
     if angle is None:
         angle = float(rng.uniform(30.0, 150.0))
     # the angle is drawn before the unit direction orthogonal to ``w``
     angle, u = np.deg2rad(float(angle)), _orthogonal_unit(mapper.w, rng)
 
-    def step(c: Concept, frac: float, rng) -> Concept:
-        return c.with_mapper(node, mapper.rotate(frac * angle, u))
+    def step(current: Mapper, frac: float, rng) -> Mapper:
+        return mapper.rotate(frac * angle, u)
 
     return step
 
@@ -443,7 +455,7 @@ def _shift_root_dist(
 def _plan_root(concept: Concept, action: ShiftAction, rng):
     start = concept.root_dists[action.node]
     end = _shift_root_dist(start, action.params, concept, rng)
-    return _lerp(action.node, start, end, ("p1", "p2"))
+    return _lerp(start, end, ("p1", "p2"))
 
 
 @dataclass(frozen=True)
@@ -464,7 +476,7 @@ class _Mechanism:
     def abrupt(self, concept: Concept, action: ShiftAction, rng) -> Concept:
         if self.apply is not None:
             return self.apply(concept, action, rng)
-        return self.plan(concept, action, rng)(concept, 1.0, rng)
+        return _step(concept, [(action.node, self.plan(concept, action, rng))], 1.0, rng)
 
 
 _MECHANISMS = {
@@ -557,10 +569,12 @@ def apply_abrupt(concept: Concept, spec: ShiftSpec, rng) -> Concept:
     return concept
 
 
-def apply_recurrent(concept: Concept, snap: ConceptSnapshot) -> Concept:
-    """Bring back a snapshotted concept; temporal state is left alone."""
+def apply_recurrent(concept: Concept, restored: Concept) -> Concept:
+    """Bring back ``restored``, a concept an earlier event completed, in
+    place of ``concept``; the temporal state is left alone.  The engine
+    takes it from its snapshot, or from the segment that completed it."""
 
-    return snap.concept
+    return restored
 
 
 def begin_gradual(concept: Concept, spec: ShiftSpec, rng) -> Concept:
@@ -586,14 +600,13 @@ def gradual_selector(t: int, spec: ShiftSpec, rng) -> bool:
 @dataclass(frozen=True)
 class IncrementalPlan:
     spec: ShiftSpec
-    steppers: tuple[Callable, ...]
+    # per action, its node and its stepper
+    steppers: tuple[tuple[int, Callable], ...]
 
     def step(self, concept: Concept, step_index: int, rng) -> Concept:
-        """The concept at position ``(step_index + 1) / duration`` of the window."""
-        frac = (step_index + 1) / self.spec.duration
-        for step in self.steppers:
-            concept = step(concept, frac, rng)
-        return concept
+        """The concept at position ``(step_index + 1) / duration`` of the
+        window, built once for all the actions."""
+        return _step(concept, self.steppers, (step_index + 1) / self.spec.duration, rng)
 
 
 def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan:
@@ -609,9 +622,9 @@ def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan
     steppers = []
     for action in spec.actions:
         mech = _checked(concept, action, incremental=True)
-        steppers.append(mech.plan(concept, action, rng))
-        if mech.apply is None:  # the stepper puts its endpoint without a draw
-            concept = steppers[-1](concept, 1.0, None)
+        steppers.append((action.node, mech.plan(concept, action, rng)))
+        if mech.apply is None:  # the stepper gives its endpoint without a draw
+            concept = _step(concept, steppers[-1:], 1.0, None)
     return IncrementalPlan(spec, tuple(steppers))
 
 
@@ -623,6 +636,20 @@ def incremental_step(concept: Concept, plan: IncrementalPlan, step_index: int, r
 # interventions and missing masks
 
 
+def _picked(p: float, policy: InterventionPolicy, nodes: tuple[int, ...], rng) -> list[int]:
+    """One row's gate, open with chance ``p``, then, if it opens, a count
+    from ``policy.count_range`` and that many of ``nodes``, sorted.  The
+    gate always consumes exactly one draw, so toggling ``p`` never shifts
+    the rows after it."""
+
+    if rng.random() >= p or not nodes:
+        return []
+    lo, hi = policy.count_range
+    k = min(int(rng.integers(lo, hi + 1)), len(nodes))
+    idx = rng.choice(len(nodes), size=k, replace=False)
+    return sorted(nodes[int(i)] for i in idx)
+
+
 def draw_interventions(
     p_i: float,
     policy: InterventionPolicy,
@@ -630,22 +657,12 @@ def draw_interventions(
     value_specs: dict[int, tuple],
     rng,
 ) -> dict[int, float | int]:
-    """Draw one instance's intervened nodes and forced values, with chance ``p_i``.
+    """Draw one instance's intervened nodes and forced values, with chance
+    ``p_i``.  Forced values ignore parents by construction: they come from
+    the per-node policy distribution."""
 
-    The probability gate always consumes exactly one draw so toggling the
-    policy never shifts other substreams.  Forced values ignore parents by
-    construction: they come from the per-node policy distribution.
-    """
-
-    gate = rng.random()
-    if gate >= p_i or not eligible:
-        return {}
-    lo, hi = policy.count_range
-    k = min(int(rng.integers(lo, hi + 1)), len(eligible))
-    idx = rng.choice(len(eligible), size=k, replace=False)
-    nodes = sorted(eligible[int(i)] for i in idx)
     out: dict[int, float | int] = {}
-    for node in nodes:
+    for node in _picked(p_i, policy, eligible, rng):
         spec = value_specs[node]
         if spec[0] == "normal":
             out[node] = float(rng.normal(spec[1], spec[2]))
@@ -663,10 +680,4 @@ def draw_missing(
 ) -> tuple[int, ...]:
     """Draw one instance's masked emitted-feature nodes, with chance ``p_m``."""
 
-    gate = rng.random()
-    if gate >= p_m or not feature_nodes:
-        return ()
-    lo, hi = policy.count_range
-    k = min(int(rng.integers(lo, hi + 1)), len(feature_nodes))
-    idx = rng.choice(len(feature_nodes), size=k, replace=False)
-    return tuple(sorted(feature_nodes[int(i)] for i in idx))
+    return tuple(_picked(p_m, policy, feature_nodes, rng))

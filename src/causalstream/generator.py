@@ -1,11 +1,11 @@
 """Streaming engine: drift-schedule execution, temporal state, per-instance
 interventions and missingness, and value propagation through the graph.
 
-The concept changes at an abrupt event and moves row by row only inside a
-gradual or incremental window, and the temporal state never reads a node's
-value, so the engine builds the stream in segments: the draws of a segment
-are made in batches, in the order of a row-at-a-time walk, each row with
-its own concept version's parameters, then every node is computed for all
+The temporal state never reads a node's value, so the engine builds the
+stream in segments: one walk over a segment's rows, in row order, applies
+its drift events and gives each row its concept version; the draws of the
+segment are then made in batches, in the order of a row-at-a-time walk,
+each row with its version's parameters, and every node is computed for all
 of its rows with one batched ``predict`` per distinct mapper (see
 ``StreamGenerator``).  Drift replaces only the mappers its actions name, so
 the versions of a segment share the rest.
@@ -64,9 +64,10 @@ __all__ = [
     "collect",
 ]
 
-# rows per segment at most; a segment also ends where a window starts or
-# ends.  Larger segments batch more rows per ``predict`` call, but the engine may
-# build up to one segment past the last row a consumer asks for.
+# rows per segment at most; a segment also ends at the stream's length, and
+# nowhere else.  Larger segments batch more rows per ``predict`` call, but
+# the engine may build up to one segment past the last row a consumer asks
+# for.
 _SEGMENT_ROWS = 256
 
 
@@ -159,13 +160,16 @@ def spawn_streams(seed: int) -> StreamRngs:
 class StreamGenerator:
     """State machine that builds the stream in segments and hands out rows.
 
-    A segment runs from the first unbuilt row to ``length``, the start or
-    end of a gradual or incremental window, at most ``_SEGMENT_ROWS`` rows
-    (see ``_segment_concept``).  Outside a window each abrupt or recurrent
-    event inside the segment adds a concept version, which makes the rows
-    from its event on; inside a window each row has a version of its own.
-    A drift event replaces only the mappers its actions name, so versions
-    share every other mapper.  A segment is built in two phases:
+    ``config`` gives the run's schedule, policy, rates and length.  A
+    segment runs from the first unbuilt row for ``_SEGMENT_ROWS`` rows, or
+    to ``config.dataset_size`` if that comes first; drift events and
+    windows do not end it.  ``_walk`` plans it in one pass over its rows:
+    each abrupt or recurrent event adds a concept version, which makes the
+    rows from its event on; a gradual window's rows each pick its start
+    concept or its endpoint, and an incremental window's rows each have a
+    version of its own.  A drift event replaces only the mappers its
+    actions name, so versions share every other mapper.  A segment is then
+    built in two phases:
 
     1. the segment's draws, in the order of a row-at-a-time walk (see
        ``spawn_streams``): on ``values`` one call per run of normal or
@@ -182,50 +186,37 @@ class StreamGenerator:
     Temporal state never reads a node's value, so phase 1 needs no mapper,
     and every ``predict`` gives a row the same bits however many rows share
     the call.  A stream's bytes therefore do not depend on where segments
-    end.  An event inside a segment is snapshotted after phase 1, with the
-    temporal state after the row before it, read from the nodes' paths.
+    end.  Each concept an event completes, a window's at the window's end,
+    is snapshotted after phase 1, with the temporal state after the row
+    before it, read from the nodes' paths.
     The built segment is the one row buffer of two readers: ``step``,
     ``take`` and iteration build its ``Instance``s on their first read of
     it, and ``collect`` slices its arrays and builds none.  Either reader
     goes on from the row the other stopped at.  ``concept``, ``state`` and
-    the substreams may run up to one segment ahead of the rows handed out.
-    ``length``, when given, is one more segment boundary: a consumer that
-    takes ``length`` rows leaves nothing built past them.
+    the substreams may run up to one segment ahead of the rows handed out,
+    but a consumer that takes ``config.dataset_size`` rows leaves nothing
+    built past them.
     """
 
     def __init__(
         self,
+        config: GeneratorConfig,
         concept: Concept,
         rngs: StreamRngs,
-        schedule: DriftSchedule | None = None,
-        policy: InterventionPolicy | None = None,
-        emitted_features: tuple[int, ...] | None = None,
-        length: int | None = None,
-        p_i: float = 0.0,
-        p_m: float = 0.0,
+        emitted_features: tuple[int, ...],
     ):
-        self.schedule = schedule if schedule is not None else DriftSchedule()
-        self.policy = policy if policy is not None else InterventionPolicy()
-        self.p_i, self.p_m = p_i, p_m
-        validate_schedule_against(self.schedule, concept)
+        validate_schedule_against(config.schedule, concept)
+        self._config = config
+        self.policy = config.policy or InterventionPolicy()
         self.concept = concept
         self.rngs = rngs
         self.state = concept.initial_state()
-        graph = concept.graph
-        if emitted_features is None:
-            emitted_features = graph.feature_nodes
-        else:
-            emitted_features = tuple(sorted(emitted_features))
-            bad = [n for n in emitted_features if n == graph.target or not 0 <= n < graph.n_nodes]
-            if bad:
-                raise ValueError(f"cannot emit node {bad[0]}")
         self.emitted_features = emitted_features
         self.feature_names = tuple(f"x{i + 1}" for i in range(len(emitted_features)))
         # ``t`` is the next row handed out; ``_built`` the next row the
         # engine builds
         self.t = 0
         self._built = 0
-        self._length = length
         # the segment that ends at ``_built``: its first row, node values,
         # forced values, masked features and row concept ids; ``_rows`` holds
         # its instances once ``step`` has read it
@@ -240,82 +231,72 @@ class StreamGenerator:
         # gradual window or the plan of an incremental one
         self._window: tuple | None = None
 
-    # -- event machinery ---------------------------------------------------
+    # -- the event walk ------------------------------------------------------
 
-    def _advance_events(self) -> None:
-        """Close the open window at its end and open a gradual or
-        incremental window at its start; ``_segment_concept`` applies the
-        abrupt and recurrent events."""
+    def _walk(self) -> tuple[list[Concept], list[str], np.ndarray, dict[str, tuple[int, int]]]:
+        """Plan the next segment in one pass over its rows, in row order.
 
-        t = self._built
-        if self._window is not None and t >= self._window[0].t_end:
-            spec, event_id, shift = self._window
-            if spec.rate == "gradual":
-                self.concept = shift
-            # incremental concepts already sit exactly on the endpoint
-            self._concept_id, self._window = event_id, None
-            self.snapshots[event_id] = ConceptSnapshot(self.concept, self.state)
-        events = self.schedule.events[self._next_event :]
-        if not events or events[0].t_start > t or events[0].rate == "abrupt":
-            return
-        spec = events[0]
-        self._next_event += 1
-        begin = begin_gradual if spec.rate == "gradual" else begin_incremental
-        shift = begin(self.concept, spec, self.rngs.schedule)
-        self._window = (spec, concept_id(self._next_event), shift)
+        At each row the walk closes the open window if it ends there, then
+        applies the event that starts there, on the schedule substream: an
+        abrupt or recurrent event adds a concept version, a gradual event
+        adds its endpoint and an incremental event opens its plan.  Then it
+        gives the row its version: the current one; in a gradual window the
+        start concept or the endpoint, by the row's ``gradual_selector``
+        draw; in an incremental window a version of its own, from the row's
+        ``incremental_step``, which shares every mapper no action moves.
 
-    def _segment_concept(self) -> tuple[list[Concept], list[str], np.ndarray, list[int]]:
-        """The concept versions of the next segment, the concept id of each,
-        the version of each of the segment's rows, and the row where each
-        version after the first begins.
-
-        The segment ends at ``_SEGMENT_ROWS`` rows, at ``length``, at the
-        end of the open window and at the start of the next one, whichever
-        comes first.  Outside a window the abrupt and recurrent events that
-        start inside the segment are applied here, in row order, each on
-        the version before it: each adds a version, which makes the rows
-        from its event on.  A recurrent event that restores a concept
-        completed inside the segment ends the segment before it instead.
-        Inside a gradual window each row's ``gradual_selector`` draw picks
-        the start concept or the endpoint.  Inside an incremental window
-        each row's ``incremental_step`` gives the row a version of its own,
-        which shares every mapper that no action moves.  The schedule draws
-        are made one row after the next.
+        Returns the versions, the concept id of each, each row's version,
+        and per concept an event completed, in row order, its version and
+        the row before which its snapshot's temporal state is read.
         """
 
-        t = self._built
-        end = t + _SEGMENT_ROWS
-        if self._length is not None and t < self._length:
-            end = min(end, self._length)
-        if self._window is None:
-            versions, ids, starts = [self.concept], [self._concept_id], []
-            events = self.schedule.events
-            while self._next_event < len(events) and events[self._next_event].t_start < end:
-                spec = events[self._next_event]
-                if spec.rate != "abrupt" or spec.snapshot_id in ids[1:]:
-                    end = spec.t_start
-                    break
-                self._next_event += 1
+        t0, size = self._built, self._config.dataset_size
+        n = min(_SEGMENT_ROWS, size - t0) if t0 < size else _SEGMENT_ROWS
+        events, e, rng = self._config.schedule.events, self._next_event, self.rngs.schedule
+        versions, ids, which, done = [self.concept], [self._concept_id], [], {}
+        window = self._window
+        if window is not None and window[0].rate == "gradual":
+            versions.append(window[2])
+            ids.append(window[1])
+        for i, t in enumerate(range(t0, t0 + n)):
+            if window is not None and t == window[0].t_end:
+                # the endpoint, or the last step, which sits exactly on it
+                done[window[1]] = (len(versions) - 1, i)
+                window = None
+            if e < len(events) and events[e].t_start == t:
+                spec, e = events[e], e + 1
+                event_id = concept_id(e)
                 if spec.kind == "recurrent":
-                    concept = apply_recurrent(versions[-1], self.snapshots[spec.snapshot_id])
+                    sid = spec.snapshot_id
+                    # a concept completed in this segment has no snapshot yet
+                    was = versions[done[sid][0]] if sid in done else self.snapshots[sid].concept
+                    shift = apply_recurrent(versions[-1], was)
+                elif spec.rate == "abrupt":
+                    shift = apply_abrupt(versions[-1], spec, rng)
                 else:
-                    concept = apply_abrupt(versions[-1], spec, self.rngs.schedule)
-                versions.append(concept)
-                ids.append(concept_id(self._next_event))
-                starts.append(spec.t_start - t)
-            self.concept, self._concept_id = versions[-1], ids[-1]
-            return versions, ids, np.searchsorted(starts, np.arange(end - t), "right"), starts
-        spec, event_id, shift = self._window
-        rows = range(t, min(end, spec.t_end))
-        if spec.rate == "gradual":
-            which = [int(gradual_selector(r, spec, self.rngs.schedule)) for r in rows]
-            return [self.concept, shift], [self._concept_id, event_id], np.array(which), []
-        versions = []
-        for r in rows:
-            step = r - spec.t_start
-            self.concept = incremental_step(self.concept, shift, step, self.rngs.schedule)
-            versions.append(self.concept)
-        return versions, [event_id] * len(rows), np.arange(len(rows)), []
+                    begin = begin_gradual if spec.rate == "gradual" else begin_incremental
+                    shift = begin(versions[-1], spec, rng)
+                if spec.rate != "incremental":
+                    versions.append(shift)
+                    ids.append(event_id)
+                if spec.rate == "abrupt":
+                    done[event_id] = (len(versions) - 1, i)
+                else:
+                    window = (spec, event_id, shift)
+            if window is None:
+                which.append(len(versions) - 1)
+            elif window[0].rate == "gradual":
+                which.append(len(versions) - 2 + gradual_selector(t, window[0], rng))
+            else:
+                spec, event_id, plan = window
+                versions.append(incremental_step(versions[-1], plan, t - spec.t_start, rng))
+                ids.append(event_id)
+                which.append(len(versions) - 1)
+        self._next_event, self._window = e, window
+        # inside a gradual window the current concept is its start
+        k = -2 if window is not None and window[0].rate == "gradual" else -1
+        self.concept, self._concept_id = versions[k], ids[k]
+        return versions, ids, np.array(which), done
 
     # -- intervention helpers ------------------------------------------------
 
@@ -336,15 +317,15 @@ class StreamGenerator:
     # -- the segment engine --------------------------------------------------
 
     def _segment(self) -> None:
-        """Open or close a window, plan the next segment, then build its
-        rows and snapshot each concept its events completed."""
+        """Walk the next segment's events, then build its rows and snapshot
+        each concept that an event completed in it."""
 
-        self._advance_events()
         t0 = self._built
-        versions, ids, which, starts = self._segment_concept()
-        drawn, forced, missing, states = self._draw_rows(versions, which, starts)
-        for k, state in enumerate(states, start=1):
-            self.snapshots[ids[k]] = ConceptSnapshot(versions[k], state)
+        versions, ids, which, done = self._walk()
+        cuts = [i for _, i in done.values()]
+        drawn, forced, missing, states = self._draw_rows(versions, which, cuts)
+        for (event_id, (k, _)), state in zip(done.items(), states):
+            self.snapshots[event_id] = ConceptSnapshot(versions[k], state)
         overrides: dict[int, tuple[list[int], list]] = {}
         for i, row in enumerate(forced):
             for node, value in row.items():
@@ -410,10 +391,10 @@ class StreamGenerator:
             eligible = tuple(sorted(eligible + (graph.target,)))
         specs = [{node: self._value_spec(v, node) for node in eligible} for v in versions]
         forced = [
-            draw_interventions(self.p_i, policy, eligible, specs[k], rngs.interventions)
+            draw_interventions(self._config.p_i, policy, eligible, specs[k], rngs.interventions)
             for k in which.tolist()
         ]
-        missing = [draw_missing(self.p_m, policy, emitted, rngs.missing) for _ in range(n)]
+        missing = [draw_missing(self._config.p_m, policy, emitted, rngs.missing) for _ in range(n)]
         return drawn, forced, missing, states
 
     def _emit(self) -> list[Instance]:
@@ -545,33 +526,23 @@ def build_stream(config: GeneratorConfig) -> StreamGenerator:
 
     from .config import ConfigError
 
-    policy = config.policy or InterventionPolicy()
     rngs = spawn_streams(config.seed)
     graph = config.graph or build_dag(
         config.d, config.n_roots, config.min_parents, config.max_parents, rngs.init
     )
     params = config.concept or ConceptParams()
     concept = init_concept(graph, params, rngs.init, temporal=config.temporal, task=config.task)
-    for node in policy.values:
+    for node in config.policy.values if config.policy else ():
         if node not in range(graph.n_nodes) or concept.is_categorical(node):
             raise ConfigError(
                 f"policy.values.{node}: node {node} is not a continuous node of the graph"
             )
-    emitted = None
+    emitted = graph.feature_nodes
     if config.feature_subsample is not None:
         feats = graph.feature_nodes
         idx = rngs.init.choice(len(feats), size=config.feature_subsample, replace=False)
         emitted = tuple(sorted(feats[int(i)] for i in idx))
-    return StreamGenerator(
-        concept,
-        rngs,
-        schedule=config.schedule,
-        policy=policy,
-        emitted_features=emitted,
-        length=config.dataset_size,
-        p_i=config.p_i,
-        p_m=config.p_m,
-    )
+    return StreamGenerator(config, concept, rngs, emitted)
 
 
 @dataclass

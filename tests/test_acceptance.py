@@ -219,7 +219,7 @@ def test_criterion_06_recurrent_restore():
         [deterministic_label(drifted, dict(zip(parents, row))) for row in pts]
     )
     changed = not np.array_equal(moved, labels)
-    back = apply_recurrent(drifted, snap)
+    back = apply_recurrent(drifted, snap.concept)
     restored = np.array(
         [deterministic_label(back, dict(zip(parents, row))) for row in pts]
     )

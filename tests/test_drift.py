@@ -224,7 +224,7 @@ def test_recurrent_restores_snapshot_labels():
         [deterministic_label(drifted, dict(zip(parents, row))) for row in pts]
     )
     assert not np.array_equal(moved, labels)  # the move must actually relabel
-    back = apply_recurrent(drifted, snap)
+    back = apply_recurrent(drifted, snap.concept)
     restored = np.array(
         [deterministic_label(back, dict(zip(parents, row))) for row in pts]
     )

@@ -298,6 +298,31 @@ def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
             assert got[what] == expected[what], (rows, what)
 
 
+def test_windows_events_and_restores_end_no_segment(tmp_path, monkeypatch):
+    """A gradual window over rows 10-40, an abrupt event at 50 and a restore
+    of that event's concept at 70 end no segment: the first row builds the
+    whole 100-row stream in one, which equals the stream built one row per
+    segment."""
+    doc = copy.deepcopy(COVERAGE_DOC)
+    doc["dataset_size"] = 100
+    root = {"mechanism": "root-params", "node": 0, "params": {"shift_std": 1.0}}
+    doc["schedule"] = {"events": [
+        {"kind": "covariate", "rate": "gradual", "t_start": 10, "duration": 30, "actions": [root]},
+        {"kind": "distributional", "rate": "abrupt", "t_start": 50,
+         "actions": [{"mechanism": "rotate-hyperplane", "node": 5}]},
+        {"kind": "recurrent", "rate": "abrupt", "t_start": 70, "snapshot_id": "concept2"},
+    ]}
+    cfg = parse_config(doc).generator
+    gen = build_stream(cfg)
+    gen.take(1)
+    assert gen._built == cfg.dataset_size
+    assert list(gen.snapshots) == [f"concept{k}" for k in range(4)]
+    assert gen.snapshots["concept3"].concept == gen.snapshots["concept2"].concept
+    expected = _run(cfg, tmp_path / "default.csv")
+    monkeypatch.setattr(generator_module, "_SEGMENT_ROWS", 1)
+    assert _run(cfg, tmp_path / "1.csv") == expected
+
+
 # per mechanism with a lerped plan: the shift kind and a coverage-config node
 # it moves
 _LERPED = {

@@ -135,14 +135,24 @@ def _build(cfg):
         return str(e)
 
 
-def _csv_bytes(cfg) -> bytes | str:
+def _whole_run(cfg) -> tuple | str:
+    """The run's CSV bytes, each row's concept id and every snapshot's
+    document, in the order the snapshots were taken."""
     gen = _build(cfg)
     if isinstance(gen, str):
         return gen
+    rows = gen.take(cfg.dataset_size)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.csv"
-        write_stream_csv(path, gen.take(cfg.dataset_size), gen.feature_names)
-        return path.read_bytes()
+        write_stream_csv(path, rows, gen.feature_names)
+        csv = path.read_bytes()
+    snapshots = [(k, snap.to_json()) for k, snap in gen.snapshots.items()]
+    return csv, [r.concept_id for r in rows], snapshots
+
+
+def _csv_bytes(cfg) -> bytes | str:
+    run = _whole_run(cfg)
+    return run if isinstance(run, str) else run[0]
 
 
 def _first_rows(cfg, n: int) -> list | str:
@@ -167,11 +177,11 @@ def test_a_config_document_regenerates_the_same_bytes(cfg):
 
 @given(configs())
 def test_segment_length_never_changes_the_bytes(cfg):
-    expected = _csv_bytes(cfg)
+    expected = _whole_run(cfg)
     for rows in (1, 7, 4096):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generator_module, "_SEGMENT_ROWS", rows)
-            assert _csv_bytes(cfg) == expected, rows
+            assert _whole_run(cfg) == expected, rows
 
 
 @given(configs())
