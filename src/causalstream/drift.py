@@ -212,8 +212,12 @@ class InterventionPolicy(Serializable):
                 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params)
             ):
                 raise ValueError(f"values.{node}: params must be two numbers")
+            if not all(math.isfinite(p) for p in params):
+                raise ValueError(f"values.{node}: params must be finite, not {params!r}")
             if spec["dist"] == "normal" and params[1] < 0:
                 raise ValueError(f"values.{node}: a normal spec needs a non-negative std")
+            if spec["dist"] == "uniform" and not params[0] < params[1]:
+                raise ValueError(f"values.{node}: a uniform spec needs low below high")
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +607,6 @@ class IncrementalPlan:
     # per action, its node and its stepper
     steppers: tuple[tuple[int, Callable], ...]
 
-    def step(self, concept: Concept, step_index: int, rng) -> Concept:
-        """The concept at position ``(step_index + 1) / duration`` of the
-        window, built once for all the actions."""
-        return _step(concept, self.steppers, (step_index + 1) / self.spec.duration, rng)
-
 
 def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan:
     """Fix start/end parameters for every action of an incremental event.
@@ -629,7 +628,10 @@ def begin_incremental(concept: Concept, spec: ShiftSpec, rng) -> IncrementalPlan
 
 
 def incremental_step(concept: Concept, plan: IncrementalPlan, step_index: int, rng) -> Concept:
-    return plan.step(concept, step_index, rng)
+    """The concept at position ``(step_index + 1) / duration`` of the
+    window, built once for all the actions."""
+
+    return _step(concept, plan.steppers, (step_index + 1) / plan.spec.duration, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -651,27 +653,32 @@ def _picked(p: float, policy: InterventionPolicy, nodes: tuple[int, ...], rng) -
 
 
 def draw_interventions(
-    p_i: float,
-    policy: InterventionPolicy,
-    eligible: tuple[int, ...],
-    value_specs: dict[int, tuple],
-    rng,
+    p_i: float, policy: InterventionPolicy, eligible: tuple[int, ...], concept: Concept, rng
 ) -> dict[int, float | int]:
-    """Draw one instance's intervened nodes and forced values, with chance
-    ``p_i``.  Forced values ignore parents by construction: they come from
-    the per-node policy distribution."""
+    """Draw one instance's intervened nodes, sorted, and their forced
+    values, with chance ``p_i``.
+
+    A forced node ignores its parents (the do-operator): a categorical node
+    takes a uniform class of ``concept``; a node with a ``policy.values``
+    spec draws from it; a root draws from its distribution under
+    ``concept`` and an inner node from ``normal(out_mean, out_scale)`` of
+    its mapper.
+    """
 
     out: dict[int, float | int] = {}
     for node in _picked(p_i, policy, eligible, rng):
-        spec = value_specs[node]
-        if spec[0] == "normal":
-            out[node] = float(rng.normal(spec[1], spec[2]))
-        elif spec[0] == "uniform":
-            out[node] = float(rng.uniform(spec[1], spec[2]))
-        elif spec[0] == "classes":
-            out[node] = int(rng.integers(spec[1]))
+        if concept.is_categorical(node):
+            out[node] = int(rng.integers(concept.mappers[node].n_classes))
+            continue
+        spec, root = policy.values.get(node), concept.root_dists.get(node)
+        if spec is not None:
+            dist, (a, b) = spec["dist"], spec["params"]
+        elif root is not None:
+            dist, a, b = root.kind, root.p1, root.std() if root.kind == "normal" else root.p2
         else:
-            raise ValueError(f"unknown forced-value spec {spec!r}")
+            mapper = concept.mappers[node]
+            dist, a, b = "normal", mapper.out_mean, mapper.out_scale
+        out[node] = float((rng.normal if dist == "normal" else rng.uniform)(a, b))
     return out
 
 

@@ -2,9 +2,10 @@
 interventions and missingness, and value propagation through the graph.
 
 The temporal state never reads a node's value, so the engine builds the
-stream in segments: one walk over a segment's rows, in row order, applies
-its drift events and gives each row its concept version; the draws of the
-segment are then made in batches, in the order of a row-at-a-time walk,
+stream in segments: one walk over a segment's rows, in row order, makes
+each row's schedule, intervention and missingness draws, each on its own
+substream, and gives the row its concept version; the draws on the values
+substream are then made in batches, in the order of a row-at-a-time walk,
 each row with its version's parameters, and every node is computed for all
 of its rows with one batched ``predict`` per distinct mapper (see
 ``StreamGenerator``).  Drift replaces only the mappers its actions name, so
@@ -163,20 +164,20 @@ class StreamGenerator:
     ``config`` gives the run's schedule, policy, rates and length.  A
     segment runs from the first unbuilt row for ``_SEGMENT_ROWS`` rows, or
     to ``config.dataset_size`` if that comes first; drift events and
-    windows do not end it.  ``_walk`` plans it in one pass over its rows:
-    each abrupt or recurrent event adds a concept version, which makes the
-    rows from its event on; a gradual window's rows each pick its start
-    concept or its endpoint, and an incremental window's rows each have a
-    version of its own.  A drift event replaces only the mappers its
-    actions name, so versions share every other mapper.  A segment is then
-    built in two phases:
+    windows do not end it.  ``_walk`` makes every per-row draw but the
+    values in one pass over its rows: each abrupt or recurrent event adds a
+    concept version, which makes the rows from its event on; a gradual
+    window's rows each pick its start concept or its endpoint, and an
+    incremental window's rows each have a version of its own; then the row
+    draws its forced values from its version and its masked features.  A
+    drift event replaces only the mappers its actions name, so versions
+    share every other mapper.  A segment is then built in two phases:
 
-    1. the segment's draws, in the order of a row-at-a-time walk (see
-       ``spawn_streams``): on ``values`` one call per run of normal or
-       uniform draws, scaled by each row's version, then each node's
-       temporal recursion over its column, carried from ``state`` with the
-       float operations of ``root_value_step`` and ``ar_noise_step``; per
-       row ``draw_interventions`` and ``draw_missing``;
+    1. the segment's draws on ``values``, in the order of a row-at-a-time
+       walk (see ``spawn_streams``): one call per run of normal or uniform
+       draws, scaled by each row's version, then each node's temporal
+       recursion over its column, carried from ``state`` with the float
+       operations of ``root_value_step`` and ``ar_noise_step``;
     2. the ancestor walk, which also serves concept init and drift
        re-simulation: per inner node in topological order, one batched
        ``predict`` per distinct mapper among the rows' versions, each
@@ -212,13 +213,15 @@ class StreamGenerator:
         self.rngs = rngs
         self.state = concept.initial_state()
         self.emitted_features = emitted_features
+        extra = (concept.graph.target,) if self.policy.include_target else ()
+        self._eligible = tuple(sorted(concept.graph.feature_nodes + extra))
         self.feature_names = tuple(f"x{i + 1}" for i in range(len(emitted_features)))
         # ``t`` is the next row handed out; ``_built`` the next row the
         # engine builds
         self.t = 0
         self._built = 0
         # the segment that ends at ``_built``: its first row, node values,
-        # forced values, masked features and row concept ids; ``_rows`` holds
+        # intervened nodes, masked features and row concept ids; ``_rows`` holds
         # its instances once ``step`` has read it
         self._seg: tuple | None = None
         self._rows: list[Instance] | None = None
@@ -233,8 +236,10 @@ class StreamGenerator:
 
     # -- the event walk ------------------------------------------------------
 
-    def _walk(self) -> tuple[list[Concept], list[str], np.ndarray, dict[str, tuple[int, int]]]:
-        """Plan the next segment in one pass over its rows, in row order.
+    def _walk(self) -> tuple:
+        """Plan the next segment in one pass over its rows, in row order;
+        the pass makes each row's schedule, intervention and missingness
+        draws, each on its own substream.
 
         At each row the walk closes the open window if it ends there, then
         applies the event that starts there, on the schedule substream: an
@@ -244,16 +249,23 @@ class StreamGenerator:
         start concept or the endpoint, by the row's ``gradual_selector``
         draw; in an incremental window a version of its own, from the row's
         ``incremental_step``, which shares every mapper no action moves.
+        Last, ``draw_interventions`` draws the row's forced values from its
+        version and ``draw_missing`` its masked features.
 
-        Returns the versions, the concept id of each, each row's version,
-        and per concept an event completed, in row order, its version and
-        the row before which its snapshot's temporal state is read.
+        Returns the versions, the concept id of each and each row's version;
+        per concept an event completed, in row order, its version and the
+        row before which its snapshot's state is read; per forced node the
+        (rows, values) that overwrite its column; per row its intervened
+        nodes and its masked features, each sorted.
         """
 
         t0, size = self._built, self._config.dataset_size
         n = min(_SEGMENT_ROWS, size - t0) if t0 < size else _SEGMENT_ROWS
         events, e, rng = self._config.schedule.events, self._next_event, self.rngs.schedule
         versions, ids, which, done = [self.concept], [self._concept_id], [], {}
+        forced, intervened, missing = {}, [], []
+        p_i, p_m, policy, rngs = self._config.p_i, self._config.p_m, self.policy, self.rngs
+        eligible, emitted = self._eligible, self.emitted_features
         window = self._window
         if window is not None and window[0].rate == "gradual":
             versions.append(window[2])
@@ -292,27 +304,18 @@ class StreamGenerator:
                 versions.append(incremental_step(versions[-1], plan, t - spec.t_start, rng))
                 ids.append(event_id)
                 which.append(len(versions) - 1)
+            row = draw_interventions(p_i, policy, eligible, versions[which[-1]], rngs.interventions)
+            for node, value in row.items():
+                rows, vals = forced.setdefault(node, ([], []))
+                rows.append(i)
+                vals.append(value)
+            intervened.append(tuple(row))
+            missing.append(draw_missing(p_m, policy, emitted, rngs.missing))
         self._next_event, self._window = e, window
         # inside a gradual window the current concept is its start
         k = -2 if window is not None and window[0].rate == "gradual" else -1
         self.concept, self._concept_id = versions[k], ids[k]
-        return versions, ids, np.array(which), done
-
-    # -- intervention helpers ------------------------------------------------
-
-    def _value_spec(self, concept: Concept, node: int) -> tuple:
-        if concept.is_categorical(node):
-            return ("classes", concept.mappers[node].n_classes)
-        override = self.policy.values.get(node)
-        if override is not None:
-            return (override["dist"], *override["params"])
-        if concept.graph.is_root(node):
-            dist = concept.root_dists[node]
-            if dist.kind == "normal":
-                return ("normal", dist.p1, float(np.sqrt(dist.p2)))
-            return ("uniform", dist.p1, dist.p2)
-        mapper = concept.mappers[node]
-        return ("normal", mapper.out_mean, mapper.out_scale)
+        return versions, ids, np.array(which), done, forced, intervened, missing
 
     # -- the segment engine --------------------------------------------------
 
@@ -321,17 +324,10 @@ class StreamGenerator:
         each concept that an event completed in it."""
 
         t0 = self._built
-        versions, ids, which, done = self._walk()
-        cuts = [i for _, i in done.values()]
-        drawn, forced, missing, states = self._draw_rows(versions, which, cuts)
+        versions, ids, which, done, forced, intervened, missing = self._walk()
+        drawn, states = self._draw_rows(versions, which, [i for _, i in done.values()])
         for (event_id, (k, _)), state in zip(done.items(), states):
             self.snapshots[event_id] = ConceptSnapshot(versions[k], state)
-        overrides: dict[int, tuple[list[int], list]] = {}
-        for i, row in enumerate(forced):
-            for node, value in row.items():
-                rows, vals = overrides.setdefault(node, ([], []))
-                rows.append(i)
-                vals.append(value)
         # each version's rows, grouped once for every node
         order = np.argsort(which, kind="stable")
         groups = np.split(order, np.searchsorted(which[order], range(1, len(versions))))
@@ -341,26 +337,25 @@ class StreamGenerator:
             drawn.__getitem__,
             lambda node, P: _RowMappers(versions, groups, node),
             lambda node, m: drawn[node],
-            forced=overrides,
+            forced=forced,
         )
         self._built = t0 + len(which)
-        self._seg = (t0, V, forced, missing, [ids[k] for k in which.tolist()])
+        self._seg = (t0, V, intervened, missing, [ids[k] for k in which.tolist()])
         self._rows = None
 
     def _draw_rows(self, versions: list[Concept], which: np.ndarray, cuts: list[int]):
-        """Phase 1: every draw of the segment's rows, in the order of a
-        row-at-a-time walk, batched; row ``i`` draws with the parameters of
-        ``versions[which[i]]``.
+        """Phase 1: every draw of the segment's rows on the values
+        substream, in the order of a row-at-a-time walk, batched; row ``i``
+        draws with the parameters of ``versions[which[i]]``.  ``_walk`` has
+        made the rows' draws on every other substream.
 
-        Returns the per-node draws on ``values`` (a root's natural value, a
-        continuous inner node's AR noise), per row the forced values and
-        the masked features, and the temporal state before each row of
+        Returns the per-node draws (a root's natural value, a continuous
+        inner node's AR noise) and the temporal state before each row of
         ``cuts``, read from the nodes' paths; ``state`` moves past the
         segment's last row.
         """
 
-        concept, n = versions[0], len(which)
-        graph, temporal = concept.graph, concept.temporal
+        n, temporal = len(which), versions[0].temporal
         # no drift changes which draws a row makes, only their loc and scale
         params = [_draw_params(v) for v in versions]
         walk, loc, scale, uniform = params[0]
@@ -383,25 +378,13 @@ class StreamGenerator:
             for k in [*cuts, n]
         ]
         self.state = states.pop()
-        # per row, one gate on each substream, then the row's payload if it
-        # opens
-        policy, emitted, rngs = self.policy, self.emitted_features, self.rngs
-        eligible = graph.feature_nodes
-        if policy.include_target:
-            eligible = tuple(sorted(eligible + (graph.target,)))
-        specs = [{node: self._value_spec(v, node) for node in eligible} for v in versions]
-        forced = [
-            draw_interventions(self._config.p_i, policy, eligible, specs[k], rngs.interventions)
-            for k in which.tolist()
-        ]
-        missing = [draw_missing(self._config.p_m, policy, emitted, rngs.missing) for _ in range(n)]
-        return drawn, forced, missing, states
+        return drawn, states
 
     def _emit(self) -> list[Instance]:
         """The built segment's instances: Python ints for categorical nodes
         and floats for continuous ones, ``None`` for masked features."""
 
-        t0, V, forced, missing, ids = self._seg
+        t0, V, intervened, missing, ids = self._seg
         concept = self.concept
         topo = concept.graph.topo_order
         columns = {
@@ -418,7 +401,7 @@ class StreamGenerator:
         values = [dict(zip(topo, row)) for row in zip(*(columns[node] for node in topo))]
         labels = columns[concept.graph.target]
         return [
-            Instance(t0 + i, f, y, v, tuple(sorted(forced[i])), missing[i], ids[i])
+            Instance(t0 + i, f, y, v, intervened[i], missing[i], ids[i])
             for i, (f, y, v) in enumerate(zip(features, labels, values))
         ]
 
@@ -567,7 +550,7 @@ def collect(gen: StreamGenerator, n: int) -> StreamFrame:
     """The next ``n`` rows of ``gen`` as arrays, sliced from its segments
     with no ``Instance`` built; ``step`` goes on from the row after them."""
 
-    V, forced, missing, ids = [np.empty((0, gen.concept.graph.n_nodes))], [], [], []
+    V, intervened, missing, ids = [np.empty((0, gen.concept.graph.n_nodes))], [], [], []
     end = gen.t + n
     while gen.t < end:
         if gen.t == gen._built:
@@ -576,7 +559,7 @@ def collect(gen: StreamGenerator, n: int) -> StreamFrame:
         a, b = gen.t - t0, min(end, gen._built) - t0
         gen.t += b - a
         V.append(v[a:b])
-        forced += f[a:b]
+        intervened += f[a:b]
         missing += m[a:b]
         ids += c[a:b]
     V = np.concatenate(V)
@@ -593,6 +576,6 @@ def collect(gen: StreamGenerator, n: int) -> StreamFrame:
         feature_names=gen.feature_names,
         task=task,
         missing_mask=mask,
-        intervened=[tuple(sorted(row)) for row in forced],
+        intervened=intervened,
         concept_ids=ids,
     )

@@ -143,7 +143,7 @@ def read_stream_csv(path):
         raise StreamFormatError(
             f"{path}: row {i + 2}: label is not a finite number: {float(y[i])!r}"
         )
-    integral = bool(np.allclose(y, np.round(y)))
+    integral = bool((y == np.round(y)).all())
     task = _sidecar_task(path)
     if task is None:
         task = "classification" if n and integral else "regression"

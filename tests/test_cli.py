@@ -530,6 +530,14 @@ def test_read_stream_takes_the_task_from_the_sidecar(tmp_path):
     write_sidecar(real, {"task": "classification"})
     with pytest.raises(StreamFormatError, match="integers"):
         read_stream_csv(real)
+    # a label a hair off an integer is not one, with or without a sidecar
+    near = tmp_path / "near.csv"
+    near.write_text("x1,y\n0.5,2.99999\n1.5,1\n")
+    frame = read_stream_csv(near)
+    assert frame.task == "regression" and list(frame.y) == [2.99999, 1.0]
+    write_sidecar(near, {"task": "classification"})
+    with pytest.raises(StreamFormatError, match="integers"):
+        read_stream_csv(near)
     sidecar_path(real).write_text("[1, 2]")
     assert main(["evaluate", str(real)]) == 3
 

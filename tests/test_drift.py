@@ -7,6 +7,7 @@ import pytest
 import causalstream.mappers
 from conftest import COVERAGE_DOC, preset_prefix
 from causalstream.concept import (
+    ConceptParams,
     ConceptSnapshot,
     deterministic_label,
     init_concept,
@@ -379,19 +380,41 @@ def test_begin_gradual_returns_shifted_endpoint():
     assert end != c and c == _concept(10)
 
 
+def _forced_value_concept():
+    """A concept whose nodes 0, 1 and 2 are a normal root on N(0, 1), a
+    uniform root on [5, 6) and a 3-class categorical node."""
+    params = ConceptParams(nodes={
+        0: {"dist": "normal", "dist_params": [0.0, 1.0]},
+        1: {"dist": "uniform", "dist_params": [5.0, 6.0]},
+        2: {"mapper": "prototype", "n_classes": 3},
+        4: {"mapper": "random-mlp"},
+    })
+    concept = init_concept(example_graph(), params, np.random.default_rng(0))
+    assert concept.root_dists[0] == RootDistribution("normal", 0.0, 1.0)
+    assert concept.root_dists[1] == RootDistribution("uniform", 5.0, 6.0)
+    assert concept.is_categorical(2) and concept.mappers[2].n_classes == 3
+    assert not concept.is_categorical(4)
+    return concept
+
+
 def test_intervention_gate_consumes_one_draw():
-    specs = {0: ("normal", 0.0, 1.0)}
+    concept = _forced_value_concept()
     a = np.random.default_rng(0)
     b = np.random.default_rng(0)
     # first uniform of seed 0 is ~0.637, above both gate levels
-    out_a = draw_interventions(0.0, InterventionPolicy(), (0,), specs, a)
-    out_b = draw_interventions(0.3, InterventionPolicy(), (0,), specs, b)
+    out_a = draw_interventions(0.0, InterventionPolicy(), (0,), concept, a)
+    out_b = draw_interventions(0.3, InterventionPolicy(), (0,), concept, b)
     assert out_a == {} and out_b == {}
     assert a.random() == b.random()
 
 
 def test_intervention_values_follow_specs():
-    policy = InterventionPolicy(count_range=(1, 3))
+    """Node 4's forced values follow the policy's uniform spec; the other
+    nodes' follow the concept."""
+    policy = InterventionPolicy(
+        count_range=(1, 3), values={4: {"dist": "uniform", "params": [-1.0, 0.0]}}
+    )
+    concept = _forced_value_concept()
     eligible = (0, 1, 2, 4)
     specs = {
         0: ("normal", 0.0, 1.0),
@@ -401,7 +424,7 @@ def test_intervention_values_follow_specs():
     }
     rng = np.random.default_rng(12)
     for _ in range(200):
-        out = draw_interventions(1.0, policy, eligible, specs, rng)
+        out = draw_interventions(1.0, policy, eligible, concept, rng)
         nodes = list(out)
         assert 1 <= len(nodes) <= 3
         assert nodes == sorted(nodes)
@@ -411,6 +434,29 @@ def test_intervention_values_follow_specs():
                 assert specs[n][1] <= v < specs[n][2]
             elif specs[n][0] == "classes":
                 assert isinstance(v, int) and 0 <= v < specs[n][1]
+
+
+def test_forced_root_values_follow_the_rows_concept():
+    """A gradual window moves uniform root 1 from [0, 1) to [100, 101); each
+    row forces the root from the concept that row was drawn from."""
+    move = ShiftAction("root-params", node=1, params={"low": 100.0, "high": 101.0})
+    cfg = GeneratorConfig(
+        dataset_size=300,
+        seed=4,
+        graph=example_graph(),
+        p_i=1.0,
+        concept=ConceptParams(nodes={1: {"dist": "uniform", "dist_params": [0.0, 1.0]}}),
+        schedule=DriftSchedule((ShiftSpec("covariate", "gradual", 50, 200, (move,)),)),
+    )
+    frame = collect(build_stream(cfg), cfg.dataset_size)
+    bounds = {"concept0": (0.0, 1.0), "concept1": (100.0, 101.0)}
+    seen = set()
+    for x, nodes, cid in zip(frame.X, frame.intervened, frame.concept_ids):
+        if 1 in nodes:
+            low, high = bounds[cid]
+            assert low <= x[1] < high, (cid, x[1])
+            seen.add(cid)
+    assert seen == set(bounds)
 
 
 def test_draw_missing_counts_and_sorting():
@@ -480,8 +526,14 @@ def test_serialization_round_trips():
         ({"dist": "uniform", "params": [0.0]}, "two numbers"),
         ({"dist": "uniform", "params": ["0", 1.0]}, "two numbers"),
         ({"dist": "normal", "params": [0.0, -1.0]}, "non-negative std"),
+        ({"dist": "uniform", "params": [5.0, 1.0]}, "values.0: a uniform spec needs low below"),
+        ({"dist": "uniform", "params": [2.0, 2.0]}, "values.0: a uniform spec needs low below"),
+        ({"dist": "normal", "params": [float("nan"), 1.0]}, "values.0: params must be finite"),
     ],
-    ids=["low-high-keys", "unknown-dist", "one-param", "string-param", "negative-std"],
+    ids=[
+        "low-high-keys", "unknown-dist", "one-param", "string-param", "negative-std",
+        "reversed-uniform", "empty-uniform", "nan-param",
+    ],
 )
 def test_policy_rejects_a_bad_forced_value_spec(spec, message):
     """A policy built through the API checks its specs when it is made,

@@ -37,6 +37,7 @@ from causalstream.drift import (
     apply_abrupt,
     begin_incremental,
     concept_id,
+    incremental_step,
 )
 from causalstream.generator import GeneratorConfig, build_stream, collect
 from causalstream.graph import build_dag
@@ -299,7 +300,7 @@ def test_an_incremental_window_lands_on_the_abrupt_endpoint(
         plan = begin_incremental(concept, spec, np.random.default_rng(seed))
         work, steps = concept, np.random.default_rng(seed + 1)
         for i in range(duration):
-            work = plan.step(work, i, steps)
+            work = incremental_step(work, plan, i, steps)
         once = replace(spec, rate="abrupt", duration=1)
         abrupt = apply_abrupt(concept, once, np.random.default_rng(seed))
         assert work.to_dict() == abrupt.to_dict(), acts
