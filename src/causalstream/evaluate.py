@@ -9,6 +9,7 @@ with label_fraction 0 the model trains on warmup and is frozen afterwards.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ LEARNER_NAMES = ("logistic", "naive-bayes", "linear")
 _LARGEST_ROOT = math.sqrt(np.finfo(float).max)
 # most cells of complete rows a RunningStats holds before it runs their steps
 _PENDING_CELLS = 1 << 20
+# most cells of each class-state array that the naive-Bayes replay gathers
+_REPLAY_CELLS = 1 << 16
 
 
 class RunningStats:
@@ -132,6 +135,11 @@ class RunningStats:
         return np.where(np.abs(x) <= _LARGEST_ROOT, x, self.mean)
 
 
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _class_label(y, n_classes: int) -> int:
     if not 0 <= y < n_classes or int(y) != y:
         raise ValueError(f"label {y!r} is not a class in 0..{n_classes - 1}")
@@ -207,6 +215,50 @@ class LogisticLearner:
         self.b -= step * p
 
 
+def _welford_step(mean, m2, z, count, mean_out, m2_out) -> None:
+    """One class's Welford step on its ``count``-th row ``z``, written to
+    ``mean_out`` and ``m2_out``, which may be ``mean`` and ``m2``."""
+
+    delta = z - mean
+    np.add(mean, delta / count, out=mean_out)
+    np.add(m2, delta * (z - mean_out), out=m2_out)
+
+
+def _class_terms(m2, count) -> tuple[np.ndarray, np.ndarray]:
+    """The variance and ``log(2 pi var)`` of classes with M2 rows ``m2``
+    after ``count`` rows; a class with at most one row has variance 1.0."""
+
+    var = np.where(count > 1, np.maximum(m2 / np.maximum(count, 1), 1e-9), 1.0)
+    return var, np.log(2 * np.pi * var)
+
+
+def _log_prior(counts, rows) -> np.ndarray:
+    """The Laplace-smoothed log prior of the class counts after ``rows``
+    learned rows, which equals their sum."""
+
+    return np.log((counts + 1.0) / (rows + counts.shape[-1]))
+
+
+def _classify(z, means, var, log_norm, log_prior):
+    """The most likely class of the rows ``z`` (..., d) against class terms
+    (..., k, d) and log priors (..., k): the Gaussian log-likelihood is
+    summed over the contiguous feature axis."""
+
+    ll = -0.5 * ((z - means) ** 2 / var + log_norm).sum(axis=-1)
+    return (log_prior + ll).argmax(axis=-1)
+
+
+def _class_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """The classes of the labels ``y``, or the error that ``_class_label``
+    raises for the first label that is not a class."""
+
+    f = np.asarray(y, dtype=float)
+    ok = (f >= 0) & (f < n_classes) & (f == np.floor(f))
+    if not ok.all():
+        _class_label(y[np.argmin(ok)].item(), n_classes)
+    return f.astype(np.intp)
+
+
 class NaiveBayesLearner:
     """Incremental Gaussian naive Bayes with Laplace-smoothed priors.
 
@@ -214,6 +266,10 @@ class NaiveBayesLearner:
     learned class's row of the variance and of ``log(2 pi var)``, and the
     log prior from a running row total, which equals ``counts.sum()``
     exactly because every count is an integer-valued float.
+
+    Its state after any run of learns depends only on the rows and labels
+    learned, never on its own predictions, so ``prequential_run`` replays a
+    run in blocks (``_replay``) with the same IEEE operations.
     """
 
     def __init__(self, n_features: int, n_classes: int):
@@ -225,30 +281,101 @@ class NaiveBayesLearner:
         self.means = np.zeros((n_classes, n_features))
         self._m2 = np.zeros((n_classes, n_features))
         self._rows = 0
-        # a class with at most one row has variance 1.0
-        self._var = np.ones((n_classes, n_features))
-        self._log_norm = np.log(2 * np.pi * self._var)
-        self._log_prior = np.log((self.counts + 1.0) / (self._rows + n_classes))
+        self._var, self._log_norm = _class_terms(self._m2, self.counts[:, None])
+        self._log_prior = _log_prior(self.counts, self._rows)
 
     def predict(self, x: np.ndarray) -> int:
         z = self.stats.impute(np.asarray(x, dtype=float))
-        ll = -0.5 * ((z - self.means) ** 2 / self._var + self._log_norm).sum(axis=1)
-        return int((self._log_prior + ll).argmax())
+        return int(_classify(z, self.means, self._var, self._log_norm, self._log_prior))
 
     def learn(self, x: np.ndarray, y: int) -> None:
         y = _class_label(y, self.n_classes)
         z = self.stats.update(np.asarray(x, dtype=float))
         self.counts[y] += 1
         count = self.counts[y]
-        delta = z - self.means[y]
-        self.means[y] += delta / count
-        self._m2[y] += delta * (z - self.means[y])
-        if count > 1:
-            var = np.maximum(self._m2[y] / count, 1e-9)
-            self._var[y] = var
-            self._log_norm[y] = np.log(2 * np.pi * var)
+        mean, m2 = self.means[y], self._m2[y]
+        _welford_step(mean, m2, z, count, mean, m2)
+        self._var[y], self._log_norm[y] = _class_terms(m2, count)
         self._rows += 1
-        self._log_prior = np.log((self.counts + 1.0) / (self._rows + self.n_classes))
+        self._log_prior = _log_prior(self.counts, self._rows)
+
+    def _replay(self, X: np.ndarray, y: np.ndarray, learned, before) -> np.ndarray:
+        """The predictions for the scored rows, the last ``len(before)`` of
+        ``X``, in a prequential run that learns the rows ``learned`` in
+        order, ``before[i]`` of them before the prediction of scored row
+        ``i`` and the rest after the last one.  Leaves the state that the
+        run's ``learn`` and ``predict`` calls would leave.
+
+        The scored rows go in blocks.  Each of a block's learns writes its
+        class's Welford step to a table row of its own; each prediction
+        then gathers every class's state at its point in the run from the
+        table, and the block is scored in one expression.  Learns before a
+        block's first prediction step the classes' own rows.  Each gathered
+        array holds at most ``_REPLAY_CELLS`` cells, or one row's k * d.
+        """
+
+        k, d = self.means.shape
+        n, first = len(before), X.shape[0] - len(before)
+        labels = _class_labels(y[learned], k)
+        classes, learned, stops = labels.tolist(), learned.tolist(), before.tolist()
+        block = max(_REPLAY_CELLS // (k * d), 1)
+        # rows 0..k-1: each class's state; row k + s: the block's learn s
+        means, m2, var, log_norm = np.empty((4, k + block, d))
+        means[:k], m2[:k] = self.means, self._m2
+        counts, update = self.counts.tolist(), self.stats.update
+        preds = np.empty(n, dtype=np.intp)
+        j = 0
+
+        def learn(prev: int, row: int) -> float:
+            c = classes[j]
+            counts[c] += 1.0
+            _welford_step(means[prev], m2[prev], update(X[learned[j]]), counts[c], means[row], m2[row])
+            return counts[c]
+
+        def learn_in_place(stop: int) -> None:
+            nonlocal j
+            while j < stop:
+                learn(classes[j], classes[j])
+                j += 1
+
+        for i0 in range(0, n, block):
+            i1 = min(i0 + block, n)
+            learn_in_place(stops[i0])
+            j0, last, row_counts = j, list(range(k)), counts.copy()
+            Z = X[first + i0 : first + i1]
+            # a row of observed cells is its own imputation; any other row is
+            # imputed once the learns before its prediction are made
+            incomplete = np.flatnonzero(~(np.abs(Z) <= _LARGEST_ROOT).all(axis=1)).tolist()
+            if incomplete:
+                Z = Z.copy()
+            for i in [*incomplete, None]:
+                stop = stops[i1 - 1 if i is None else i0 + i]
+                while j < stop:
+                    c, row = classes[j], k + j - j0
+                    row_counts.append(learn(last[c], row))
+                    last[c] = row
+                    j += 1
+                if i is not None:
+                    Z[i] = self.stats.impute(Z[i])
+            rows = slice(0, len(row_counts))
+            row_counts = np.array(row_counts)
+            var[rows], log_norm[rows] = _class_terms(m2[rows], row_counts[:, None])
+            # each class's table row after each of the block's learns
+            hit = labels[j0:j, None] == np.arange(k)
+            owner = np.vstack((np.arange(k), np.where(hit, np.arange(k, k + j - j0)[:, None], 0)))
+            np.maximum.accumulate(owner, axis=0, out=owner)
+            at = owner[before[i0:i1] - j0]
+            prior = _log_prior(row_counts[at], self._rows + before[i0:i1, None])
+            preds[i0:i1] = _classify(Z[:, None], means[at], var[at], log_norm[at], prior)
+            at = owner[-1]
+            means[:k], m2[:k] = means[at], m2[at]
+        learn_in_place(len(learned))
+        self.means[:], self._m2[:] = means[:k], m2[:k]
+        self.counts[:] = counts
+        self._var[:], self._log_norm[:] = _class_terms(self._m2, self.counts[:, None])
+        self._rows += len(learned)
+        self._log_prior = _log_prior(self.counts, self._rows)
+        return preds
 
 
 class LinearRegressorLearner:
@@ -340,6 +467,7 @@ class DelayedLabels:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_int("delay", self.delay)
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
         if not 0.0 <= self.label_fraction <= 1.0:
@@ -372,6 +500,25 @@ def _frame_arrays(stream) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(X, dtype=float), np.asarray(y)
 
 
+def _learn_schedule(n: int, initial_train: int, overlay: DelayedLabels):
+    """A run's learns: the learned rows in learn order, the warm-up rows
+    and then each labeled row in arrival order, and for each scored row
+    ``t >= initial_train`` how many learns come before its prediction.
+
+    A label reaches the learner before the prediction at ``t + delay``;
+    with no delay, right after its own row's prediction.  A label due past
+    the last row never arrives, except the last row's own at delay 0.
+    """
+
+    labeled = np.flatnonzero(overlay.labeled_mask(n, initial_train))
+    arrives = labeled + min(max(overlay.delay, 1), n)
+    if overlay.delay:
+        labeled = labeled[arrives < n]
+    learned = np.concatenate((np.arange(initial_train), labeled))
+    before = initial_train + np.searchsorted(arrives, np.arange(initial_train, n), side="right")
+    return learned, before
+
+
 def prequential_run(
     stream,
     learner,
@@ -381,10 +528,19 @@ def prequential_run(
     task: str | None = None,
 ) -> PrequentialCurve:
     """Test-then-train pass: predict each post-warmup instance, score it,
-    then (subject to the overlay) learn from it."""
+    then (subject to the overlay) learn from it.
+
+    Naive Bayes replays the run in blocks (``NaiveBayesLearner._replay``):
+    its state never depends on its own predictions.  Any other learner is
+    called row by row.
+    """
 
     X, y = _frame_arrays(stream)
     n = X.shape[0]
+    _check_int("window", W)
+    _check_int("initial_train", initial_train)
+    if len(y) != n:
+        raise ValueError(f"X has {n} rows but y has {len(y)}")
     if n == 0:
         raise ValueError("empty stream")
     if W < 1:
@@ -404,31 +560,24 @@ def prequential_run(
     classification = task == "classification"
     metric = "accuracy" if classification else "mae"
 
-    labels = y.tolist()
-    for t in range(initial_train):
-        learner.learn(X[t], labels[t])
-
-    if overlay is None:
-        overlay = DelayedLabels()
-    labeled = overlay.labeled_mask(n, initial_train).tolist()
-    pending: dict[int, int] = {}  # arrival step -> instance index
-
-    raw = []
-    for t in range(initial_train, n):
-        if t in pending:
-            u = pending.pop(t)
+    learned, before = _learn_schedule(n, initial_train, overlay or DelayedLabels())
+    # a subclass may change learn or predict, so only the class itself replays
+    if type(learner) is NaiveBayesLearner:
+        preds = learner._replay(X, y, learned, before).tolist()
+    else:
+        labels, learned, preds, j = y.tolist(), learned.tolist(), [], 0
+        for t, stop in enumerate(before.tolist(), initial_train):
+            while j < stop:
+                learner.learn(X[learned[j]], labels[learned[j]])
+                j += 1
+            preds.append(learner.predict(X[t]))
+        for u in learned[j:]:
             learner.learn(X[u], labels[u])
-        pred = learner.predict(X[t])
-        if classification:
-            raw.append(1.0 if int(pred) == int(labels[t]) else 0.0)
-        else:
-            raw.append(abs(float(pred) - float(labels[t])))
-        if labeled[t]:
-            if overlay.delay == 0:
-                learner.learn(X[t], labels[t])
-            else:
-                pending[t + overlay.delay] = t
-    raw = np.array(raw)
+    scored = y[initial_train:].tolist()
+    if classification:
+        raw = np.array([1.0 if int(p) == int(v) else 0.0 for p, v in zip(preds, scored)])
+    else:
+        raw = np.array([abs(float(p) - float(v)) for p, v in zip(preds, scored)])
     hi = np.arange(1, len(raw) + 1)
     lo = np.maximum(hi - W, 0)
     if classification:

@@ -356,12 +356,11 @@ class StreamGenerator:
         """
 
         n, temporal = len(which), versions[0].temporal
-        # no drift changes which draws a row makes, only their loc and scale
-        params = [_draw_params(v) for v in versions]
-        walk, loc, scale, uniform = params[0]
-        if len(params) > 1:
-            loc = np.asarray([p[1] for p in params])[which]
-            scale = np.asarray([p[2] for p in params])[which]
+        walk, loc, scale, uniform = _draw_params(versions)
+        if len(versions) > 1:
+            loc, scale = np.asarray(loc)[which], np.asarray(scale)[which]
+        else:
+            loc, scale = loc[0], scale[0]
         draws = _draw_in_rows(self.rngs.values, n, loc, scale, uniform).T.tolist()
         ewma, ar = self.state.ewma, self.state.ar
         drawn, noise, j = {}, {}, 0
@@ -427,27 +426,49 @@ class StreamGenerator:
         return self.step()
 
 
-def _draw_params(concept: Concept) -> tuple[list, list, list, list]:
-    """A row's draws on ``values`` under ``concept``: per continuous node in
-    topological order, a root's natural value, then the node's AR
-    innovation.  Returns the walk of (node, is root) and each draw's loc,
-    scale and whether it is uniform."""
+def _draw_params(versions: list[Concept]) -> tuple[list, list, list, list]:
+    """A row's draws on ``values`` under each concept version: per
+    continuous node in topological order, a root's natural value, then the
+    node's AR innovation.  Returns the walk of (node, is root), each
+    version's list of draw locs and of draw scales, and whether each draw
+    is uniform.
 
-    walk, loc, scale, uniform = [], [], [], []
-    for node in concept.graph.topo_order:
-        if concept.is_categorical(node):
-            continue
-        dist = concept.root_dists.get(node)
-        if dist is not None:
-            normal = dist.kind == "normal"
-            loc.append(dist.p1)
-            scale.append(dist.std() if normal else dist.p2 - dist.p1)
-            uniform.append(not normal)
-        loc.append(0.0)
-        scale.append(concept.temporal.sigma * concept.noise_scale(node))
-        uniform.append(False)
-        walk.append((node, dist is not None))
-    return walk, loc, scale, uniform
+    No drift changes which draws a row makes, only their loc and scale,
+    and a node's read only its source: a root's distribution or an inner
+    node's mapper.  A version recomputes only the nodes whose source is not
+    the previous version's object.
+    """
+
+    first, walk, slot, size = versions[0], [], {}, 0
+    for node in first.graph.topo_order:
+        if not first.is_categorical(node):
+            walk.append((node, node in first.root_dists))
+            slot[node] = size
+            size += 1 + walk[-1][1]
+    roots = [node for node, root in walk if root]
+    inner = [node for node, root in walk if not root]
+    loc, scale, uniform = [0.0] * size, [0.0] * size, [False] * size
+    locs, scales, held = [], [], None
+    for concept in versions:
+        sources = [*map(concept.root_dists.__getitem__, roots), *map(concept.mappers.__getitem__, inner)]
+        if held is None:
+            moved = roots + inner
+        else:
+            moved = [node for node, a, b in zip(roots + inner, sources, held) if a is not b]
+            loc, scale = loc.copy(), scale.copy()
+        for node in moved:
+            i = slot[node]
+            dist = concept.root_dists.get(node)
+            if dist is not None:
+                normal = dist.kind == "normal"
+                loc[i], uniform[i] = dist.p1, not normal
+                scale[i] = dist.std() if normal else dist.p2 - dist.p1
+                i += 1
+            scale[i] = concept.temporal.sigma * concept.noise_scale(node)
+        locs.append(loc)
+        scales.append(scale)
+        held = sources
+    return walk, locs, scales, uniform
 
 
 class _RowMappers:

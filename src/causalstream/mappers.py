@@ -624,10 +624,17 @@ def _sgd_kernel(k: int):
     return namespace["sgd"]
 
 
+@cache
+def _sgd_rates(steps: int) -> tuple[float, ...]:
+    """The step sizes of the first ``steps`` SGD steps of a fit."""
+
+    return tuple(_SGD_ETA0 / t**_SGD_POWER_T for t in range(1, steps + 1))
+
+
 def _fit_sgd(z, y, rng):
     n, k = z.shape
     order = np.concatenate([rng.permutation(n) for _ in range(_SGD_EPOCHS)])
-    lrs = [_SGD_ETA0 / t**_SGD_POWER_T for t in range(1, len(order) + 1)]
+    lrs = _sgd_rates(len(order))
     w, b = _sgd_kernel(k)([0.0] * k, 0.0, z[order].T.tolist(), y[order].tolist(), lrs)
     return np.array(w), b
 

@@ -336,3 +336,36 @@ def test_drift_response_requires_coverage():
     series = np.full(100, 0.9)
     with pytest.raises(ValueError):
         drift_response_metrics(_synthetic_curve(series), _one_event_schedule(95))
+
+
+@pytest.mark.parametrize("delay", [1.5, True, "1"])
+def test_overlay_rejects_a_delay_that_is_not_an_integer(delay):
+    # delay=1.5 filed each label under t + 1.5, which no step matches: the
+    # learner learned nothing after the warm-up
+    with pytest.raises(ValueError, match="delay must be an integer"):
+        DelayedLabels(delay=delay)
+    assert DelayedLabels(delay=np.int64(2)).delay == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"W": 2.5}, "window must be an integer"),
+        ({"W": True}, "window must be an integer"),
+        ({"initial_train": 2.5}, "initial_train must be an integer"),
+        ({"initial_train": False}, "initial_train must be an integer"),
+        ({"rows_of_y": 39}, "X has 40 rows but y has 39"),
+        ({"rows_of_y": 41}, "X has 40 rows but y has 41"),
+    ],
+)
+def test_prequential_checks_its_inputs_before_the_first_learn(args, message):
+    # W=2.5 used to run the whole stream and then fail building the series,
+    # initial_train=2.5 failed in range(), and a y shorter than X failed
+    # mid-stream after learning
+    X, y = _indexed_stream(40)
+    y = np.zeros(args.pop("rows_of_y", 40), dtype=int)
+    audit = AuditLearner()
+    with pytest.raises(ValueError, match=message):
+        prequential_run((X, y), audit, **{"W": 5, "initial_train": 10, **args},
+                        task="classification")
+    assert audit.log == []

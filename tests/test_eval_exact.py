@@ -299,6 +299,15 @@ def test_prequential_matches_the_reference_bit_for_bit(learner, kind):
             assert curve.raw.tobytes() == raw.tobytes(), case
             assert curve.series.tobytes() == reference_series(raw, W).tobytes(), case
             assert_same_state(new.learner, ref)
+            if learner == "naive-bayes":
+                # unwrapped, naive Bayes takes the blocked replay
+                bare = make_new(d)
+                curve = prequential_run(
+                    (X, y), bare, W=W, initial_train=INITIAL_TRAIN, overlay=overlay, task=task
+                )
+                assert curve.raw.tobytes() == raw.tobytes(), f"replay, {case}"
+                assert curve.series.tobytes() == reference_series(raw, W).tobytes(), case
+                assert_same_state(bare, ref)
 
 
 def test_running_stats_counts_observed_entries_and_keeps_complete_rows():
@@ -443,3 +452,66 @@ def test_naive_bayes_kept_terms_match_a_recompute(script):
         probe = np.array(cells[::-1])
         assert nb.predict(probe) == ref.predict(probe)
     assert_same_state(nb, ref)
+
+
+# ----- the naive-Bayes replay against the per-row run ------------------------
+
+
+def assert_same_naive_bayes(new, old):
+    """Every array and count of two naive-Bayes learners, bit for bit."""
+
+    for name in ("counts", "means", "_m2", "_var", "_log_norm", "_log_prior"):
+        assert bits(getattr(new, name)) == bits(getattr(old, name)), name
+    assert new._rows == old._rows
+    for name in ("count", "mean", "_m2"):
+        assert bits(getattr(new.stats, name)) == bits(getattr(old.stats, name)), f"stats.{name}"
+
+
+@st.composite
+def replay_runs(draw):
+    """A frame with odd cells, its labels, an overlay, a warm-up, a window
+    and a replay cell budget small enough to cut the run into many blocks."""
+
+    k = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 6))
+    initial_train = draw(st.integers(0, 40))
+    n = initial_train + draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0.0, 3.0, size=(n, d)) + rng.normal(0.0, 2.0, size=d)
+    odd = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    X[odd] = rng.choice(ODD_CELLS, size=int(odd.sum()))
+    y = rng.integers(0, k, size=n)
+    overlay = DelayedLabels(
+        delay=draw(st.integers(0, 60)),
+        label_fraction=draw(st.sampled_from([0.0, 0.3, 1 / 3, 0.5, 1.0])),
+        seed=draw(st.integers(0, 3)),
+    )
+    return X, y, k, initial_train, overlay, draw(st.integers(1, 10)), draw(st.integers(1, 200))
+
+
+@given(replay_runs())
+def test_the_naive_bayes_replay_equals_the_per_row_run(run):
+    X, y, k, initial_train, overlay, W, cells = run
+    d = X.shape[1]
+    old = Recording(NaiveBayesLearner(d, k))
+    want = prequential_run(
+        (X, y), old, W=W, initial_train=initial_train, overlay=overlay, task="classification"
+    )
+    new, replayed = NaiveBayesLearner(d, k), []
+    real = NaiveBayesLearner._replay
+
+    def spy(self, *args):
+        replayed.append(real(self, *args))
+        return replayed[-1]
+
+    with mock.patch.object(evaluate, "_REPLAY_CELLS", cells), mock.patch.object(
+        NaiveBayesLearner, "_replay", spy
+    ):
+        got = prequential_run(
+            (X, y), new, W=W, initial_train=initial_train, overlay=overlay, task="classification"
+        )
+    assert len(replayed) == 1
+    assert replayed[0].tolist() == old.preds
+    assert got.raw.tobytes() == want.raw.tobytes()
+    assert got.series.tobytes() == want.series.tobytes()
+    assert_same_naive_bayes(new, old.learner)
