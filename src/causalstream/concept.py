@@ -90,6 +90,10 @@ class ConceptParams(Serializable):
             raise ValueError("fit_samples must be at least 2")
         if self.eps_scale < 0:
             raise ValueError("eps_scale must be non-negative")
+        for name in ("mean_range", "variance_range", "low_range", "width_range"):
+            low, high = getattr(self, name)
+            if not (np.isfinite([low, high]).all() and low <= high):
+                raise ValueError(f"{name} must be finite with low <= high, not {[low, high]}")
         for node, pin in self.nodes.items():
             unknown = sorted(set(pin) - NODE_PIN_KEYS)
             if unknown:

@@ -7,9 +7,9 @@ each row's schedule, intervention and missingness draws, each on its own
 substream, and gives the row its concept version; the draws on the values
 substream are then made in batches, in the order of a row-at-a-time walk,
 each row with its version's parameters, and every node is computed for all
-of its rows with one batched ``predict`` per distinct mapper (see
-``StreamGenerator``).  Drift replaces only the mappers its actions name, so
-the versions of a segment share the rest.
+of its rows with one batched ``predict`` per mapper.  The walk records the
+nodes each version moves, and both phases read that record (see
+``StreamGenerator``).
 
 Reproducibility contract: one master seed spawns five independent substreams
 (concept init, node values, interventions, missing masks, drift schedule).
@@ -96,6 +96,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.dataset_size < 0:
             raise ValueError("dataset_size must be non-negative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not 0.0 <= self.p_i <= 1.0 or not 0.0 <= self.p_m <= 1.0:
             raise ValueError("p_i and p_m must lie in [0, 1]")
         if self.task not in ("classification", "regression"):
@@ -165,38 +167,31 @@ class StreamGenerator:
     segment runs from the first unbuilt row for ``_SEGMENT_ROWS`` rows, or
     to ``config.dataset_size`` if that comes first; drift events and
     windows do not end it.  ``_walk`` makes every per-row draw but the
-    values in one pass over its rows: each abrupt or recurrent event adds a
-    concept version, which makes the rows from its event on; a gradual
-    window's rows each pick its start concept or its endpoint, and an
-    incremental window's rows each have a version of its own; then the row
-    draws its forced values from its version and its masked features.  A
-    drift event replaces only the mappers its actions name, so versions
-    share every other mapper.  A segment is then built in two phases:
+    values in one pass and gives each row its concept version, recording
+    for each version the nodes whose source it replaced.  The segment is
+    then built in two phases, each of which reads that record:
 
-    1. the segment's draws on ``values``, in the order of a row-at-a-time
-       walk (see ``spawn_streams``): one call per run of normal or uniform
-       draws, scaled by each row's version, then each node's temporal
-       recursion over its column, carried from ``state`` with the float
-       operations of ``root_value_step`` and ``ar_noise_step``;
+    1. the draws on ``values``, in the order of a row-at-a-time walk (see
+       ``spawn_streams``): one call per run of normal or uniform draws,
+       scaled by each row's version, then each node's temporal recursion
+       over its column, carried from ``state`` with the float operations of
+       ``root_value_step`` and ``ar_noise_step``;
     2. the ancestor walk, which also serves concept init and drift
        re-simulation: per inner node in topological order, one batched
-       ``predict`` per distinct mapper among the rows' versions, each
-       version's class permutation on the target; forced values overwrite
-       their rows before the children read them.
+       ``predict`` per version that moved the node, on the rows it holds;
+       forced values overwrite their rows before the children read them.
 
-    Temporal state never reads a node's value, so phase 1 needs no mapper,
-    and every ``predict`` gives a row the same bits however many rows share
-    the call.  A stream's bytes therefore do not depend on where segments
-    end.  Each concept an event completes, a window's at the window's end,
-    is snapshotted after phase 1, with the temporal state after the row
-    before it, read from the nodes' paths.
-    The built segment is the one row buffer of two readers: ``step``,
-    ``take`` and iteration build its ``Instance``s on their first read of
-    it, and ``collect`` slices its arrays and builds none.  Either reader
-    goes on from the row the other stopped at.  ``concept``, ``state`` and
-    the substreams may run up to one segment ahead of the rows handed out,
-    but a consumer that takes ``config.dataset_size`` rows leaves nothing
-    built past them.
+    Temporal state never reads a node's value, so phase 1 needs no mapper;
+    every ``predict`` gives a row the same bits however many rows share the
+    call, so a stream's bytes do not depend on where segments end.  Each
+    concept an event completes, a window's at the window's end, is
+    snapshotted with the temporal state after the row before it.  The built
+    segment is the one row buffer of two readers: ``step``, ``take`` and
+    iteration build its ``Instance``s on their first read of it, and
+    ``collect`` slices its arrays and builds none; either goes on from the
+    row the other stopped at.  ``concept``, ``state`` and the substreams may
+    run up to one segment ahead of the rows handed out, but a consumer that
+    takes ``config.dataset_size`` rows leaves nothing built past them.
     """
 
     def __init__(
@@ -230,8 +225,8 @@ class StreamGenerator:
         self.snapshots[self._concept_id] = ConceptSnapshot(concept, self.state)
         self._next_event = 0
         # the open gradual or incremental window, if any (windows are
-        # disjoint): its spec, its concept id, and the endpoint concept of a
-        # gradual window or the plan of an incremental one
+        # disjoint): its spec, its concept id, a gradual window's endpoint or
+        # an incremental one's plan, and the nodes the endpoint or a step moves
         self._window: tuple | None = None
 
     # -- the event walk ------------------------------------------------------
@@ -248,27 +243,30 @@ class StreamGenerator:
         gives the row its version: the current one; in a gradual window the
         start concept or the endpoint, by the row's ``gradual_selector``
         draw; in an incremental window a version of its own, from the row's
-        ``incremental_step``, which shares every mapper no action moves.
-        Last, ``draw_interventions`` draws the row's forced values from its
-        version and ``draw_missing`` its masked features.
+        ``incremental_step``.  Last, ``draw_interventions`` draws the row's
+        forced values from its version and ``draw_missing`` its masked
+        features.  Each version records the nodes it moved: the segment's
+        first every node, an incremental step its plan's nodes, any other
+        version those of one identity diff per event (``_moved``).
 
-        Returns the versions, the concept id of each and each row's version;
-        per concept an event completed, in row order, its version and the
-        row before which its snapshot's state is read; per forced node the
-        (rows, values) that overwrite its column; per row its intervened
-        nodes and its masked features, each sorted.
+        Returns the versions, the moved nodes and concept id of each, and
+        each row's version; per concept an event completed, in row order,
+        its version and the row before which its snapshot's state is read;
+        per forced node the (rows, values) that overwrite its column; per
+        row its intervened nodes and its masked features, each sorted.
         """
 
         t0, size = self._built, self._config.dataset_size
         n = min(_SEGMENT_ROWS, size - t0) if t0 < size else _SEGMENT_ROWS
         events, e, rng = self._config.schedule.events, self._next_event, self.rngs.schedule
-        versions, ids, which, done = [self.concept], [self._concept_id], [], {}
-        forced, intervened, missing = {}, [], []
+        versions, moved, ids = [self.concept], [self.concept.graph.topo_order], [self._concept_id]
+        which, done, forced, intervened, missing = [], {}, {}, [], []
         p_i, p_m, policy, rngs = self._config.p_i, self._config.p_m, self.policy, self.rngs
         eligible, emitted = self._eligible, self.emitted_features
         window = self._window
         if window is not None and window[0].rate == "gradual":
             versions.append(window[2])
+            moved.append(window[3])
             ids.append(window[1])
         for i, t in enumerate(range(t0, t0 + n)):
             if window is not None and t == window[0].t_end:
@@ -288,20 +286,24 @@ class StreamGenerator:
                 else:
                     begin = begin_gradual if spec.rate == "gradual" else begin_incremental
                     shift = begin(versions[-1], spec, rng)
-                if spec.rate != "incremental":
+                if spec.rate == "incremental":
+                    window = (spec, event_id, shift, {node for node, _ in shift.steppers})
+                else:
+                    moved.append(_moved(versions[-1], shift))
                     versions.append(shift)
                     ids.append(event_id)
-                if spec.rate == "abrupt":
-                    done[event_id] = (len(versions) - 1, i)
-                else:
-                    window = (spec, event_id, shift)
+                    if spec.rate == "abrupt":
+                        done[event_id] = (len(versions) - 1, i)
+                    else:
+                        window = (spec, event_id, shift, moved[-1])
             if window is None:
                 which.append(len(versions) - 1)
             elif window[0].rate == "gradual":
                 which.append(len(versions) - 2 + gradual_selector(t, window[0], rng))
             else:
-                spec, event_id, plan = window
+                spec, event_id, plan, steps = window
                 versions.append(incremental_step(versions[-1], plan, t - spec.t_start, rng))
+                moved.append(steps)
                 ids.append(event_id)
                 which.append(len(versions) - 1)
             row = draw_interventions(p_i, policy, eligible, versions[which[-1]], rngs.interventions)
@@ -315,7 +317,7 @@ class StreamGenerator:
         # inside a gradual window the current concept is its start
         k = -2 if window is not None and window[0].rate == "gradual" else -1
         self.concept, self._concept_id = versions[k], ids[k]
-        return versions, ids, np.array(which), done, forced, intervened, missing
+        return versions, moved, ids, np.array(which), done, forced, intervened, missing
 
     # -- the segment engine --------------------------------------------------
 
@@ -324,18 +326,19 @@ class StreamGenerator:
         each concept that an event completed in it."""
 
         t0 = self._built
-        versions, ids, which, done, forced, intervened, missing = self._walk()
-        drawn, states = self._draw_rows(versions, which, [i for _, i in done.values()])
+        versions, moved, ids, which, done, forced, intervened, missing = self._walk()
+        drawn, states = self._draw_rows(versions, moved, which, [i for _, i in done.values()])
         for (event_id, (k, _)), state in zip(done.items(), states):
             self.snapshots[event_id] = ConceptSnapshot(versions[k], state)
-        # each version's rows, grouped once for every node
-        order = np.argsort(which, kind="stable")
-        groups = np.split(order, np.searchsorted(which[order], range(1, len(versions))))
+        runs = {}  # per node, the versions that moved it, in order
+        for k, nodes in enumerate(moved):
+            for node in nodes:
+                runs.setdefault(node, []).append(k)
         V = _ancestor_walk(
             versions[0].graph,
             len(which),
             drawn.__getitem__,
-            lambda node, P: _RowMappers(versions, groups, node),
+            lambda node, P: _RowMappers(versions, runs[node], which, node),
             lambda node, m: drawn[node],
             forced=forced,
         )
@@ -343,7 +346,7 @@ class StreamGenerator:
         self._seg = (t0, V, intervened, missing, [ids[k] for k in which.tolist()])
         self._rows = None
 
-    def _draw_rows(self, versions: list[Concept], which: np.ndarray, cuts: list[int]):
+    def _draw_rows(self, versions: list[Concept], moved: list, which: np.ndarray, cuts: list[int]):
         """Phase 1: every draw of the segment's rows on the values
         substream, in the order of a row-at-a-time walk, batched; row ``i``
         draws with the parameters of ``versions[which[i]]``.  ``_walk`` has
@@ -356,11 +359,7 @@ class StreamGenerator:
         """
 
         n, temporal = len(which), versions[0].temporal
-        walk, loc, scale, uniform = _draw_params(versions)
-        if len(versions) > 1:
-            loc, scale = np.asarray(loc)[which], np.asarray(scale)[which]
-        else:
-            loc, scale = loc[0], scale[0]
+        walk, loc, scale, uniform = _draw_params(versions, moved, which)
         draws = _draw_in_rows(self.rngs.values, n, loc, scale, uniform).T.tolist()
         ewma, ar = self.state.ewma, self.state.ar
         drawn, noise, j = {}, {}, 0
@@ -426,69 +425,66 @@ class StreamGenerator:
         return self.step()
 
 
-def _draw_params(versions: list[Concept]) -> tuple[list, list, list, list]:
-    """A row's draws on ``values`` under each concept version: per
-    continuous node in topological order, a root's natural value, then the
-    node's AR innovation.  Returns the walk of (node, is root), each
-    version's list of draw locs and of draw scales, and whether each draw
-    is uniform.
+def _moved(was: Concept, now: Concept) -> set[int]:
+    """The nodes whose source ``now`` replaced in ``was``: a root's
+    distribution, an inner node's mapper, or the target's class permutation."""
 
-    No drift changes which draws a row makes, only their loc and scale,
-    and a node's read only its source: a root's distribution or an inner
-    node's mapper.  A version recomputes only the nodes whose source is not
-    the previous version's object.
+    moved = {node for node, m in now.mappers.items() if m is not was.mappers[node]}
+    moved.update(node for node, d in now.root_dists.items() if d is not was.root_dists[node])
+    if now.class_permutation != was.class_permutation:
+        moved.add(now.graph.target)
+    return moved
+
+
+def _draw_params(versions: list[Concept], moved: list, which: np.ndarray) -> tuple:
+    """Each row's draws on ``values``: per continuous node in topological
+    order, a root's natural value, then the node's AR innovation.  Returns
+    the walk of (node, is root), each row's draw locs and scales, from its
+    version, and whether each draw is uniform.  No drift changes which draws
+    a row makes, and a node's loc and scale read only its source, so a
+    version recomputes only the nodes ``moved`` records for it.
     """
 
     first, walk, slot, size = versions[0], [], {}, 0
     for node in first.graph.topo_order:
         if not first.is_categorical(node):
             walk.append((node, node in first.root_dists))
-            slot[node] = size
-            size += 1 + walk[-1][1]
-    roots = [node for node, root in walk if root]
-    inner = [node for node, root in walk if not root]
-    loc, scale, uniform = [0.0] * size, [0.0] * size, [False] * size
-    locs, scales, held = [], [], None
-    for concept in versions:
-        sources = [*map(concept.root_dists.__getitem__, roots), *map(concept.mappers.__getitem__, inner)]
-        if held is None:
-            moved = roots + inner
-        else:
-            moved = [node for node, a, b in zip(roots + inner, sources, held) if a is not b]
-            loc, scale = loc.copy(), scale.copy()
-        for node in moved:
+            slot[node], size = size, size + 1 + walk[-1][1]
+    loc, scale = np.zeros((2, len(versions), size))
+    uniform = [False] * size
+    for k, (concept, nodes) in enumerate(zip(versions, moved)):
+        # a version starts from the one before it; the first moves every node
+        loc[k], scale[k] = loc[k - 1], scale[k - 1]
+        for node in slot.keys() & nodes:
             i = slot[node]
             dist = concept.root_dists.get(node)
             if dist is not None:
                 normal = dist.kind == "normal"
-                loc[i], uniform[i] = dist.p1, not normal
-                scale[i] = dist.std() if normal else dist.p2 - dist.p1
+                loc[k, i], uniform[i] = dist.p1, not normal
+                scale[k, i] = dist.std() if normal else dist.p2 - dist.p1
                 i += 1
-            scale[i] = concept.temporal.sigma * concept.noise_scale(node)
-        locs.append(loc)
-        scales.append(scale)
-        held = sources
-    return walk, locs, scales, uniform
+            scale[k, i] = concept.temporal.sigma * concept.noise_scale(node)
+    return walk, loc[which], scale[which], uniform
 
 
 class _RowMappers:
-    """One node's mappers in a segment whose rows come from one or more
-    concept versions, read by the ancestor walk as one mapper: ``predict``
-    runs each distinct mapper once, on the rows of every version that holds
-    it, and relabels the target's classes by each version's permutation.
-    Drift replaces only the mappers it names, so a node that no event of the
-    segment names costs one call.  ``predict`` is row-independent, so a row
-    gets the bits that a segment of its version alone would give it."""
+    """One node's mappers in a segment, read by the ancestor walk as one
+    mapper.  ``runs`` lists the versions that moved the node; a row takes
+    the mapper, and on the target the class permutation, of the last of
+    them at or before its own version.  ``predict`` runs each once, on its
+    rows, and is row-independent: a row gets the bits that a segment of its
+    version alone would give it."""
 
-    def __init__(self, versions: list[Concept], rows: list[np.ndarray], node: int):
+    def __init__(self, versions: list[Concept], runs: list[int], which: np.ndarray, node: int):
         self.kind = versions[0].mappers[node].kind
-        target = node == versions[0].graph.target
-        groups: dict[tuple, tuple] = {}
-        for version, r in zip(versions, rows):
-            if len(r):
-                m, perm = version.mappers[node], version.class_permutation if target else None
-                groups.setdefault((id(m), perm), (m, perm, []))[2].append(r)
-        self.groups = [(m, perm, np.concatenate(r)) for m, perm, r in groups.values()]
+        target, self.groups = node == versions[0].graph.target, []
+        # each row's run, counted from 1; a node with one run has every row in it
+        run = np.searchsorted(runs, which, side="right") if len(runs) > 1 else None
+        for j, k in enumerate(runs, 1):
+            rows = slice(None) if run is None else np.flatnonzero(run == j)
+            if run is None or len(rows):
+                perm = versions[k].class_permutation if target else None
+                self.groups.append((versions[k].mappers[node], perm, rows))
 
     def predict(self, P: np.ndarray) -> np.ndarray:
         out = np.empty(len(P))

@@ -17,6 +17,7 @@ the segment engine must match this engine bit for bit, whatever its
 segments, caps and grouping.
 """
 
+import copy
 from dataclasses import dataclass
 
 from causalstream.concept import Concept, ConceptSnapshot
@@ -31,7 +32,7 @@ from causalstream.drift import (
     gradual_selector,
     incremental_step,
 )
-from causalstream.generator import GeneratorConfig, Instance, build_stream
+from causalstream.generator import GeneratorConfig, Instance, StreamGenerator
 from causalstream.temporal import TemporalState, ar_noise_step, root_value_step
 
 
@@ -47,12 +48,16 @@ class ReferenceRun:
     feature_names: tuple[str, ...]
 
 
-def reference_run(cfg: GeneratorConfig) -> ReferenceRun:
-    """Every row of the run of ``cfg``, built one at a time."""
+def reference_run(cfg: GeneratorConfig, gen: StreamGenerator) -> ReferenceRun:
+    """Every row of the run of ``cfg``, built one at a time.
 
-    # graph, concept init, substreams and emitted features; no row is built
-    gen = build_stream(cfg)
-    concept, rngs, policy, emitted = gen.concept, gen.rngs, gen.policy, gen.emitted_features
+    ``gen`` is a generator of ``cfg`` that has built no row yet; the run
+    takes its initial concept, policy and emitted features, and draws from
+    copies of its substreams, so ``gen`` itself is left as it was.
+    """
+
+    concept, policy, emitted = gen.concept, gen.policy, gen.emitted_features
+    rngs = copy.deepcopy(gen.rngs)
     graph = concept.graph
     extra = (graph.target,) if policy.include_target else ()
     eligible = tuple(sorted(graph.feature_nodes + extra))

@@ -260,6 +260,36 @@ def test_bad_schedules_are_rejected_at_parse_time(tmp_path, capsys, events, mess
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("concept.mean_range", [_NAN, 5.0], "concept: mean_range must be finite"),
+        ("concept.mean_range", [-5.0, _NAN], "concept: mean_range must be finite"),
+        ("concept.variance_range", [_NAN, 4.0], "concept: variance_range must be finite"),
+        ("concept.low_range", [-5.0, _NAN], "concept: low_range must be finite"),
+        ("concept.width_range", [_NAN, 10.0], "concept: width_range must be finite"),
+        ("concept.mean_range", [5.0, -5.0], "concept: mean_range must be finite"),
+        ("seed", -1, "seed must be a non-negative integer"),
+    ],
+    ids=["mean-nan-low", "mean-nan-high", "variance-nan", "low-nan", "width-nan",
+         "mean-reversed", "seed-negative"],
+)
+def test_a_bad_range_or_seed_exits_2_with_its_path(tmp_path, capsys, path, value, message):
+    """A NaN at either end of a root range once raised ``OverflowError``
+    from numpy, with a traceback; a reversed range and a negative seed
+    printed numpy's bare text.  Each now fails at parse time with its path."""
+    doc = copy.deepcopy(COVERAGE_DOC)
+    _put(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "bad.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 def _put(doc: dict, path: str, value) -> None:
     """Put ``value`` at the dotted ``path`` of ``doc``; numbers index lists."""
     *outer, last = path.split(".")

@@ -283,7 +283,7 @@ _SEGMENT_CASES = {
 
 @pytest.mark.parametrize("case", list(_SEGMENT_CASES))
 def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
-    """Segments of 1, 7, 256 or 4096 rows give the same run as the default:
+    """Segments of 1, 7, 255 or 4096 rows give the same run as the default:
     the CSV, every row's concept id, values, intervened and missing fields,
     every snapshot's concept and state, and the arrays of ``collect``.  dataset2 and the coverage
     config hold gradual and incremental windows, which the cap splits; the
@@ -291,7 +291,7 @@ def test_segment_length_never_changes_the_bytes(case, tmp_path, monkeypatch):
     completed in the same segment, inside one default segment."""
     cfg = _SEGMENT_CASES[case]()
     expected = _run(cfg, tmp_path / "default.csv")
-    for rows in (1, 7, 256, 4096):
+    for rows in (1, 7, 255, 4096):
         monkeypatch.setattr(generator_module, "_SEGMENT_ROWS", rows)
         got = _run(cfg, tmp_path / f"{rows}.csv")
         for what in expected:

@@ -44,10 +44,10 @@ def _comparable(rows, snapshots, concept, csv: bytes) -> dict:
 
 def _both(cfg, tmp_path) -> tuple[dict, dict]:
     gen = build_stream(cfg)
+    ref = reference_run(cfg, gen)
     rows = gen.take(cfg.dataset_size)
     write_stream_csv(tmp_path / "engine.csv", rows, gen.feature_names)
     engine = _comparable(rows, gen.snapshots, gen.concept, (tmp_path / "engine.csv").read_bytes())
-    ref = reference_run(cfg)
     write_stream_csv(tmp_path / "reference.csv", ref.rows, ref.feature_names)
     reference = _comparable(
         ref.rows, ref.snapshots, ref.concept, (tmp_path / "reference.csv").read_bytes()
