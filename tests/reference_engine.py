@@ -45,7 +45,6 @@ class ReferenceRun:
     # the current concept after the last row: a gradual window's start
     # concept while the window is open
     concept: Concept
-    feature_names: tuple[str, ...]
 
 
 def reference_run(cfg: GeneratorConfig, gen: StreamGenerator) -> ReferenceRun:
@@ -122,4 +121,4 @@ def reference_run(cfg: GeneratorConfig, gen: StreamGenerator) -> ReferenceRun:
         features = tuple(None if node in masked else values[node] for node in emitted)
         label = values[graph.target]
         rows.append(Instance(t, features, label, values, tuple(forced), masked, row_id))
-    return ReferenceRun(rows, snapshots, current, gen.feature_names)
+    return ReferenceRun(rows, snapshots, current)

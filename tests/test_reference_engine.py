@@ -22,41 +22,35 @@ from causalstream.presets import preset_config
 from causalstream.stream_io import write_stream_csv
 
 
-def _incremental_root_shift(rows: int = 300):
-    """dataset6 seed 31 (d = 100), cut to ``rows`` rows, with one
+def _incremental_root_shift():
+    """dataset6 seed 31 (d = 100), cut to 300 rows, with one
     incremental ``root-params`` event (``shift_std`` 2.0) on its first root
     over rows 10-1010: every row of the window has a concept version of its
     own, which moves one node."""
     cfg = preset_config("dataset6", 31)
     shift = ShiftAction("root-params", cfg.graph.roots[0], {"shift_std": 2.0})
     event = ShiftSpec("covariate", "incremental", 10, 1000, (shift,))
-    return replace(cfg, dataset_size=rows, schedule=DriftSchedule((event,)))
+    return replace(cfg, dataset_size=300, schedule=DriftSchedule((event,)))
 
 
-def _comparable(rows, snapshots, concept, csv: bytes) -> dict:
+def _comparable(rows, feature_names, snapshots, concept, path: Path) -> dict:
+    write_stream_csv(path, rows, feature_names)
     return {
-        "csv": csv,
+        "csv": path.read_bytes(),
         "rows": [(r.concept_id, r.values, r.intervened, r.missing) for r in rows],
         "snapshots": [(k, s.to_json()) for k, s in snapshots.items()],
         "concept": concept.to_dict(),
     }
 
 
-def _both(cfg, tmp_path) -> tuple[dict, dict]:
-    gen = build_stream(cfg)
+def _assert_same(cfg, gen, tmp: Path) -> None:
+    """``gen``, a generator of ``cfg`` that has built no row, against the
+    reference run from the same start."""
     ref = reference_run(cfg, gen)
     rows = gen.take(cfg.dataset_size)
-    write_stream_csv(tmp_path / "engine.csv", rows, gen.feature_names)
-    engine = _comparable(rows, gen.snapshots, gen.concept, (tmp_path / "engine.csv").read_bytes())
-    write_stream_csv(tmp_path / "reference.csv", ref.rows, ref.feature_names)
-    reference = _comparable(
-        ref.rows, ref.snapshots, ref.concept, (tmp_path / "reference.csv").read_bytes()
-    )
-    return engine, reference
-
-
-def _assert_same(cfg, tmp_path) -> None:
-    engine, reference = _both(cfg, tmp_path)
+    names = gen.feature_names
+    engine = _comparable(rows, names, gen.snapshots, gen.concept, tmp / "e.csv")
+    reference = _comparable(ref.rows, names, ref.snapshots, ref.concept, tmp / "r.csv")
     for what in reference:
         assert engine[what] == reference[what], what
 
@@ -66,14 +60,15 @@ _CASES = {**CASES, "incremental-root-shift[:300]": _incremental_root_shift}
 
 @pytest.mark.parametrize("case", list(_CASES))
 def test_the_engine_matches_the_reference(case, tmp_path):
-    _assert_same(_CASES[case](), tmp_path)
+    cfg = _CASES[case]()
+    _assert_same(cfg, build_stream(cfg), tmp_path)
 
 
 @given(configs())
 def test_the_engine_matches_the_reference_on_random_configs(cfg):
     try:
-        build_stream(cfg)
+        gen = build_stream(cfg)
     except ValueError:
         return
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_same(cfg, Path(tmp))
+        _assert_same(cfg, gen, Path(tmp))
